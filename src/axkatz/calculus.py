@@ -4,10 +4,24 @@ Maps are stored as value tables in enumeration order.  The functional degree
 of a nonzero map f is the largest total order of an iterated generator
 difference that is not identically zero; it is -inf for the zero map and
 +inf exactly when the map does not split over the Sylow components of its
-domain and codomain.  Searching generator differences suffices because the
+domain and codomain.  Generator differences suffice because the
 augmentation ideal of the group ring is generated by (e_i - 1) over the
 standard generators e_i, so all order-(d+1) differences vanish iff all
 order-(d+1) products of arbitrary translation differences do.
+
+For a map from Z/p^a_1 + ... + Z/p^a_N into a p-group of exponent p^beta,
+every restriction to a line along axis i has degree at most the
+one-variable cap (p^a_i - 1) + (beta - 1)(p - 1)p^(a_i - 1), so the
+difference of order w_i = cap_i + 1 along that axis vanishes.  The iterated
+differences at the origin over the support box prod [0, w_i) are therefore
+all the binomial-basis coefficients of the periodic pullback, and
+Delta^m f(x) = sum_n c_n C(x, n - m) makes the degree the largest total
+order of a nonzero coefficient.  One in-place forward-difference transform
+per axis (Yates) computes the whole box from the values on it, one integer
+column per codomain factor.  A nonzero coefficient beyond the pair's degree
+cap would contradict the closed form and raises ConsistencyError.
+``difference`` and ``iterated_difference`` are the definition-level
+operators; the test suite checks the transform against them.
 """
 
 from __future__ import annotations
@@ -26,6 +40,7 @@ from .groups import (
     enumerate_elements,
     index_of,
     max_functional_degree,
+    pure_prime,
 )
 from .intmath import binomial, factorize, multiplicity
 from .partitions import make_partition
@@ -102,20 +117,6 @@ def _generator_shift(shape: AbelianShape, axis: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-@lru_cache(maxsize=None)
-def _pure_prime(shape: AbelianShape) -> int | None:
-    """The unique prime when every factor is a power of it, else None."""
-    if shape.is_trivial:
-        return None
-    primes = set()
-    for m in shape.factors:
-        fac = factorize(m)
-        if len(fac) != 1:
-            return None
-        primes.update(fac)
-    return primes.pop() if len(primes) == 1 else None
-
-
 def difference(f: FiniteMap, a: tuple[int, ...]) -> FiniteMap:
     """Translation difference x -> f(x + a) - f(x)."""
     if not f.domain.contains(a):
@@ -147,66 +148,6 @@ def iterated_difference(f: FiniteMap, orders: Sequence[int]) -> FiniteMap:
                 for k in range(len(values))
             )
     return FiniteMap(f.domain, f.codomain, values)
-
-
-def _p_group_degree(f: FiniteMap) -> int:
-    """Exact degree of a nonzero map between p-groups of one common prime.
-
-    Levels the iterated generator differences by total order and stops at the
-    first identically vanishing level; each weight vector is produced from a
-    single canonical parent, and children of vanished tables are skipped
-    because differencing the zero map stays zero.
-    """
-    p = _pure_prime(f.domain)
-    exponents = make_partition(multiplicity(p, m) for m in f.domain.factors)
-    beta = max(multiplicity(p, m) for m in f.codomain.factors)
-    cap = max_functional_degree(PGroupShape(p, exponents), beta)
-    naxes = len(f.domain.factors)
-    shifts = [_generator_shift(f.domain, i) for i in range(naxes)]
-    size = f.domain.order
-
-    scalar = len(f.codomain.factors) == 1
-    if scalar:
-        q = f.codomain.factors[0]
-        start: tuple = tuple(v[0] for v in f.values)
-
-        def diff(table, perm):
-            return tuple((table[perm[k]] - table[k]) % q for k in range(size))
-
-        def nonzero(table):
-            return any(table)
-
-    else:
-        mods = f.codomain.factors
-        start = f.values
-
-        def diff(table, perm):
-            return tuple(
-                tuple((a - b) % m for a, b, m in zip(table[perm[k]], table[k], mods))
-                for k in range(size)
-            )
-
-        def nonzero(table):
-            return any(any(v) for v in table)
-
-    level = {(0,) * naxes: start}
-    k = 0
-    while True:
-        live = {nvec: t for nvec, t in level.items() if nonzero(t)}
-        if not live:
-            return k - 1
-        if k > cap:
-            raise ConsistencyError(
-                f"nonzero difference of order {k} exceeds the degree cap {cap}"
-            )
-        nxt: dict[tuple[int, ...], tuple] = {}
-        for nvec, table in live.items():
-            first = next((i for i, n in enumerate(nvec) if n), naxes - 1)
-            for i in range(first + 1):
-                child = nvec[:i] + (nvec[i] + 1,) + nvec[i + 1 :]
-                nxt[child] = diff(table, shifts[i])
-        level = nxt
-        k += 1
 
 
 def primary_split(f: FiniteMap) -> dict[int, FiniteMap] | None:
@@ -256,12 +197,18 @@ def primary_assemble(
 
 
 def functional_degree(f: FiniteMap) -> Degree:
-    """Exact functional degree in the extended naturals."""
+    """Exact functional degree in the extended naturals.
+
+    A map between p-groups of one prime is transformed once into its series
+    coefficients (see the module docstring) and its degree is the largest
+    total order of a nonzero coefficient.  Other maps are split into Sylow
+    component maps, each read the same way; the degree is their maximum, or
+    +inf when the map does not split.
+    """
     if f.is_zero:
         return NEG_INF
-    p_dom = _pure_prime(f.domain)
-    if p_dom is not None and p_dom == _pure_prime(f.codomain):
-        return Degree.of(_p_group_degree(f))
+    if _p_pair_data(f.domain, f.codomain) is not None:
+        return Degree.of(_coefficient_columns(f)[2])
     split = primary_split(f)
     if split is None:
         return INF
@@ -272,75 +219,109 @@ def functional_degree(f: FiniteMap) -> Degree:
         if g.domain.is_trivial or g.codomain.is_trivial:
             part = Degree.of(0)
         else:
-            part = Degree.of(_p_group_degree(g))
+            part = Degree.of(_coefficient_columns(g)[2])
         best = max(best, part)
     return best
 
 
-def _p_pair_data(f: FiniteMap) -> tuple[int, tuple[int, ...], int]:
-    """(p, domain exponents in stored order, degree cap) for a one-prime pair."""
-    p = _pure_prime(f.domain)
-    if p is None or _pure_prime(f.codomain) != p:
+@lru_cache(maxsize=None)
+def _p_pair_data(
+    domain: AbelianShape, codomain: AbelianShape
+) -> tuple[tuple[int, ...], int] | None:
+    """(per-axis support widths, degree cap) for a one-prime pair, else None.
+
+    Axis i of Z/p^a_i has width p^a_i + (beta - 1)(p - 1)p^(a_i - 1), one
+    more than the largest degree of a one-variable map into exponent p^beta.
+    """
+    p = pure_prime(domain)
+    if p is None or pure_prime(codomain) != p:
+        return None
+    exps = tuple(multiplicity(p, m) for m in domain.factors)
+    beta = max(multiplicity(p, m) for m in codomain.factors)
+    widths = tuple(p**a + (beta - 1) * (p - 1) * p ** (a - 1) for a in exps)
+    cap = max_functional_degree(PGroupShape(p, make_partition(exps)), beta)
+    return widths, cap
+
+
+@lru_cache(maxsize=None)
+def _box_plan(
+    factors: tuple[int, ...], widths: tuple[int, ...]
+) -> tuple[tuple[int, ...] | None, tuple[int, ...]]:
+    """(gather, orders) for the row-major box prod [0, widths[i]).
+
+    gather[k] is the table index of box cell k reduced into the domain, or
+    None when the box is the domain itself; orders[k] is the cell's total
+    order.
+    """
+    gather: list[int] = [0]
+    orders: list[int] = [0]
+    for m, w in zip(factors, widths):
+        gather = [g * m + c % m for g in gather for c in range(w)]
+        orders = [o + c for o in orders for c in range(w)]
+    return (None if factors == widths else tuple(gather)), tuple(orders)
+
+
+def _forward_differences(column: list[int], widths: Sequence[int], mod: int | None) -> None:
+    """In place over a row-major box: cell n becomes the n-th iterated forward
+    difference of the original array at the origin, mod ``mod`` (None keeps
+    exact integers).
+
+    One pass per axis (Yates): with the axis outermost, rows k..w-1 are
+    differenced against their predecessors for k = 1..w-1, then the axis is
+    rotated to the end so the next one comes outermost; after every axis
+    the layout is the original one again.
+    """
+    size = len(column)
+    if not size:  # a zero width leaves an empty box
+        return
+    for w in widths:
+        rest = size // w
+        for k in range(1, w):
+            lo = k * rest
+            column[lo:] = [a - b for a, b in zip(column[lo:], column[lo - rest : size - rest])]
+        rotated = itertools.chain.from_iterable(
+            zip(*(column[j * rest : (j + 1) * rest] for j in range(w)))
+        )
+        column[:] = rotated if mod is None else [v % mod for v in rotated]
+
+
+def _coefficient_columns(f: FiniteMap) -> tuple[tuple[int, ...], list[list[int]], int]:
+    """(widths, one coefficient column per codomain factor, top order) of a
+    one-prime map; top is the largest total order of a nonzero cell, -1 for
+    the zero map.
+    """
+    pair = _p_pair_data(f.domain, f.codomain)
+    if pair is None:
         raise UnsupportedMapError(
             "series expansion needs domain and codomain p-groups of one common prime"
         )
-    exps = tuple(multiplicity(p, m) for m in f.domain.factors)
-    beta = max(multiplicity(p, m) for m in f.codomain.factors)
-    cap = max_functional_degree(PGroupShape(p, make_partition(exps)), beta)
-    return p, exps, cap
-
-
-def _axis_triangle(values: list, width: int, naxes: int, sub) -> None:
-    """In-place per-axis forward differencing; cell k ends as the k-th
-    iterated difference of the original array at the origin."""
-    strides = [width ** (naxes - 1 - i) for i in range(naxes)]
-    for axis in range(naxes):
-        stride = strides[axis]
-        block = stride * width
-        for base in range(0, len(values), block):
-            for offset in range(stride):
-                line = base + offset
-                for k in range(1, width):
-                    for j in range(width - 1, k - 1, -1):
-                        pos = line + j * stride
-                        values[pos] = sub(values[pos], values[pos - stride])
+    widths, cap = pair
+    gather, orders = _box_plan(f.domain.factors, widths)
+    source = f.values if gather is None else [f.values[k] for k in gather]
+    columns = []
+    top = -1
+    for j, q in enumerate(f.codomain.factors):
+        column = [v[j] for v in source]
+        _forward_differences(column, widths, q)
+        top = max(top, max((o for o, c in zip(orders, column) if c), default=-1))
+        columns.append(column)
+    if top > cap:
+        raise ConsistencyError(f"nonzero coefficient of order {top} exceeds the degree cap {cap}")
+    return widths, columns, top
 
 
 def series_coefficients(f: FiniteMap) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Nonzero binomial-basis coefficients of the periodic pullback of f.
 
     The coefficient at n is the n-th iterated difference of the pullback at
-    the origin; support is contained in total order <= the degree cap of the
-    domain/codomain pair, and the maximal support order equals the degree.
+    the origin.  It vanishes once n_i reaches the axis width (the one-variable
+    cap plus one), so one transform of the values on that box yields all of
+    them; a nonzero coefficient beyond the pair's degree cap raises
+    ConsistencyError, and the maximal support order equals the degree.
     """
-    _, _, cap = _p_pair_data(f)
-    naxes = len(f.domain.factors)
-    width = cap + 1
-    factors = f.domain.factors
-
-    window: list = []
-    for point in itertools.product(range(width), repeat=naxes):
-        window.append(f.at(tuple(c % m for c, m in zip(point, factors))))
-
-    mods = f.codomain.factors
-    if len(mods) == 1:
-        q = mods[0]
-        flat = [v[0] for v in window]
-        _axis_triangle(flat, width, naxes, lambda a, b: (a - b) % q)
-        window = [(v,) for v in flat]
-    else:
-        _axis_triangle(
-            window,
-            width,
-            naxes,
-            lambda a, b: tuple((x - y) % m for x, y, m in zip(a, b, mods)),
-        )
-
-    coeffs: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for idx, point in enumerate(itertools.product(range(width), repeat=naxes)):
-        if sum(point) <= cap and any(window[idx]):
-            coeffs[point] = window[idx]
-    return coeffs
+    widths, columns, _ = _coefficient_columns(f)
+    points = itertools.product(*(range(w) for w in widths))
+    return {point: c for point, c in zip(points, zip(*columns)) if any(c)}
 
 
 def reconstruct(
@@ -447,17 +428,11 @@ def lift_difference_box(
     series: BinomialSeries, width: int
 ) -> dict[tuple[int, ...], int]:
     """All iterated differences of the series at the origin, for every order
-    vector inside the cube [0, width)^arity, via one in-place triangle."""
-    naxes = series.arity
-    values = [
-        series.evaluate(point)
-        for point in itertools.product(range(width), repeat=naxes)
-    ]
-    _axis_triangle(values, width, naxes, lambda a, b: a - b)
-    return {
-        point: values[idx]
-        for idx, point in enumerate(itertools.product(range(width), repeat=naxes))
-    }
+    vector inside the cube [0, width)^arity, via one exact transform."""
+    points = list(itertools.product(range(width), repeat=series.arity))
+    values = [series.evaluate(point) for point in points]
+    _forward_differences(values, (width,) * series.arity, None)
+    return dict(zip(points, values))
 
 
 def tensor_product(factors: Sequence[FiniteMap | BinomialSeries]):

@@ -40,31 +40,38 @@ class Degree:
     def _key(self) -> tuple[int, int]:
         return (self._rank, self._value)
 
-    def __eq__(self, other) -> bool:
+    @staticmethod
+    def _key_of(other) -> tuple[int, int] | None:
+        """Ordering key of a Degree or an int (ints compare as finite values)."""
+        if isinstance(other, Degree):
+            return other._key()
         if isinstance(other, int):
-            other = Degree.of(other)
-        if not isinstance(other, Degree):
-            return NotImplemented
-        return self._key() == other._key()
+            return (0, other)
+        return None
+
+    def __eq__(self, other) -> bool:
+        key = self._key_of(other)
+        return NotImplemented if key is None else self._key() == key
 
     def __lt__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Degree.of(other)
-        return self._key() < other._key()
+        key = self._key_of(other)
+        return NotImplemented if key is None else self._key() < key
 
     def __le__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Degree.of(other)
-        return self._key() <= other._key()
+        key = self._key_of(other)
+        return NotImplemented if key is None else self._key() <= key
 
     def __gt__(self, other) -> bool:
-        return not self <= other
+        key = self._key_of(other)
+        return NotImplemented if key is None else self._key() > key
 
     def __ge__(self, other) -> bool:
-        return not self < other
+        key = self._key_of(other)
+        return NotImplemented if key is None else self._key() >= key
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        # A finite degree equals the int of its value, so it hashes like it.
+        return hash(self._value) if self._rank == 0 else hash(self._key())
 
     def __add__(self, other: "Degree | int") -> "Degree":
         other = Degree.of(other)

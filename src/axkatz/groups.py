@@ -22,7 +22,16 @@ ENUM_LIMIT_ENV = "AXKATZ_ENUM_LIMIT"
 def enumeration_limit() -> int:
     """Default element-count cap; override with the AXKATZ_ENUM_LIMIT env var."""
     raw = os.environ.get(ENUM_LIMIT_ENV)
-    return int(raw) if raw else DEFAULT_ENUM_LIMIT
+    if not raw:
+        return DEFAULT_ENUM_LIMIT
+    message = f"{ENUM_LIMIT_ENV} must be a positive integer, got {raw!r}"
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise ValueError(message) from None
+    if limit < 1:
+        raise ValueError(message)
+    return limit
 
 
 @dataclass(frozen=True)
@@ -99,6 +108,20 @@ class PGroupShape:
 
     def shape(self) -> AbelianShape:
         return AbelianShape(tuple(self.p**a for a in self.exponents.parts))
+
+
+@lru_cache(maxsize=None)
+def pure_prime(shape: AbelianShape) -> int | None:
+    """The unique prime when every factor is a power of it, else None."""
+    if shape.is_trivial:
+        return None
+    primes = set()
+    for m in shape.factors:
+        fac = factorize(m)
+        if len(fac) != 1:
+            return None
+        primes.update(fac)
+    return primes.pop() if len(primes) == 1 else None
 
 
 def primary_decomposition(shape: AbelianShape) -> dict[int, PGroupShape]:

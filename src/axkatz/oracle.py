@@ -35,6 +35,7 @@ from .groups import (
     enumerate_elements,
     enumeration_limit,
     max_functional_degree,
+    pure_prime,
 )
 from .intmath import ceil_div, check_prime, factorize, multiplicity
 from .partitions import Partition, make_partition
@@ -134,10 +135,8 @@ def brute_max_degree(domain: AbelianShape, codomain: AbelianShape, cap: int = 2*
     total = codomain.order**domain.order
     if total > cap:
         raise ResourceLimitError(f"{total} tables exceed the exhaustive cap {cap}")
-    from .calculus import _pure_prime
-
-    p = _pure_prime(domain)
-    if p is None or _pure_prime(codomain) != p:
+    p = pure_prime(domain)
+    if p is None or pure_prime(codomain) != p:
         raise ValueError("both shapes must be p-groups of one common prime")
     targets = enumerate_elements(codomain)
     best = NEG_INF
@@ -213,10 +212,8 @@ def sample_bounded_map(
     cyclic codomain factor, so their degree never exceeds cap; each candidate
     is then assigned its exact degree and rejected unless it is nonconstant.
     """
-    from .calculus import _pure_prime
-
-    p = _pure_prime(domain)
-    if p is None or _pure_prime(codomain) != p:
+    p = pure_prime(domain)
+    if p is None or pure_prime(codomain) != p:
         raise ValueError("sampling needs p-groups of one common prime")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
@@ -404,12 +401,10 @@ def zero_count_trace(system: Sequence[FiniteMap], beta: int | None = None) -> Tr
     over the representative box, and asserts the two valuations agree.
     Requires a nonempty zero set and beta above its valuation.
     """
-    from .calculus import _pure_prime
-
     if not system:
         raise ValueError("the trace needs at least one map")
     domain = system[0].domain
-    p = _pure_prime(domain)
+    p = pure_prime(domain)
     if p is None:
         raise ValueError("the trace needs a p-group domain")
     betas = []

@@ -1,6 +1,8 @@
 """Difference calculus: degrees, series expansions, lifts, zero counting."""
 
+import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from axkatz import (
     NEG_INF,
     AbelianShape,
     BinomialSeries,
+    ConsistencyError,
     Degree,
     FiniteMap,
     UnsupportedMapError,
@@ -30,6 +33,8 @@ from axkatz import (
     vp_value,
     zero_count,
 )
+from axkatz import calculus
+from axkatz.intmath import factorize, multiplicity
 
 Z2 = AbelianShape((2,))
 Z3 = AbelianShape((3,))
@@ -53,6 +58,22 @@ def test_degree_ordering():
     assert Degree.of(2) == 2 and Degree.of(2) <= 2 and Degree.of(1) < 2
     assert Degree.from_json(INF.to_json()) == INF
     assert Degree.from_json(Degree.of(5).to_json()) == 5
+
+
+def test_degree_hash_agrees_with_int_equality():
+    assert {Degree.of(3): 1}.get(3) == 1
+    assert {3: "x"}[Degree.of(3)] == "x"
+    assert len({Degree.of(0), 0, Degree.of(2), 2, NEG_INF, INF}) == 4
+    assert Degree.of(3) != -1 and NEG_INF < -1 < Degree.of(0)
+
+
+@pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_degree_ordering_rejects_foreign_types(compare):
+    method = f"__{compare.__name__}__"
+    assert getattr(Degree.of(3), method)("a") is NotImplemented
+    with pytest.raises(TypeError):
+        compare(Degree.of(3), "a")
+    assert Degree.of(3) != "a"
 
 
 def test_difference_fixtures():
@@ -125,6 +146,16 @@ def test_series_coefficients_fixtures():
         series_coefficients(FiniteMap(Z2, Z3, ((0,), (1,))))
 
 
+def test_coefficient_past_the_degree_cap_raises(monkeypatch):
+    ident = FiniteMap(Z2, Z2, ((0,), (1,)))
+    # Claim a degree cap of 0 on the real box: the order-1 coefficient breaks it.
+    monkeypatch.setattr(calculus, "_p_pair_data", lambda domain, codomain: ((2,), 0))
+    with pytest.raises(ConsistencyError):
+        functional_degree(ident)
+    with pytest.raises(ConsistencyError):
+        series_coefficients(ident)
+
+
 def test_reconstruct_fixtures():
     assert reconstruct(Z2, Z2, {}, NEG_INF).is_zero
     ident = reconstruct(Z2, Z2, {(1,): (1,)}, 1)
@@ -188,6 +219,7 @@ def test_lift_difference_fixtures():
         assert box[(n,)] == lift_difference_at_zero(lift, (n,))
     for nvec, c in lift.coeffs.items():
         assert box[nvec] == c
+    assert lift_difference_box(lift, 0) == {}
 
 
 def test_lift_divisibility_small():
@@ -287,3 +319,93 @@ def test_primary_split_and_assemble():
     assert count == c2 * c3
     entangled = FiniteMap(Z6, Z6, ((0,), (2,), (4,), (1,), (3,), (5,)))
     assert primary_split(entangled) is None
+
+
+# The degree and series routines share one forward-difference transform, and
+# every exhaustive verification buckets maps by that degree; the tests below
+# recompute both from the definition with iterated_difference instead.
+
+
+def axis_widths(domain, codomain):
+    """Per-axis order at which generator differences of any map must vanish.
+
+    On the p-part Z/p^a of a factor, with p^beta the exponent of the
+    codomain's p-part, that is p^a + (beta - 1)(p - 1)p^(a - 1); a factor
+    takes the largest over its primes, and 1 where no prime is shared.
+    """
+    widths = []
+    for m in domain.factors:
+        width = 1
+        for p, a in factorize(m).items():
+            beta = max((multiplicity(p, q) for q in codomain.factors), default=0)
+            if beta:
+                width = max(width, p**a + (beta - 1) * (p - 1) * p ** (a - 1))
+        widths.append(width)
+    return widths
+
+
+def degree_from_definition(f):
+    """Largest |n| with iterated_difference(f, n) nonzero, after checking
+    that the order-w_i difference vanishes on each axis (so no n outside
+    the box can have a nonzero difference)."""
+    widths = axis_widths(f.domain, f.codomain)
+    naxes = len(widths)
+    for axis, width in enumerate(widths):
+        orders = [width if i == axis else 0 for i in range(naxes)]
+        assert iterated_difference(f, orders).is_zero
+    best = NEG_INF
+    for n in itertools.product(*(range(w) for w in widths)):
+        if not iterated_difference(f, n).is_zero:
+            best = max(best, Degree.of(sum(n)))
+    return best
+
+
+def assert_matches_definition(f, series=True):
+    assert functional_degree(f) == degree_from_definition(f)
+    if series:
+        coeffs = series_coefficients(f)
+        widths = axis_widths(f.domain, f.codomain)
+        for n in itertools.product(*(range(w) for w in widths)):
+            expected = iterated_difference(f, n).values[0]
+            assert coeffs.get(n, f.codomain.zero()) == expected
+        assert all(any(c) for c in coeffs.values())
+
+
+@pytest.mark.parametrize(
+    "domain, codomain",
+    [
+        (Z4, Z2),
+        (Z22, Z2),
+        (Z3, Z3),
+        (Z2, Z4),
+        (Z4, AbelianShape((2, 2))),
+    ],
+)
+def test_transform_matches_definition_exhaustive(domain, codomain):
+    targets = enumerate_elements(codomain)
+    for values in itertools.product(targets, repeat=domain.order):
+        assert_matches_definition(FiniteMap(domain, codomain, values))
+
+
+@pytest.mark.parametrize(
+    "domain, codomain, count",
+    [
+        (AbelianShape((8, 8)), AbelianShape((4, 2)), 3),
+        (AbelianShape((3, 3)), Z9, 6),
+    ],
+)
+def test_transform_matches_definition_random(domain, codomain, count):
+    rng = random.Random(41)
+    for _ in range(count):
+        assert_matches_definition(random_map(domain, codomain, rng))
+
+
+def test_transform_matches_definition_mixed_order_split():
+    rng = random.Random(43)
+    domain = AbelianShape((6, 4))
+    codomain = AbelianShape((12,))
+    for _ in range(6):
+        comp2 = random_map(AbelianShape((2, 4)), Z4, rng)
+        comp3 = random_map(Z3, Z3, rng)
+        f = primary_assemble(domain, codomain, {2: comp2, 3: comp3})
+        assert_matches_definition(f, series=False)

@@ -116,6 +116,16 @@ def test_verify_exit_codes(capsys):
     assert code == 2 and "seed" in err
 
 
+def test_verify_bad_enum_limit_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("AXKATZ_ENUM_LIMIT", "abc")
+    code, out, err = run_cli(
+        capsys, "verify", "--p", "2", "--alpha", "2,1", "--targets", "1:1",
+        "--mode", "exhaustive",
+    )
+    assert code == 2 and out == ""
+    assert "AXKATZ_ENUM_LIMIT" in err and "'abc'" in err
+
+
 def test_scan_csv_and_json(capsys):
     code, out, _ = run_cli(
         capsys, "scan", "--p", "2", "--alphas", "2,1;1,1,1", "--targets", "1:1",

@@ -88,6 +88,13 @@ def test_enumeration_limit_env_var(monkeypatch):
     assert len(enumerate_elements(AbelianShape((4, 2)))) == 8
 
 
+@pytest.mark.parametrize("raw", ["abc", "2.5", "0", "-3"])
+def test_enumeration_limit_env_var_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv("AXKATZ_ENUM_LIMIT", raw)
+    with pytest.raises(ValueError, match="AXKATZ_ENUM_LIMIT"):
+        enumerate_elements(AbelianShape((4, 2)))
+
+
 def test_max_functional_degree_fixtures():
     assert max_functional_degree(PGroupShape(2, make_partition([1] * 4)), 1) == 4
     assert max_functional_degree(PGroupShape(3, make_partition([1] * 4)), 1) == 8

@@ -3,27 +3,37 @@
 Everything here is exact integer arithmetic.  Rational comparisons such as
 "prefix <= D / (p - 1)" are evaluated as "(p - 1) * prefix <= D", and integer
 logarithms are computed by repeated multiplication, never through floats.
+
+Every closed form reads the partition through its Ferrers column counts
+(`Partition.columns`), so its cost grows with the partition's width, not its
+row count.  One column walk (`_column_walk`) finds the longest column-ordered
+dot prefix whose weight fits a budget: it gives `vp_value`, the deficit
+case's t_star and the full and extra columns of the `min_valuation` witness.
+The per-dot weight sequence of `partitions` stays off these paths; the tests
+compare against it.
+
+Runtime checks: `min_valuation` re-derives its dot count from the bracket
+(p - 1) W(t) <= D < (p - 1) W(t + 1), with W the dot-prefix weight evaluated
+from the columns, checks four rearrangements of the value, evaluates the
+witness point's valuation and its coordinate sum; `zero_count_bound` checks
+that the bound is positive exactly when the source measure exceeds the
+target measure; the two equal-exponent forms are checked against the general
+route.  A failed check raises `ConsistencyError` carrying the instance (p,
+the partition as its columns, and the budget or targets) to replay it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import operator
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .degrees import INF, Degree
 from .errors import ConsistencyError
 from .groups import AbelianShape, primary_decomposition
 from .intmath import ceil_div, check_prime, factorize, ilog, multiplicity
-from .partitions import (
-    Partition,
-    conjugate,
-    geometric_sum,
-    make_partition,
-    truncate,
-    weight_sequence,
-)
+from .partitions import Partition, geometric_sum, make_partition, truncate
 
 Budget = int | float  # nonnegative int, or math.inf for an unbounded budget
 
@@ -45,37 +55,73 @@ def binomial_sum_valuation(p: int, exponent: int, n: int) -> Degree:
 
 
 def product_valuation(p: int, alpha: Partition, point: Sequence[int]) -> Degree:
-    """ord_p of the product of per-coordinate binomial column sums."""
+    """ord_p of the product of per-coordinate binomial column sums.
+
+    Equal (exponent, coordinate) pairs are valued once and weighted by their
+    count, in the order of their first occurrence.
+    """
     if len(point) != len(alpha):
         raise ValueError(f"expected {len(alpha)} coordinates, got {len(point)}")
-    total: Degree = Degree.of(0)
-    for a, n in zip(alpha, point):
+    total = 0
+    for (a, n), copies in Counter(zip(alpha, point)).items():
         term = binomial_sum_valuation(p, a, n)
         if term == INF:
             return INF
-        total = total + term
+        total += copies * term.value
+    return Degree.of(total)
+
+
+def _column_walk(
+    columns: Sequence[int], p: int, scale: int, budget: Budget
+) -> tuple[int, int, int]:
+    """Longest column-ordered dot prefix whose weight times scale fits the budget.
+
+    Dots in column j (1-based) weigh p^(j-1).  Returns (t, full, extra): the
+    prefix takes t dots, namely the first `full` columns whole and `extra`
+    dots of the next one.  The budget may be math.inf.
+    """
+    t = 0
+    spent = 0
+    cost = scale
+    for full, count in enumerate(columns):
+        if spent + count * cost > budget:
+            extra = int((budget - spent) // cost)
+            return t + extra, full, extra
+        spent += count * cost
+        t += count
+        cost *= p
+    return t, len(columns), 0
+
+
+def _dot_prefix_weight(columns: Sequence[int], p: int, t: int) -> int:
+    """Weight W(t) of the first t dots in column order, for 0 <= t <= size."""
+    total = 0
+    weight = 1
+    for count in columns:
+        if t <= count:
+            return total + t * weight
+        total += count * weight
+        t -= count
+        weight *= p
     return total
 
 
-@lru_cache(maxsize=None)
-def _scaled_weight_prefix(p: int, parts: tuple[int, ...]) -> tuple[int, ...]:
-    """(p - 1) times the weight-sequence prefix sums of the partition."""
-    prefix = weight_sequence(Partition(parts), p).prefix_sums()
-    return tuple((p - 1) * w for w in prefix)
+def _instance(p: int, alpha: Partition, **inputs) -> dict:
+    """A failing call's inputs, the partition given by its column counts."""
+    return {"p": p, "columns": list(alpha.columns), **inputs}
 
 
 def vp_value(p: int, alpha: Partition, budget: Budget) -> int:
     """Minimum of product_valuation over points with coordinate sum <= budget.
 
-    Equals alpha.size minus the largest t whose scaled weight prefix fits in
-    the budget; greedy column-by-column dot selection is optimal because the
-    weights increase along columns.
+    Equals alpha.size minus the largest t whose column-ordered dot prefix,
+    weighted by p - 1, fits in the budget; greedy column-by-column dot
+    selection is optimal because the weights increase along columns.
     """
     check_prime(p)
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    scaled = _scaled_weight_prefix(p, alpha.parts)
-    t = bisect_right(scaled, budget) - 1
+    t, _, _ = _column_walk(alpha.columns, p, p - 1, budget)
     return alpha.size - t
 
 
@@ -111,62 +157,58 @@ def min_valuation(p: int, alpha: Partition, budget: Budget) -> ValuationMinimum:
     check_prime(p)
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    conj = conjugate(alpha)
-    n_rows = len(alpha)
+    parts = alpha.parts
+    columns = alpha.columns
+    size = alpha.size
     width = alpha.width
+    instance = _instance(p, alpha, budget=budget)
 
     def conj_at(j: int) -> int:
         # Column counts extended by conj_at(0) = N and conj_at(width + 1) = 0.
         if j < 1:
-            return n_rows
+            return len(parts)
         if j > width:
             return 0
-        return conj[j - 1]
+        return columns[j - 1]
 
-    col_prefix = [0]
-    for j in range(1, width + 1):
-        col_prefix.append(col_prefix[-1] + conj_at(j) * p ** (j - 1))
+    t, full, extra = _column_walk(columns, p, p - 1, budget)
+    if full < width and extra >= conj_at(full + 1):
+        raise ConsistencyError(
+            "a full next column contradicts column maximality", instance=instance
+        )
+    if (p - 1) * _dot_prefix_weight(columns, p, t) > budget or (
+        t < size and (p - 1) * _dot_prefix_weight(columns, p, t + 1) <= budget
+    ):
+        raise ConsistencyError(
+            f"column selection of {t} dots disagrees with the weight prefix",
+            instance=instance,
+        )
 
-    full = 0
-    while full < width and (p - 1) * col_prefix[full + 1] <= budget:
-        full += 1
-    if full == width:
-        extra = 0
-    else:
-        room = budget - (p - 1) * col_prefix[full]
-        extra = min(int(room // ((p - 1) * p**full)), conj_at(full + 1))
-        if extra >= conj_at(full + 1):
-            raise ConsistencyError("a full next column contradicts column maximality")
-
-    t = sum(conj_at(j) for j in range(1, full + 1)) + extra
-    scaled = _scaled_weight_prefix(p, alpha.parts)
-    if t != bisect_right(scaled, budget) - 1:
-        raise ConsistencyError("column selection disagrees with the weight prefix")
-
-    mu = []
-    for i in range(1, n_rows + 1):
-        if i <= extra:
-            mu.append(full + 1)
-        elif i <= conj_at(full + 1):
-            mu.append(full)
-        else:
-            mu.append(alpha[i - 1])
-    point = tuple(p**m - 1 for m in mu)
-    value = alpha.size - t
+    # Rows 1..extra take full + 1 dots, the rest of the rows reaching column
+    # full + 1 take full, and the shorter rows are taken whole.
+    reach = conj_at(full + 1)
+    mu = (full + 1,) * extra + (full,) * (reach - extra) + parts[reach:]
+    minus_one = {m: p**m - 1 for m in set(mu)}
+    point = tuple(map(minus_one.__getitem__, mu))
+    value = size - t
 
     forms = (
-        sum(a - m for a, m in zip(alpha, mu)),
-        sum(alpha[i] for i in range(conj_at(full))) - conj_at(full) * full - extra,
-        sum(alpha[i] for i in range(conj_at(full + 1))) - conj_at(full + 1) * full - extra,
-        sum(conj_at(j) for j in range(full + 1, width + 1)) - extra,
+        sum(map(operator.sub, parts, mu)),
+        sum(parts[: conj_at(full)]) - conj_at(full) * full - extra,
+        sum(parts[:reach]) - reach * full - extra,
+        sum(columns[full:]) - extra,
     )
     if any(form != value for form in forms):
-        raise ConsistencyError(f"witness rearrangements disagree: {forms} vs {value}")
+        raise ConsistencyError(
+            f"witness rearrangements disagree: {forms} vs {value}", instance=instance
+        )
     if product_valuation(p, alpha, point) != Degree.of(value):
-        raise ConsistencyError("witness point does not attain the minimum value")
+        raise ConsistencyError(
+            "witness point does not attain the minimum value", instance=instance
+        )
     if sum(point) > budget:
-        raise ConsistencyError("witness point exceeds the budget")
-    return ValuationMinimum(value, t, point, tuple(mu), full, extra)
+        raise ConsistencyError("witness point exceeds the budget", instance=instance)
+    return ValuationMinimum(value, t, point, mu, full, extra)
 
 
 def min_valuation_equal_exponent(p: int, copies: int, exponent: int, budget: Budget) -> int:
@@ -191,8 +233,12 @@ def min_valuation_equal_exponent(p: int, copies: int, exponent: int, budget: Bud
             q += 1
         r = (budget - copies * (p**q - 1)) // ((p - 1) * p**q)
         value = max(copies * (exponent - q) - r, 0)
-    if value != vp_value(p, alpha, budget):
-        raise ConsistencyError("equal-exponent clamp disagrees with the general formula")
+    general = vp_value(p, alpha, budget)
+    if value != general:
+        raise ConsistencyError(
+            f"equal-exponent clamp {value} disagrees with the general formula {general}",
+            instance=_instance(p, alpha, budget=budget),
+        )
     return value
 
 
@@ -314,8 +360,8 @@ def _case_split(alpha: Partition, targets: TargetSpec) -> dict:
     truncated = truncate(alpha, level)
     truncated_measure = geometric_sum(truncated, p)
     s0 = max(ceil_div(truncated_measure - b_measure, targets.d1 * p ** (targets.beta1 - 1)), 0)
-    prefix = weight_sequence(alpha, p).prefix_sums()
-    t_star = max(t for t in range(1, alpha.size + 1) if prefix[t] <= b_measure)
+    # B >= 1 buys the first dot, so t_star >= 1.
+    t_star, _, _ = _column_walk(alpha.columns, p, 1, b_measure)
     return {
         "a_measure": a_measure,
         "b_measure": b_measure,
@@ -405,9 +451,15 @@ def zero_count_bound(alpha: Partition, targets: TargetSpec) -> BoundReport:
         case, s0, t_star = "second", None, data["t_star"]
     bound = max(raw, 0)
     if data["a_measure"] > data["b_measure"] and bound < 1:
-        raise ConsistencyError("source measure above target measure forces a positive bound")
+        raise ConsistencyError(
+            "source measure above target measure forces a positive bound",
+            instance=_instance(p, alpha, targets=targets.to_json()),
+        )
     if data["a_measure"] <= data["b_measure"] and bound != 0:
-        raise ConsistencyError("source measure at most target measure forces a zero bound")
+        raise ConsistencyError(
+            "source measure at most target measure forces a zero bound",
+            instance=_instance(p, alpha, targets=targets.to_json()),
+        )
     return BoundReport(
         p=p,
         alpha=alpha,
@@ -449,10 +501,21 @@ def equal_exponent_bound(p: int, copies: int, exponent: int, targets: TargetSpec
         r = (b_measure - copies * (p**q - 1) // (p - 1)) // p**q
         raw = copies * (exponent - q) - r
     bound = max(raw, 0)
-    general = zero_count_bound(make_partition([exponent] * copies), targets).bound
+    alpha = make_partition([exponent] * copies)
+    general = zero_count_bound(alpha, targets).bound
     if bound != general:
-        raise ConsistencyError(f"equal-exponent bound {bound} disagrees with {general}")
+        raise ConsistencyError(
+            f"equal-exponent bound {bound} disagrees with {general}",
+            instance=_instance(p, alpha, targets=targets.to_json()),
+        )
     return bound
+
+
+def _check_target(shape: AbelianShape, d: int) -> None:
+    if shape.is_trivial:
+        raise ValueError("target shapes must be nontrivial")
+    if d < 1:
+        raise ValueError(f"degree caps must be >= 1, got {d}")
 
 
 def expand_targets(p: int, shaped: Sequence[tuple[AbelianShape, int]]) -> TargetSpec:
@@ -464,10 +527,7 @@ def expand_targets(p: int, shaped: Sequence[tuple[AbelianShape, int]]) -> Target
     check_prime(p)
     pairs: list[tuple[int, int]] = []
     for shape, d in shaped:
-        if shape.is_trivial:
-            raise ValueError("target shapes must be nontrivial")
-        if d < 1:
-            raise ValueError(f"degree caps must be >= 1, got {d}")
+        _check_target(shape, d)
         for m in shape.factors:
             e = multiplicity(p, m)
             if p**e != m:
@@ -513,14 +573,12 @@ def multi_prime_bounds(
         raise ValueError("the domain must be nontrivial")
     if not shaped:
         raise ValueError("at least one target is required")
+    for shape, d in shaped:
+        _check_target(shape, d)
     out: dict[int, PrimeBound] = {}
     for prime, pshape in primary_decomposition(domain).items():
         pairs: list[tuple[int, int]] = []
         for shape, d in shaped:
-            if shape.is_trivial:
-                raise ValueError("target shapes must be nontrivial")
-            if d < 1:
-                raise ValueError(f"degree caps must be >= 1, got {d}")
             for m in shape.factors:
                 e = multiplicity(prime, m)
                 if e:

@@ -46,6 +46,8 @@ def _parse_target_pairs(text: str) -> list[tuple[int, int]]:
             pairs.append((int(beta), int(d)))
         except ValueError as exc:
             raise ValueError(f"targets must look like 'beta:d', got {chunk!r}") from exc
+        if pairs[-1][0] < 1:
+            raise ValueError(f"target exponents must be >= 1, got {chunk!r}")
     if not pairs:
         raise ValueError("at least one target is required")
     return pairs

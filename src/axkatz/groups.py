@@ -8,6 +8,7 @@ which fixes the on-disk function-table format.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -129,9 +130,9 @@ def primary_decomposition(shape: AbelianShape) -> dict[int, PGroupShape]:
     if shape.is_trivial:
         raise ValueError("the trivial group has no primary decomposition")
     exponents: dict[int, list[int]] = {}
-    for m in shape.factors:
+    for m, copies in Counter(shape.factors).items():
         for prime, e in factorize(m).items():
-            exponents.setdefault(prime, []).append(e)
+            exponents.setdefault(prime, []).extend([e] * copies)
     return {
         prime: PGroupShape(prime, make_partition(exps))
         for prime, exps in sorted(exponents.items())

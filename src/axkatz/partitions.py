@@ -1,14 +1,23 @@
 """Integer partitions, conjugation, and Ferrers-dot weight sequences.
 
-A partition here is a weakly decreasing tuple of positive integers.  The
-conjugate counts Ferrers-diagram dots column by column, and the weight
-sequence lists those dots in column order with column j (1-based) costing
-p^(j-1); its prefix sums are the minimal total weights of dot selections.
+A partition here is a weakly decreasing tuple of positive integers.  Its
+column counts (`Partition.columns`, the conjugate's parts) count the
+Ferrers-diagram dots column by column; they are computed once per partition
+by bisection, in O(width * log rows), and conjugation, truncation and the
+geometric measure are all read off them in O(width) plus slicing.  The
+weight sequence lists the dots in column order with column j (1-based)
+costing p^(j-1); its prefix sums are the minimal total weights of dot
+selections.  It has one entry per dot and serves as the definition-level
+reference that the column-wise closed forms in `bounds` are tested against.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from typing import Iterable
 
 from .intmath import check_prime
@@ -21,8 +30,20 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.parts:
+        parts = self.parts
+        if not parts:
             raise ValueError("a partition needs at least one part")
+        types = set(map(type, parts))
+        if (
+            bool in types
+            or not all(issubclass(t, int) for t in types)
+            or min(parts) < 1
+            or not all(map(operator.ge, parts, islice(parts, 1, None)))
+        ):
+            self._raise_first_violation()
+
+    def _raise_first_violation(self):
+        """Name the first part, in order, that breaks a check of __post_init__."""
         prev = None
         for part in self.parts:
             if not isinstance(part, int) or isinstance(part, bool) or part < 1:
@@ -50,6 +71,14 @@ class Partition:
         """Largest part, i.e. the number of Ferrers columns."""
         return self.parts[0]
 
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """Ferrers column dot counts: columns[j-1] = #{i : parts[i] >= j}."""
+        parts = self.parts
+        return tuple(
+            bisect_right(parts, -j, key=operator.neg) for j in range(1, parts[0] + 1)
+        )
+
     def to_json(self) -> list[int]:
         return list(self.parts)
 
@@ -64,24 +93,32 @@ def make_partition(parts: Iterable[int]) -> Partition:
 
 def conjugate(partition: Partition) -> Partition:
     """Column dot counts: result[j-1] = #{i : parts[i] >= j}."""
-    parts = partition.parts
-    counts = []
-    for j in range(1, parts[0] + 1):
-        counts.append(sum(1 for a in parts if a >= j))
-    return Partition(tuple(counts))
+    return Partition(partition.columns)
 
 
 def truncate(partition: Partition, level: int) -> Partition:
     """Cap every part at the given level >= 1."""
     if level < 1:
         raise ValueError(f"truncation level must be >= 1, got {level}")
-    return Partition(tuple(min(a, level) for a in partition.parts))
+    if level >= partition.width:
+        return partition
+    capped = partition.columns[level - 1]
+    return Partition((level,) * capped + partition.parts[capped:])
 
 
 def geometric_sum(partition: Partition, p: int) -> int:
-    """Sum of (p^a - 1)/(p - 1) over the parts, as an exact integer."""
+    """Sum of (p^a - 1)/(p - 1) over the parts, as an exact integer.
+
+    Each part a contributes 1 + p + ... + p^(a-1), so the sum is the column
+    counts weighted by powers of p: sum_j columns[j-1] * p^(j-1).
+    """
     check_prime(p)
-    return sum((p**a - 1) // (p - 1) for a in partition.parts)
+    total = 0
+    weight = 1
+    for count in partition.columns:
+        total += count * weight
+        weight *= p
+    return total
 
 
 @dataclass(frozen=True)

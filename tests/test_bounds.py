@@ -1,12 +1,22 @@
 """Closed-form bounds against fixtures and small brute-force scans."""
 
+import gc
+import math
 import random
+import tracemalloc
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axkatz import (
     INF,
     AbelianShape,
+    ConsistencyError,
+    Partition,
+    conjugate,
+    geometric_sum,
     binomial_sum_valuation,
     bound_objective,
     bound_objective_minimum,
@@ -22,8 +32,11 @@ from axkatz import (
     product_valuation,
     step_cost_minimum,
     vp_value,
+    weight_sequence,
     zero_count_bound,
 )
+from axkatz import bounds
+from axkatz.cli import main
 from axkatz.intmath import ceil_div
 
 
@@ -326,3 +339,113 @@ def test_bound_report_json_roundtrip_fields():
     assert data["A"] == 4 and data["B"] == 1 and data["Abreve"] == 2
     assert data["case"] == "first" and data["bound"] == 2
     assert data["alpha"] == [2, 1] and data["targets"] == [[1, 1]]
+
+
+def reference_prefix_count(p, alpha, budget, scale):
+    """Largest t with scale * (weight of the first t dots) <= budget, by bisection."""
+    prefix = weight_sequence(alpha, p).prefix_sums()
+    return bisect_right([scale * w for w in prefix], budget) - 1
+
+
+def reference_witness(p, alpha, t):
+    """Per-row counts of the first t Ferrers dots in column order, and p^mu - 1."""
+    dots = [i for j in range(1, alpha.width + 1) for i, a in enumerate(alpha) if a >= j]
+    mu = [0] * len(alpha)
+    for i in dots[:t]:
+        mu[i] += 1
+    return tuple(mu), tuple(p**m - 1 for m in mu)
+
+
+column_cases = st.tuples(
+    st.lists(st.integers(1, 8), min_size=1, max_size=60).map(make_partition),
+    st.sampled_from([2, 3, 5, 101]),
+).flatmap(
+    lambda case: st.tuples(
+        st.just(case[0]),
+        st.just(case[1]),
+        st.one_of(
+            st.integers(0, 2 * (case[1] - 1) * geometric_sum(case[0], case[1])),
+            st.just(math.inf),
+        ),
+        st.lists(
+            st.tuples(st.integers(1, 3), st.integers(1, geometric_sum(case[0], case[1]))),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_cases)
+def test_column_route_matches_weight_sequence(case):
+    alpha, p, budget, pairs = case
+    t = reference_prefix_count(p, alpha, budget, p - 1)
+    assert vp_value(p, alpha, budget) == alpha.size - t
+    witness = min_valuation(p, alpha, budget)
+    mu, point = reference_witness(p, alpha, t)
+    assert (witness.t, witness.value, witness.mu, witness.point) == (t, alpha.size - t, mu, point)
+    if math.prod(p**a for a in alpha) <= 4096:
+        assert witness.value == brute_min_valuation(p, alpha, budget)
+
+    targets = make_targets(p, pairs)
+    report = zero_count_bound(alpha, targets)
+    if report.case == "second":
+        t_star = reference_prefix_count(p, alpha, targets.measure, 1)
+        assert report.t_star == t_star
+        assert report.raw_bound == alpha.size - t_star
+
+
+def test_bounds_keep_no_per_partition_state():
+    rng = random.Random(37)
+    targets = make_targets(3, [(1, 5000)])
+
+    def run_fresh():
+        alpha = make_partition([rng.randint(1, 4) for _ in range(10**4)])
+        budget = rng.randint(0, 2 * geometric_sum(alpha, 3))
+        vp_value(3, alpha, budget)
+        min_valuation(3, alpha, budget)
+        zero_count_bound(alpha, targets)
+
+    run_fresh()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(30):
+            run_fresh()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 2**20
+
+
+def test_consistency_error_carries_a_replayable_instance(monkeypatch, capsys):
+    alpha = make_partition([6, 5, 4, 2, 2, 1])
+    monkeypatch.setattr(bounds, "product_valuation", lambda p, alpha, point: INF)
+    with pytest.raises(ConsistencyError) as info:
+        min_valuation(2, alpha, 24)
+    instance = info.value.instance
+    assert instance == {"p": 2, "columns": [6, 5, 3, 3, 2, 1], "budget": 24}
+    assert conjugate(Partition(tuple(instance["columns"]))) == alpha
+    assert '"columns": [6, 5, 3, 3, 2, 1]' in str(info.value)
+    with pytest.raises(ConsistencyError) as replayed:
+        min_valuation(instance["p"], conjugate(Partition(tuple(instance["columns"]))),
+                      instance["budget"])
+    assert replayed.value.instance == instance
+
+    code = main(["vp", "--p", "2", "--alpha", "6,5,4,2,2,1", "--D", "24"])
+    err = capsys.readouterr().err
+    assert code == 1 and "consistency failure" in err and '"budget": 24' in err
+
+
+def test_target_validation_is_shared():
+    for shaped, message in [
+        ([(AbelianShape(()), 1)], "target shapes must be nontrivial"),
+        ([(AbelianShape((2,)), 0)], "degree caps must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            expand_targets(2, shaped)
+        with pytest.raises(ValueError, match=message):
+            multi_prime_bounds(AbelianShape((6,)), shaped)

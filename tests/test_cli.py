@@ -1,7 +1,18 @@
 """CLI subcommands: outputs, file formats, exit codes, determinism."""
 
+import contextlib
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import axkatz
 from axkatz.cli import main
 
 
@@ -205,3 +216,95 @@ def test_outputs_are_deterministic(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+def test_polybound_with_a_mersenne_prime_modulus_finishes():
+    src = str(Path(axkatz.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-m", "axkatz.cli", "polybound", "--m", str(2**61 - 1),
+         "--n", "3", "--degrees", "2"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert done.returncode == 0, done.stderr
+    assert list(json.loads(done.stdout)["bounds"]) == [str(2**61 - 1)]
+
+
+def _ints(lo, hi, max_size=5):
+    return st.lists(st.integers(lo, hi), max_size=max_size).map(
+        lambda xs: ",".join(map(str, xs))
+    )
+
+
+_primes = st.sampled_from(["-1", "0", "1", "2", "3", "4", "7"])
+_parts = _ints(-1, 8)
+_target_pairs = st.lists(
+    st.tuples(st.integers(-1, 4), st.integers(-1, 4)), min_size=1, max_size=3
+).map(lambda pairs: ",".join(f"{b}:{d}" for b, d in pairs))
+_shape = st.tuples(_ints(-1, 9, 3), st.integers(-1, 3)).map(lambda fd: f"{fd[0]}:{fd[1]}")
+
+
+@st.composite
+def _argv(draw):
+    def option(name, value):
+        # "--name=value" lets values that start with "-" reach the parser.
+        return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
+    command = draw(st.sampled_from(["bound", "vp", "nu", "conjugate", "polybound", "scan"]))
+    if command == "conjugate":
+        return [command, *option("--parts", draw(_parts))]
+    if command == "polybound":
+        return [
+            command,
+            *option("--m", str(draw(st.integers(-1, 10**20)))),
+            *option("--n", str(draw(st.integers(-1, 6)))),
+            *option("--degrees", draw(_ints(-1, 4, 3))),
+        ]
+    if command == "scan":
+
+        def joined(items, sep):
+            return draw(st.lists(items, min_size=1, max_size=2).map(sep.join))
+
+        return [
+            command,
+            *option("--p", joined(_primes, ",")),
+            *option("--alphas", joined(_parts, ";")),
+            *option("--targets", joined(_target_pairs, ";")),
+            *option("--format", draw(st.sampled_from(["json", "csv"]))),
+        ]
+    argv = [command, *option("--p", draw(_primes)), *option("--alpha", draw(_parts))]
+    if command == "vp":
+        budget = draw(st.one_of(st.integers(-1, 10**6).map(str), st.sampled_from(["inf", "x"])))
+        argv += option("--D", budget)
+    elif command == "nu":
+        argv += option("--n", draw(_ints(-1, 300)))
+    else:
+        if draw(st.booleans()):
+            argv += option("--targets", draw(_target_pairs))
+        for shape in draw(st.lists(_shape, max_size=2)):
+            argv += option("--target-shape", shape)
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argv())
+@example(["bound", "--p", "0", "--alpha", "1", "--targets=-1:1"])
+@example(["scan", "--p", "0", "--alphas", "1", "--targets=-1:1", "--format", "csv"])
+def test_cli_fuzz_exit_codes_and_outputs(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 0:
+        if "csv" in argv or "--format=csv" in argv:
+            header, *rows = csv.reader(io.StringIO(out.getvalue()))
+            assert header == ["p", "alpha", "targets", "A", "B", "Abreve", "case", "bound"]
+            assert all(len(row) == len(header) and row[-1].isdigit() for row in rows)
+        else:
+            json.loads(out.getvalue())
+    else:
+        assert err.getvalue()

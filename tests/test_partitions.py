@@ -1,5 +1,7 @@
 """Partition arithmetic: conjugation, truncation, weights, tail identities."""
 
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,47 @@ def test_make_partition_rejects_bad_input():
         make_partition([0, 1])
     with pytest.raises(ValueError):
         Partition((1, 2))
+
+
+def test_partition_validation_messages():
+    cases = [
+        ((3, True), "parts must be positive integers, got True"),
+        ((2, 0), "parts must be positive integers, got 0"),
+        ((-1,), "parts must be positive integers, got -1"),
+        ((2.0,), "parts must be positive integers, got 2.0"),
+        (("2",), "parts must be positive integers, got '2'"),
+        ((1, 2), "parts must be weakly decreasing, got (1, 2)"),
+        # The first offending part, in order, names the error.
+        ((1, 2, 0), "parts must be weakly decreasing, got (1, 2, 0)"),
+        ((3, 0, 5), "parts must be positive integers, got 0"),
+        ((), "a partition needs at least one part"),
+    ]
+    for parts, message in cases:
+        with pytest.raises(ValueError) as info:
+            Partition(parts)
+        assert str(info.value) == message
+
+
+def test_partition_accepts_int_subclasses():
+    class Level(IntEnum):
+        LOW = 1
+        HIGH = 3
+
+    alpha = Partition((Level.HIGH, 2, Level.LOW))
+    assert alpha.columns == (3, 2, 1)
+    assert conjugate(alpha).parts == (3, 2, 1)
+
+
+@given(small_partitions)
+def test_columns_count_parts_at_least_j(partition):
+    assert partition.columns == tuple(
+        sum(1 for a in partition.parts if a >= j) for j in range(1, partition.width + 1)
+    )
+
+
+@given(small_partitions, st.integers(1, 7))
+def test_truncate_caps_every_part(partition, level):
+    assert truncate(partition, level).parts == tuple(min(a, level) for a in partition.parts)
 
 
 def test_conjugate_fixtures():

@@ -27,6 +27,7 @@ operators; the test suite checks the transform against them.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
@@ -55,13 +56,21 @@ class FiniteMap:
     values: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.values) != self.domain.order:
-            raise ValueError(
-                f"table has {len(self.values)} entries, domain has {self.domain.order}"
-            )
-        for v in self.values:
-            if not self.codomain.contains(v):
-                raise ValueError(f"{v!r} is not a reduced element of {self.codomain.factors}")
+        values = self.values
+        if len(values) != self.domain.order:
+            raise ValueError(f"table has {len(values)} entries, domain has {self.domain.order}")
+        factors = self.codomain.factors
+        # Bulk checks at C speed accept only tables the per-value loop accepts;
+        # on any doubt the loop runs and names the first offending value.
+        if not (
+            set(map(type, values)) == {tuple}
+            and set(map(len, values)) == {len(factors)}
+            and set(map(type, itertools.chain.from_iterable(values))) <= {int}
+            and all(0 <= min(col) and max(col) < m for col, m in zip(zip(*values), factors))
+        ):
+            for v in values:
+                if not self.codomain.contains(v):
+                    raise ValueError(f"{v!r} is not a reduced element of {factors}")
 
     @classmethod
     def from_callable(
@@ -81,7 +90,7 @@ class FiniteMap:
 
     @property
     def is_zero(self) -> bool:
-        return all(not any(v) for v in self.values)
+        return not any(map(any, self.values))
 
     @property
     def is_constant(self) -> bool:
@@ -278,9 +287,13 @@ def _forward_differences(column: list[int], widths: Sequence[int], mod: int | No
         rest = size // w
         for k in range(1, w):
             lo = k * rest
-            column[lo:] = [a - b for a, b in zip(column[lo:], column[lo - rest : size - rest])]
-        rotated = itertools.chain.from_iterable(
-            zip(*(column[j * rest : (j + 1) * rest] for j in range(w)))
+            column[lo:] = map(operator.sub, column[lo:], column[lo - rest : size - rest])
+        rotated = (
+            column  # the axis is the whole box: rotating it changes nothing
+            if rest == 1
+            else itertools.chain.from_iterable(
+                zip(*(column[j * rest : (j + 1) * rest] for j in range(w)))
+            )
         )
         column[:] = rotated if mod is None else [v % mod for v in rotated]
 
@@ -301,13 +314,57 @@ def _coefficient_columns(f: FiniteMap) -> tuple[tuple[int, ...], list[list[int]]
     columns = []
     top = -1
     for j, q in enumerate(f.codomain.factors):
-        column = [v[j] for v in source]
+        column = list(map(operator.itemgetter(j), source))
         _forward_differences(column, widths, q)
-        top = max(top, max((o for o, c in zip(orders, column) if c), default=-1))
+        top = max(top, max(itertools.compress(orders, column), default=-1))
         columns.append(column)
     if top > cap:
-        raise ConsistencyError(f"nonzero coefficient of order {top} exceeds the degree cap {cap}")
+        raise ConsistencyError(
+            f"nonzero coefficient of order {top} exceeds the degree cap {cap}",
+            instance={**_pair_instance(f.domain, f.codomain, cap, top), "values": f.values},
+        )
     return widths, columns, top
+
+
+def _pair_instance(domain: AbelianShape, codomain: AbelianShape, cap: int, order: int) -> dict:
+    return {"domain": domain.factors, "codomain": codomain.factors, "cap": cap, "order": order}
+
+
+@lru_cache(maxsize=None)
+def unit_coefficients(
+    domain: AbelianShape, codomain: AbelianShape
+) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """(orders, basis) of the coefficient transform of a one-prime pair.
+
+    orders[c] is the total order of box cell c, and basis[k][j] is the
+    coefficient column of the unit table that is 1 at position k of codomain
+    factor j and 0 elsewhere.  The transform is linear mod each factor q_j,
+    so the column j of any table is sum_k values[k][j] * basis[k][j] mod
+    q_j.  A nonzero basis cell past the pair's degree cap raises
+    ConsistencyError, which by linearity covers every table of the pair.
+    """
+    pair = _p_pair_data(domain, codomain)
+    if pair is None:
+        raise UnsupportedMapError(
+            "unit coefficients need domain and codomain p-groups of one common prime"
+        )
+    widths, cap = pair
+    gather, orders = _box_plan(domain.factors, widths)
+    sources = range(len(orders)) if gather is None else gather
+    basis = []
+    for k in range(domain.order):
+        exact = [int(g == k) for g in sources]
+        _forward_differences(exact, widths, None)
+        columns = tuple(tuple(c % q for c in exact) for q in codomain.factors)
+        top = max((o for col in columns for o, c in zip(orders, col) if c), default=-1)
+        if top > cap:
+            raise ConsistencyError(
+                f"unit table at position {k} has a nonzero coefficient of order {top}"
+                f" past the degree cap {cap}",
+                instance=_pair_instance(domain, codomain, cap, top),
+            )
+        basis.append(columns)
+    return orders, tuple(basis)
 
 
 def series_coefficients(f: FiniteMap) -> dict[tuple[int, ...], tuple[int, ...]]:

@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import math
 import sys
 
 from .bounds import (
+    TargetSpec,
     expand_targets,
+    make_targets,
     min_valuation,
     product_valuation,
     zero_count_bound,
@@ -21,6 +25,7 @@ from .bounds import (
 from .calculus import FiniteMap, functional_degree, zero_count
 from .errors import ConsistencyError, ResourceLimitError
 from .groups import AbelianShape, PGroupShape, max_functional_degree
+from .intmath import check_prime
 from .oracle import PolySystem, poly_zero_count, verify_bound, zero_count_trace
 from .partitions import Partition, conjugate, make_partition
 
@@ -36,7 +41,7 @@ def _parse_partition(text: str) -> Partition:
     return make_partition(_parse_ints(text, "partition"))
 
 
-def _parse_target_pairs(text: str) -> list[tuple[int, int]]:
+def _parse_target_pairs(text: str, p: int) -> list[tuple[int, int]]:
     pairs = []
     for chunk in text.split(","):
         if not chunk:
@@ -50,7 +55,21 @@ def _parse_target_pairs(text: str) -> list[tuple[int, int]]:
             raise ValueError(f"target exponents must be >= 1, got {chunk!r}")
     if not pairs:
         raise ValueError("at least one target is required")
+    check_prime(p)
+    limit = sys.get_int_max_str_digits()
+    for beta, _ in pairs:
+        # Every output prints p^beta or B >= p^(beta - 1); the margin of one
+        # digit absorbs the rounding of the logarithm.
+        if limit and (beta - 1) * math.log10(p) > limit + 1:
+            raise ValueError(f"target exponent {beta}: {_too_long(limit)}")
     return pairs
+
+
+def _too_long(limit: int) -> str:
+    return (
+        f"the result holds an integer of more than {limit} digits, Python's limit"
+        " for printing integers (PYTHONINTMAXSTRDIGITS=0 lifts it)"
+    )
 
 
 def _parse_budget(text: str) -> int | float:
@@ -68,17 +87,36 @@ def _parse_budget(text: str) -> int | float:
 def _shaped_targets(p: int, args) -> list[tuple[AbelianShape, int]]:
     shaped: list[tuple[AbelianShape, int]] = []
     if args.targets:
-        for beta, d in _parse_target_pairs(args.targets):
+        for beta, d in _parse_target_pairs(args.targets, p):
             shaped.append((AbelianShape((p**beta,)), d))
+    shaped += _parse_target_shapes(args)
+    if not shaped:
+        raise ValueError("provide --targets and/or --target-shape")
+    return shaped
+
+
+def _parse_target_shapes(args) -> list[tuple[AbelianShape, int]]:
+    shaped = []
     for entry in args.target_shape or []:
         try:
             factors_text, d_text = entry.split(":")
         except ValueError as exc:
             raise ValueError(f"target shapes must look like '4,2:3', got {entry!r}") from exc
         shaped.append((AbelianShape(tuple(_parse_ints(factors_text, "shape"))), int(d_text)))
-    if not shaped:
-        raise ValueError("provide --targets and/or --target-shape")
     return shaped
+
+
+def _target_spec(p: int, args) -> TargetSpec:
+    """The --targets pairs as given plus the cyclic factors of each
+    --target-shape; p**beta is never formed for a --targets pair, so a huge
+    exponent costs no factoring."""
+    pairs = _parse_target_pairs(args.targets, p) if args.targets else []
+    shaped = _parse_target_shapes(args)
+    if shaped:
+        pairs += expand_targets(p, shaped).targets
+    if not pairs:
+        raise ValueError("provide --targets and/or --target-shape")
+    return make_targets(p, pairs)
 
 
 def _load_map(path: str) -> FiniteMap:
@@ -92,14 +130,24 @@ def _load_map(path: str) -> FiniteMap:
     return FiniteMap.from_json_dict(data)
 
 
+def _printable(render):
+    """render(), with a CLI-facing message when an integer is too long to print."""
+    try:
+        return render()
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        if limit and "integer string conversion" in str(exc):
+            raise ValueError(_too_long(limit)) from exc
+        raise
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_printable(lambda: json.dumps(obj, indent=2)))
 
 
 def _cmd_bound(args) -> int:
     alpha = _parse_partition(args.alpha)
-    shaped = _shaped_targets(args.p, args)
-    report = zero_count_bound(alpha, expand_targets(args.p, shaped))
+    report = zero_count_bound(alpha, _target_spec(args.p, args))
     _emit(report.to_json_dict())
     return 0
 
@@ -183,11 +231,8 @@ def _cmd_scan(args) -> int:
         for alpha_text in alphas:
             alpha = _parse_partition(alpha_text)
             for targets_text in target_lists:
-                shaped = [
-                    (AbelianShape((p**beta,)), d)
-                    for beta, d in _parse_target_pairs(targets_text)
-                ]
-                report = zero_count_bound(alpha, expand_targets(p, shaped))
+                targets = make_targets(p, _parse_target_pairs(targets_text, p))
+                report = zero_count_bound(alpha, targets)
                 rows.append(
                     {
                         "p": p,
@@ -203,11 +248,13 @@ def _cmd_scan(args) -> int:
     if args.format == "json":
         _emit(rows)
     else:
+        buffer = io.StringIO()
         writer = csv.DictWriter(
-            sys.stdout, fieldnames=["p", "alpha", "targets", "A", "B", "Abreve", "case", "bound"]
+            buffer, fieldnames=["p", "alpha", "targets", "A", "B", "Abreve", "case", "bound"]
         )
         writer.writeheader()
-        writer.writerows(rows)
+        _printable(lambda: writer.writerows(rows))
+        sys.stdout.write(buffer.getvalue())
     return 0
 
 

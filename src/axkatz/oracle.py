@@ -3,15 +3,31 @@
 Nothing in this module trusts the formulas it checks: valuations come from
 exact big-integer sums, degrees from exhaustive difference tables, and the
 headline bound from counting zeros of every qualifying system.
+
+Exhaustive verification enumerates only the maps of degree <= d.  The
+difference transform of a one-prime pair is linear mod each codomain factor,
+so a table has degree <= d exactly when its coefficients of total order above
+d vanish: the qualifying tables are the kernel of a linear map.  The table
+positions are split in two halves; each assignment of a half sums the
+high-order coefficient columns of its unit tables (``unit_coefficients``), and
+a prefix is joined with the suffixes whose sums cancel its own.  Prefixes are
+walked in product order and each suffix bucket is kept in product order, so
+the tables come out in the order of a full ``itertools.product`` with the
+others left out.  The oracle stays independent of what it checks: it never
+consults the closed-form bound, every joined table is rebuilt as a validated
+FiniteMap and gets its degree again from ``functional_degree``, a degree
+above d raises ConsistencyError, and the test suite compares the join with
+the brute-force bucketing of every table.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bounds import (
     TargetSpec,
@@ -25,6 +41,7 @@ from .calculus import (
     FiniteMap,
     functional_degree,
     proper_lift,
+    unit_coefficients,
     zero_count,
 )
 from .degrees import INF, NEG_INF, Degree
@@ -114,20 +131,94 @@ def brute_min_valuation(p: int, alpha: Partition, budget: int | float) -> int:
 
 
 def functions_by_degree(
-    domain: AbelianShape, codomain: AbelianShape, cap: int = 2**20
+    domain: AbelianShape,
+    codomain: AbelianShape,
+    cap: int = 2**20,
+    max_degree: int | None = None,
 ) -> dict[Degree, list[FiniteMap]]:
-    """Bucket every map from domain to codomain by exact functional degree."""
+    """Bucket maps from domain to codomain by exact functional degree.
+
+    With max_degree=None every table is bucketed.  With max_degree=d (a
+    one-prime pair only) just the tables of degree <= d are: the join in
+    ``_tables`` finds them without building the others.  Tables arrive in
+    itertools.product order, and buckets keep the order in which each degree
+    first appears.  A bucketed degree above max_degree raises
+    ConsistencyError.
+    """
     total = codomain.order**domain.order
     if total > cap:
         raise ResourceLimitError(
             f"{total} tables exceed the exhaustive cap {cap}; use sampled mode"
         )
-    targets = enumerate_elements(codomain)
     buckets: dict[Degree, list[FiniteMap]] = {}
-    for values in itertools.product(targets, repeat=domain.order):
+    for values in _tables(domain, codomain, max_degree):
         f = FiniteMap(domain, codomain, values)
-        buckets.setdefault(functional_degree(f), []).append(f)
+        degree = functional_degree(f)
+        if max_degree is not None and degree > max_degree:
+            raise ConsistencyError(
+                f"the join yielded a map of degree {degree} above {max_degree}",
+                instance={
+                    "domain": domain.factors,
+                    "codomain": codomain.factors,
+                    "max_degree": max_degree,
+                    "order": degree.to_json(),
+                },
+            )
+        buckets.setdefault(degree, []).append(f)
     return buckets
+
+
+def _tables(
+    domain: AbelianShape, codomain: AbelianShape, max_degree: int | None
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Value tables in itertools.product order; with max_degree set, only
+    those whose coefficients of total order above it all vanish.
+
+    Those coefficients are linear in the table, so each half of the table
+    positions contributes a sum of basis columns, and a prefix joins exactly
+    the suffixes whose sums cancel its own.
+    """
+    targets = enumerate_elements(codomain)
+    if max_degree is None:
+        contributions = [[()] * len(targets)] * domain.order
+        moduli: tuple[int, ...] = ()
+    else:
+        orders, basis = unit_coefficients(domain, codomain)
+        high = [
+            (j, c)
+            for j in range(len(codomain.factors))
+            for c, order in enumerate(orders)
+            if order > max_degree and any(columns[j][c] for columns in basis)
+        ]
+        moduli = tuple(codomain.factors[j] for j, _ in high)
+        contributions = [
+            [tuple(v[j] * columns[j][c] % m for (j, c), m in zip(high, moduli)) for v in targets]
+            for columns in basis
+        ]
+    half = domain.order // 2
+    suffixes: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
+    for rest, key in _half_sums(targets, contributions[half:], moduli):
+        suffixes.setdefault(tuple(-x % m for x, m in zip(key, moduli)), []).append(rest)
+    for values, key in _half_sums(targets, contributions[:half], moduli):
+        for rest in suffixes.get(key, ()):
+            yield values + rest
+
+
+def _half_sums(
+    targets: list[tuple[int, ...]],
+    contributions: list[list[tuple[int, ...]]],
+    moduli: tuple[int, ...],
+) -> list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+    """(values, summed contribution) of every assignment of targets to the
+    given positions, in itertools.product order."""
+    entries: list = [((), (0,) * len(moduli))]
+    for per_target in contributions:
+        entries = [
+            (values + (v,), tuple(map(operator.mod, map(operator.add, key, c), moduli)))
+            for values, key in entries
+            for v, c in zip(targets, per_target)
+        ]
+    return entries
 
 
 def brute_max_degree(domain: AbelianShape, codomain: AbelianShape, cap: int = 2**20) -> int:
@@ -304,7 +395,7 @@ def verify_bound(
     candidate_lists: list[list[FiniteMap]] = []
     if mode == "exhaustive":
         for shape, d in shaped:
-            buckets = functions_by_degree(domain, shape, cap)
+            buckets = functions_by_degree(domain, shape, cap, max_degree=d)
             qualifying = [
                 f
                 for degree, fs in buckets.items()

@@ -1,5 +1,7 @@
 """Difference calculus: degrees, series expansions, lifts, zero counting."""
 
+import collections
+import enum
 import itertools
 import math
 import operator
@@ -150,10 +152,79 @@ def test_coefficient_past_the_degree_cap_raises(monkeypatch):
     ident = FiniteMap(Z2, Z2, ((0,), (1,)))
     # Claim a degree cap of 0 on the real box: the order-1 coefficient breaks it.
     monkeypatch.setattr(calculus, "_p_pair_data", lambda domain, codomain: ((2,), 0))
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError) as info:
         functional_degree(ident)
     with pytest.raises(ConsistencyError):
         series_coefficients(ident)
+    # The instance rebuilds the failing call.
+    instance = info.value.instance
+    assert (instance["cap"], instance["order"]) == (0, 1)
+    replay = FiniteMap(
+        AbelianShape(instance["domain"]), AbelianShape(instance["codomain"]), instance["values"]
+    )
+    assert replay == ident
+    with pytest.raises(ConsistencyError) as again:
+        functional_degree(replay)
+    assert str(again.value) == str(info.value)
+
+
+def test_unit_coefficients_span_the_transform():
+    # Column j of any table is sum_k values[k][j] * basis[k][j] mod q_j.
+    rng = random.Random(5)
+    for domain, codomain in [(Z42, Z2), (Z2, AbelianShape((2, 4))), (Z9, Z3), (Z2, Z8)]:
+        orders, basis = calculus.unit_coefficients(domain, codomain)
+        f = random_map(domain, codomain, rng)
+        _, columns, _ = calculus._coefficient_columns(f)
+        for j, q in enumerate(codomain.factors):
+            combined = [
+                sum(v[j] * cols[j][c] for v, cols in zip(f.values, basis)) % q
+                for c in range(len(orders))
+            ]
+            assert combined == columns[j]
+    with pytest.raises(UnsupportedMapError):
+        calculus.unit_coefficients(AbelianShape((6,)), Z2)
+
+
+class _Small(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize(
+    "codomain, values",
+    [
+        (Z2, ((0,), (1,))),
+        (Z2, ((False,), (True,))),  # bools are ints
+        (Z2, ((0,), (_Small.ONE,))),  # so are other int subclasses
+        (Z2, (collections.namedtuple("Point", "x")(0), (1,))),  # and tuple subclasses tuples
+        (AbelianShape(()), ((), ())),
+    ],
+)
+def test_finite_map_accepts(codomain, values):
+    assert FiniteMap(Z2, codomain, values).values == values
+
+
+@pytest.mark.parametrize(
+    "domain, codomain, values, message",
+    [
+        (Z2, Z2, ((0,),), "table has 1 entries, domain has 2"),
+        (Z2, Z2, ((0,), (1.0,)), "(1.0,) is not a reduced element of (2,)"),
+        (Z2, Z2, ((0,), [1]), "[1] is not a reduced element of (2,)"),
+        (Z2, Z2, ((-1,), (0,)), "(-1,) is not a reduced element of (2,)"),
+        (Z2, Z2, ((0,), (2,)), "(2,) is not a reduced element of (2,)"),
+        (Z2, Z2, ((0,), (0, 0)), "(0, 0) is not a reduced element of (2,)"),
+        (Z2, Z2, ((0,), ()), "() is not a reduced element of (2,)"),
+        (Z2, Z2, ((0,), (None,)), "(None,) is not a reduced element of (2,)"),
+        (Z2, Z2, ((0,), ((0,),)), "((0,),) is not a reduced element of (2,)"),
+        (Z2, AbelianShape((2, 4)), ((1, 3), (1, 4)), "(1, 4) is not a reduced element of (2, 4)"),
+        # The first offending value is named.
+        (Z3, Z2, ((0,), [0], (5,)), "[0] is not a reduced element of (2,)"),
+        (Z3, Z2, ((2,), (1.0,), (0,)), "(2,) is not a reduced element of (2,)"),
+    ],
+)
+def test_finite_map_rejects(domain, codomain, values, message):
+    with pytest.raises(ValueError) as info:
+        FiniteMap(domain, codomain, values)
+    assert str(info.value) == message
 
 
 def test_reconstruct_fixtures():

@@ -231,6 +231,35 @@ def test_polybound_with_a_mersenne_prime_modulus_finishes():
     assert list(json.loads(done.stdout)["bounds"]) == [str(2**61 - 1)]
 
 
+def test_huge_target_exponent_exits_2_at_once():
+    src = str(Path(axkatz.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-m", "axkatz.cli", "bound", "--p", "2", "--alpha", "1",
+         "--targets", "1000000:1"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert f"more than {sys.get_int_max_str_digits()} digits" in done.stderr
+
+
+def test_unprintable_results_exit_2_with_no_output(capsys):
+    limit = sys.get_int_max_str_digits()
+    # B = 2^14285 - 1 has 4301 digits: too long to print, though the
+    # exponent passes the up-front check on p^(beta - 1).
+    for argv in (
+        ["bound", "--p", "2", "--alpha", "1", "--targets", "14285:1"],
+        ["scan", "--p", "2", "--alphas", "1", "--targets", "1:1;14285:1", "--format", "csv"],
+        ["verify", "--p", "7", "--alpha", "1", "--targets", "1:1,100000:1"],
+        ["scan", "--p", "3", "--alphas", "1", "--targets", "1:1;100000:1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"more than {limit} digits" in err, argv
+
+
 def _ints(lo, hi, max_size=5):
     return st.lists(st.integers(lo, hi), max_size=max_size).map(
         lambda xs: ",".join(map(str, xs))
@@ -240,7 +269,9 @@ def _ints(lo, hi, max_size=5):
 _primes = st.sampled_from(["-1", "0", "1", "2", "3", "4", "7"])
 _parts = _ints(-1, 8)
 _target_pairs = st.lists(
-    st.tuples(st.integers(-1, 4), st.integers(-1, 4)), min_size=1, max_size=3
+    st.tuples(st.one_of(st.integers(-1, 4), st.integers(4000, 10**7)), st.integers(-1, 4)),
+    min_size=1,
+    max_size=3,
 ).map(lambda pairs: ",".join(f"{b}:{d}" for b, d in pairs))
 _shape = st.tuples(_ints(-1, 9, 3), st.integers(-1, 3)).map(lambda fd: f"{fd[0]}:{fd[1]}")
 
@@ -291,6 +322,9 @@ def _argv(draw):
 @given(_argv())
 @example(["bound", "--p", "0", "--alpha", "1", "--targets=-1:1"])
 @example(["scan", "--p", "0", "--alphas", "1", "--targets=-1:1", "--format", "csv"])
+@example(["bound", "--p", "2", "--alpha", "1", "--targets", "1000000:1"])
+@example(["bound", "--p", "7", "--alpha", "1", "--targets", "10000000:1"])
+@example(["scan", "--p", "2", "--alphas", "1", "--targets", "14285:1", "--format", "csv"])
 def test_cli_fuzz_exit_codes_and_outputs(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

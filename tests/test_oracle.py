@@ -1,5 +1,7 @@
 """Brute-force oracles: enumeration, sampling, tracing, polynomial systems."""
 
+import functools
+import itertools
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from axkatz import (
     INF,
     NEG_INF,
     AbelianShape,
+    ConsistencyError,
     Degree,
     FiniteMap,
     PolySystem,
@@ -16,6 +19,7 @@ from axkatz import (
     brute_max_degree,
     brute_min_valuation,
     brute_objective_minimum,
+    enumerate_elements,
     functional_degree,
     functions_by_degree,
     make_partition,
@@ -27,6 +31,7 @@ from axkatz import (
     zero_count,
     zero_count_trace,
 )
+from axkatz import calculus, oracle
 
 Z2 = AbelianShape((2,))
 Z4 = AbelianShape((4,))
@@ -60,6 +65,125 @@ def test_functions_by_degree_buckets():
 
     with pytest.raises(ResourceLimitError):
         functions_by_degree(Z42, Z4, cap=100)
+    with pytest.raises(ResourceLimitError, match="exceed the exhaustive cap 100"):
+        functions_by_degree(Z42, Z4, cap=100, max_degree=1)
+    with pytest.raises(ValueError):
+        functions_by_degree(AbelianShape((6,)), Z2, max_degree=1)
+
+
+@functools.cache
+def _all_buckets(domain, codomain):
+    buckets = {}
+    for values in itertools.product(enumerate_elements(codomain), repeat=domain.order):
+        f = FiniteMap(domain, codomain, values)
+        buckets.setdefault(functional_degree(f), []).append(f)
+    return buckets
+
+
+def _reference_buckets(domain, codomain, max_degree=None):
+    """The brute-force bucketing: every table, its exact degree, then the filter."""
+    return {
+        degree: fs
+        for degree, fs in _all_buckets(domain, codomain).items()
+        if max_degree is None or degree <= max_degree
+    }
+
+
+# The criterion-3 pairs, then codomains that are not cyclic or not of prime order.
+JOIN_PAIRS = [
+    ((4,), (2,)),
+    ((2, 2), (2,)),
+    ((4, 2), (2,)),
+    ((4,), (4,)),
+    ((9,), (3,)),
+    ((3,), (9,)),
+    ((2, 2, 2), (2,)),
+    ((3, 3), (3,)),
+    ((4,), (2, 2)),
+    ((2, 2), (2, 4)),
+    ((2,), (8,)),
+]
+
+
+@pytest.mark.parametrize("dom, cod", JOIN_PAIRS)
+def test_join_matches_brute_force_bucketing(dom, cod):
+    domain, codomain = AbelianShape(dom), AbelianShape(cod)
+    top = max(degree for degree in _all_buckets(domain, codomain) if degree.is_finite).value
+    for d in range(top + 2):
+        expected = _reference_buckets(domain, codomain, d)
+        got = functions_by_degree(domain, codomain, max_degree=d)
+        assert list(got) == list(expected), d
+        assert got == expected, d
+
+
+# The criterion-7 instances and the tiny exhaustive shapes of the benchmark.
+VERIFY_INSTANCES = [
+    (2, [2, 1], [((2,), 1)]),
+    (2, [1, 1, 1], [((2,), 2)]),
+    (3, [2], [((3,), 1)]),
+    (2, [3], [((2,), 1)]),
+    (2, [2], [((4,), 1)]),
+    (2, [2, 1], [((2,), 2)]),
+    (2, [2, 1], [((2,), 3)]),
+    (2, [1, 1], [((2,), 1)]),
+    (2, [1, 1], [((2,), 2)]),
+    (2, [2], [((2,), 1), ((2,), 1)]),
+    (3, [1], [((3,), 1), ((3,), 2)]),
+    (3, [1], [((3,), 2), ((3,), 2)]),
+    (5, [1], [((5,), 1)]),
+    (5, [1], [((5,), 2)]),
+    (5, [1], [((5,), 3)]),
+    (5, [1], [((5,), 4)]),
+]
+
+
+def test_verify_bound_agrees_with_brute_force_bucketing(monkeypatch):
+    def run():
+        return [
+            verify_bound(p, make_partition(parts), [(AbelianShape(c), d) for c, d in targets])
+            .to_json_dict()
+            for p, parts, targets in VERIFY_INSTANCES
+        ]
+
+    joined = run()
+    monkeypatch.setattr(
+        oracle,
+        "functions_by_degree",
+        lambda domain, codomain, cap=2**20, max_degree=None: _reference_buckets(
+            domain, codomain, max_degree
+        ),
+    )
+    assert run() == joined
+
+
+def test_basis_past_the_degree_cap_raises(monkeypatch):
+    calculus.unit_coefficients.cache_clear()
+    # Claim a degree cap of 1 on the real Z/4 -> Z/2 box (widths (4,)).
+    monkeypatch.setattr(calculus, "_p_pair_data", lambda domain, codomain: ((4,), 1))
+    with pytest.raises(ConsistencyError) as info:
+        functions_by_degree(Z4, Z2, max_degree=1)
+    assert info.value.instance == {"domain": (4,), "codomain": (2,), "cap": 1, "order": 3}
+    monkeypatch.undo()
+    calculus.unit_coefficients.cache_clear()
+    assert len(functions_by_degree(Z4, Z2, max_degree=1)[Degree.of(1)]) == 2
+
+
+def test_join_degree_cross_check_replays(monkeypatch):
+    # A degree oracle that reads one more than the truth makes the join's
+    # cross-check fire; its instance rebuilds the same call.
+    real = oracle.functional_degree
+    monkeypatch.setattr(oracle, "functional_degree", lambda f: real(f) + 1)
+    with pytest.raises(ConsistencyError) as info:
+        functions_by_degree(Z42, Z2, max_degree=2)
+    instance = info.value.instance
+    assert instance == {"domain": (4, 2), "codomain": (2,), "max_degree": 2, "order": 3}
+    with pytest.raises(ConsistencyError) as again:
+        functions_by_degree(
+            AbelianShape(instance["domain"]),
+            AbelianShape(instance["codomain"]),
+            max_degree=instance["max_degree"],
+        )
+    assert again.value.instance == instance
 
 
 def test_brute_max_degree_small_pairs():

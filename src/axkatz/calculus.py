@@ -542,6 +542,20 @@ def integral(fn: Callable[[tuple[int, ...]], int], bounds: Sequence[int]) -> int
     return total
 
 
+# Byte 0 -> "0", byte 1 -> "1": a row of equality tests read as binary digits.
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def zero_mask(values: Sequence, zero) -> int:
+    """Zero set of a value table as one int: bit k is set when values[k] == zero.
+
+    The zero set of a system is the AND of its maps' masks, and its size the
+    ``bit_count()`` of that.
+    """
+    digits = bytes(map(zero.__eq__, reversed(values))).translate(_BINARY_DIGITS)
+    return int(digits or b"0", 2)
+
+
 def zero_count(
     maps: Sequence[FiniteMap], domain: AbelianShape | None = None
 ) -> tuple[int, dict[int, Degree]]:
@@ -556,10 +570,10 @@ def zero_count(
             raise ValueError("all maps in a system must share one domain")
     elif domain is None:
         raise ValueError("an empty system needs an explicit domain")
-    count = 0
-    for k in range(domain.order):
-        if all(not any(f.values[k]) for f in maps):
-            count += 1
+    mask = (1 << domain.order) - 1
+    for f in maps:
+        mask &= zero_mask(f.values, f.codomain.zero())
+    count = mask.bit_count()
     ords = {
         prime: (INF if count == 0 else Degree.of(multiplicity(prime, count)))
         for prime in domain.primes()

@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 from .bounds import (
@@ -25,7 +24,7 @@ from .bounds import (
 from .calculus import FiniteMap, functional_degree, zero_count
 from .errors import ConsistencyError, ResourceLimitError
 from .groups import AbelianShape, PGroupShape, max_functional_degree
-from .intmath import check_prime
+from .intmath import check_prime, power_exceeds
 from .oracle import PolySystem, poly_zero_count, verify_bound, zero_count_trace
 from .partitions import Partition, conjugate, make_partition
 
@@ -56,13 +55,28 @@ def _parse_target_pairs(text: str, p: int) -> list[tuple[int, int]]:
     if not pairs:
         raise ValueError("at least one target is required")
     check_prime(p)
-    limit = sys.get_int_max_str_digits()
     for beta, _ in pairs:
-        # Every output prints p^beta or B >= p^(beta - 1); the margin of one
-        # digit absorbs the rounding of the logarithm.
-        if limit and (beta - 1) * math.log10(p) > limit + 1:
-            raise ValueError(f"target exponent {beta}: {_too_long(limit)}")
+        # Every output prints p^beta or B >= p^(beta - 1).
+        _check_printable(p, beta, "target exponent")
     return pairs
+
+
+def _parse_printable_partition(text: str, p: int) -> Partition:
+    """A partition whose largest part e leaves the output printable: bound,
+    scan and delta print an integer >= p^(e - 1)."""
+    alpha = _parse_partition(text)
+    check_prime(p)
+    _check_printable(p, alpha.width, "part")
+    return alpha
+
+
+def _check_printable(p: int, exponent: int, what: str) -> None:
+    """Reject an exponent e with p^(e - 1) past 10^(limit + 1), where limit
+    is Python's digit limit for printing integers; no such power is formed.
+    The margin of one digit keeps every printable output."""
+    limit = sys.get_int_max_str_digits()
+    if limit and power_exceeds(p, exponent - 1, 10 ** (limit + 1)):
+        raise ValueError(f"{what} {exponent}: {_too_long(limit)}")
 
 
 def _too_long(limit: int) -> str:
@@ -146,7 +160,7 @@ def _emit(obj) -> None:
 
 
 def _cmd_bound(args) -> int:
-    alpha = _parse_partition(args.alpha)
+    alpha = _parse_printable_partition(args.alpha, args.p)
     report = zero_count_bound(alpha, _target_spec(args.p, args))
     _emit(report.to_json_dict())
     return 0
@@ -167,7 +181,7 @@ def _cmd_nu(args) -> int:
 
 
 def _cmd_delta(args) -> int:
-    alpha = _parse_partition(args.alpha)
+    alpha = _parse_printable_partition(args.alpha, args.p)
     _emit({"delta": max_functional_degree(PGroupShape(args.p, alpha), args.beta)})
     return 0
 
@@ -229,7 +243,7 @@ def _cmd_scan(args) -> int:
     rows = []
     for p in primes:
         for alpha_text in alphas:
-            alpha = _parse_partition(alpha_text)
+            alpha = _parse_printable_partition(alpha_text, p)
             for targets_text in target_lists:
                 targets = make_targets(p, _parse_target_pairs(targets_text, p))
                 report = zero_count_bound(alpha, targets)

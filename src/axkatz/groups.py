@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ResourceLimitError
-from .intmath import check_prime, factorize, multiplicity
+from .intmath import check_prime, factorize, multiplicity, power_exceeds, power_text
 from .partitions import Partition, make_partition
 
 DEFAULT_ENUM_LIMIT = 10**6
@@ -202,13 +202,23 @@ def component_of(shape: AbelianShape, prime: int) -> PrimaryComponent:
     return PrimaryComponent(prime, shape, (), (), (), ())
 
 
+def check_enumerable(base: int, exponent: int = 1, limit: int | None = None) -> None:
+    """Raise ResourceLimitError when a group of order base**exponent has more
+    elements than the limit (``enumeration_limit()`` when None).
+
+    The order is never formed past the limit, so a p-group can be checked
+    from p and its exponent sum however large that is.
+    """
+    cap = enumeration_limit() if limit is None else limit
+    if power_exceeds(base, exponent, cap):
+        raise ResourceLimitError(
+            f"group of order {power_text(base, exponent)} exceeds the enumeration limit {cap}"
+        )
+
+
 def enumerate_elements(shape: AbelianShape, limit: int | None = None) -> list[tuple[int, ...]]:
     """All elements in row-major order, last coordinate fastest."""
-    cap = enumeration_limit() if limit is None else limit
-    if shape.order > cap:
-        raise ResourceLimitError(
-            f"group of order {shape.order} exceeds the enumeration limit {cap}"
-        )
+    check_enumerable(shape.order, limit=limit)
     elements = [()]
     for m in shape.factors:
         elements = [x + (c,) for x in elements for c in range(m)]

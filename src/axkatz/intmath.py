@@ -15,6 +15,7 @@ with the square root of the second-largest prime factor, not the largest.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import compress, count
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -219,6 +220,26 @@ def ilog(base: int, x: int) -> int:
         k += 1
         power *= base
     return k
+
+
+def power_exceeds(base: int, exponent: int, cap: int) -> bool:
+    """base**exponent > cap, for base >= 1 and exponent >= 0.
+
+    base >= 2^(bits(base) - 1), so once exponent * (bits(base) - 1) reaches
+    the bit length of cap the power is past it; otherwise the power has at
+    most about twice cap's bit length and is formed.
+    """
+    if base > 1 and exponent * (base.bit_length() - 1) >= cap.bit_length():
+        return True
+    return base**exponent > cap
+
+
+def power_text(base: int, exponent: int) -> str:
+    """base**exponent in decimal when Python can print it, else 'base^exponent'."""
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if power_exceeds(base, exponent, 10**digits - 1):
+        return f"{base}^{exponent}"
+    return str(base**exponent)
 
 
 def ceil_div(a: int, b: int) -> int:

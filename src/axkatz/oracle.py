@@ -18,6 +18,16 @@ consults the closed-form bound, every joined table is rebuilt as a validated
 FiniteMap and gets its degree again from ``functional_degree``, a degree
 above d raises ConsistencyError, and the test suite compares the join with
 the brute-force bucketing of every table.
+
+Zeros are counted on bit masks.  A map's zero set is one int whose bit k is
+set when table entry k is the zero element (``calculus.zero_mask``); a
+system's zero set is the AND of its maps' masks and its size the bit count,
+so each candidate is read once and each system costs r - 1 ANDs.  The masks
+come from the value tables themselves, never from series coefficients or a
+closed form, so the counts stay an independent check of the bound.
+Polynomial systems get the same masks from value tables built one axis at a
+time from tabulated powers.  The test suite compares both counts with a
+count written from the definition.
 """
 
 from __future__ import annotations
@@ -26,14 +36,15 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence
+from functools import lru_cache, reduce
+from typing import Callable, Iterator, Sequence
 
 from .bounds import (
     TargetSpec,
     bound_objective,
     bound_objective_minimum,
     expand_targets,
+    polynomial_system_bound,
     zero_count_bound,
 )
 from .calculus import (
@@ -43,18 +54,20 @@ from .calculus import (
     proper_lift,
     unit_coefficients,
     zero_count,
+    zero_mask,
 )
 from .degrees import INF, NEG_INF, Degree
 from .errors import ConsistencyError, ResourceLimitError
 from .groups import (
     AbelianShape,
     PGroupShape,
+    check_enumerable,
     enumerate_elements,
     enumeration_limit,
     max_functional_degree,
     pure_prime,
 )
-from .intmath import ceil_div, check_prime, factorize, multiplicity
+from .intmath import ceil_div, check_prime, factorize, multiplicity, power_exceeds, power_text
 from .partitions import Partition, make_partition
 
 DIRECT_SUM_CAP = 1024
@@ -145,11 +158,7 @@ def functions_by_degree(
     first appears.  A bucketed degree above max_degree raises
     ConsistencyError.
     """
-    total = codomain.order**domain.order
-    if total > cap:
-        raise ResourceLimitError(
-            f"{total} tables exceed the exhaustive cap {cap}; use sampled mode"
-        )
+    _check_table_cap(codomain.order, domain.order, 1, cap)
     buckets: dict[Degree, list[FiniteMap]] = {}
     for values in _tables(domain, codomain, max_degree):
         f = FiniteMap(domain, codomain, values)
@@ -166,6 +175,22 @@ def functions_by_degree(
             )
         buckets.setdefault(degree, []).append(f)
     return buckets
+
+
+def _check_table_cap(q: int, p: int, size: int, cap: int) -> None:
+    """Raise ResourceLimitError when the q^(p^size) tables from a group of
+    order p^size into one of order q exceed cap.
+
+    q^n >= 2^n, so n = p^size at or past cap's bit length settles it; no
+    power past the cap is formed, however large size is.
+    """
+    bits = cap.bit_length()
+    if (q > 1 and power_exceeds(p, size, bits - 1)) or q ** p**size > cap:
+        order = power_text(p, size)
+        total = power_text(q, int(order)) if order.isdigit() else f"{q}^({order})"
+        raise ResourceLimitError(
+            f"{total} tables exceed the exhaustive cap {cap}; use sampled mode"
+        )
 
 
 def _tables(
@@ -239,7 +264,15 @@ def brute_max_degree(domain: AbelianShape, codomain: AbelianShape, cap: int = 2*
     beta = max(multiplicity(p, m) for m in codomain.factors)
     expected = max_functional_degree(PGroupShape(p, exponents), beta)
     if best != Degree.of(expected):
-        raise ConsistencyError(f"observed max degree {best}, formula gives {expected}")
+        raise ConsistencyError(
+            f"observed max degree {best}, formula gives {expected}",
+            instance={
+                "domain": domain.factors,
+                "codomain": codomain.factors,
+                "observed": best.to_json(),
+                "expected": expected,
+            },
+        )
     return best.value
 
 
@@ -276,18 +309,21 @@ def brute_objective_minimum(
 def _random_homomorphism_affine(
     domain: AbelianShape, p: int, exp_codomain: int, rng: random.Random
 ) -> list[int]:
-    """Value table of a random affine map into Z/p^b, guaranteed degree <= 1."""
+    """Value table of a random affine map into Z/p^b, guaranteed degree <= 1.
+
+    The table is built one axis at a time in enumeration order (last
+    coordinate fastest); the caller checks the enumeration limit.
+    """
     q = p**exp_codomain
     coeffs = []
     for m in domain.factors:
         a = multiplicity(p, m)
         step = p ** max(exp_codomain - a, 0)
         coeffs.append(step * rng.randrange(p ** min(a, exp_codomain)))
-    shift = rng.randrange(q)
-    return [
-        (shift + sum(c * x for c, x in zip(coeffs, point))) % q
-        for point in enumerate_elements(domain)
-    ]
+    table = [rng.randrange(q)]
+    for c, m in zip(coeffs, domain.factors):
+        table = [(v + c * x) % q for v in table for x in range(m)]
+    return table
 
 
 def sample_bounded_map(
@@ -308,6 +344,7 @@ def sample_bounded_map(
         raise ValueError("sampling needs p-groups of one common prime")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
+    check_enumerable(domain.order)
     size = domain.order
     exps = [multiplicity(p, m) for m in codomain.factors]
     for _ in range(max_tries):
@@ -322,7 +359,7 @@ def sample_bounded_map(
                     term = [(t * v) % q for t, v in zip(term, aff)]
                 acc = [(s + t) % q for s, t in zip(acc, term)]
             columns.append(acc)
-        values = tuple(tuple(col[k] for col in columns) for k in range(size))
+        values = tuple(zip(*columns))
         candidate = FiniteMap(domain, codomain, values)
         degree = functional_degree(candidate)
         if Degree.of(0) < degree <= Degree.of(cap):
@@ -377,9 +414,18 @@ def verify_bound(
     Qualifying maps are nonconstant with degree at most the per-target cap.
     Exhaustive mode enumerates every qualifying tuple; sampled mode draws a
     fixed number of systems deterministically from the seed.  A target with
-    no qualifying map at all yields a vacuous pass, flagged as such.
+    no qualifying map at all yields a vacuous pass, flagged as such.  The
+    table cap (exhaustive) or the enumeration limit (sampled) is checked
+    from p and the exponent sum first, before any p^part is formed.
     """
     targets = expand_targets(p, shaped)
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exhaustive":
+        for shape, _ in shaped:
+            _check_table_cap(shape.order, p, alpha.size, cap)
+    elif samples > 0:
+        check_enumerable(p, alpha.size)
     report = zero_count_bound(alpha, targets)
     beta_for_min = (report.s0 or 0) + 1
     objective_match = (
@@ -403,14 +449,12 @@ def verify_bound(
                 for f in fs
             ]
             candidate_lists.append(qualifying)
-    elif mode == "sampled":
+    else:
         rng = random.Random(seed)
         for shape, d in shaped:
             candidate_lists.append(
                 [sample_bounded_map(domain, shape, d, rng) for _ in range(samples)]
             )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     if any(not lst for lst in candidate_lists):
         return VerifyReport(
@@ -425,25 +469,13 @@ def verify_bound(
             raise ResourceLimitError(
                 f"{volume} qualifying systems exceed {max_systems}; use sampled mode"
             )
-        systems = itertools.product(*candidate_lists)
+        combine = itertools.product
     else:
-        systems = zip(*candidate_lists)
+        combine = zip
 
-    claimed = Degree.of(report.bound)
-    min_ord: Degree | None = None
-    witness = None
-    tested = 0
-    passed = True
-    for system in systems:
-        maps = list(system)
-        count, ords = zero_count(maps)
-        observed = ords[p]
-        tested += 1
-        if observed < claimed:
-            passed = False
-        if min_ord is None or observed < min_ord:
-            min_ord = observed
-            witness = tuple(f.values for f in maps)
+    min_ord, witness, tested, passed = _scan_systems(
+        p, domain, candidate_lists, combine, Degree.of(report.bound)
+    )
     return VerifyReport(
         instance,
         report.bound,
@@ -456,6 +488,43 @@ def verify_bound(
         passed,
         objective_match,
     )
+
+
+def _scan_systems(
+    p: int,
+    domain: AbelianShape,
+    candidate_lists: list[list[FiniteMap]],
+    combine: Callable,
+    claimed: Degree,
+) -> tuple[Degree | None, tuple | None, int, bool]:
+    """(min ord_p of the zero counts, its first witness, systems tested,
+    whether every system met the claimed bound) over combine(*lists).
+
+    Each candidate's zero set is one bit mask, so a system's zero count is
+    the bit count of an AND.  Systems are compared once per distinct count:
+    a later system with a count already seen has the same valuation, so it
+    can neither fail where the first did not nor become the witness.
+    """
+    masks = [[zero_mask(f.values, f.codomain.zero()) for f in lst] for lst in candidate_lists]
+    everywhere = (1 << domain.order) - 1
+    seen: set[int] = set()
+    min_ord: Degree | None = None
+    witness = None
+    tested = 0
+    passed = True
+    for system_masks, maps in zip(combine(*masks), combine(*candidate_lists)):
+        count = reduce(operator.and_, system_masks, everywhere).bit_count()
+        tested += 1
+        if count in seen:
+            continue
+        seen.add(count)
+        observed = INF if count == 0 else Degree.of(multiplicity(p, count))
+        if observed < claimed:
+            passed = False
+        if min_ord is None or observed < min_ord:
+            min_ord = observed
+            witness = tuple(f.values for f in maps)
+    return min_ord, witness, tested, passed
 
 
 @dataclass(frozen=True)
@@ -518,6 +587,10 @@ def zero_count_trace(system: Sequence[FiniteMap], beta: int | None = None) -> Tr
     elif beta <= count_ord:
         raise ValueError(f"beta must exceed ord_p(count) = {count_ord}, got {beta}")
 
+    def failure(message: str, **values) -> ConsistencyError:
+        system_json = [f.to_json_dict() for f in system]
+        return ConsistencyError(message, instance={"system": system_json, "beta": beta, **values})
+
     ring = AbelianShape((p**beta,))
     lifted_maps = [proper_lift(f) for f in system]
     indicator_series: list[BinomialSeries] = []
@@ -531,7 +604,12 @@ def zero_count_trace(system: Sequence[FiniteMap], beta: int | None = None) -> Tr
         cap = (p**b_j - 1) + (beta - 1) * p ** (b_j - 1) * (p - 1)
         support_max = max((n[0] for n in series.coeffs), default=0)
         if support_max > cap:
-            raise ConsistencyError(f"indicator support {support_max} exceeds the cap {cap}")
+            raise failure(
+                f"indicator support {support_max} exceeds the cap {cap}",
+                exponent=b_j,
+                support=support_max,
+                cap=cap,
+            )
         floors = []
         for (n,), c in sorted(series.coeffs.items()):
             floor = max(ceil_div(n - (p**b_j - 1), p ** (b_j - 1) * (p - 1)), 0)
@@ -550,11 +628,15 @@ def zero_count_trace(system: Sequence[FiniteMap], beta: int | None = None) -> Tr
         total += term
 
     if total == 0 or (total - count) % p**beta != 0:
-        raise ConsistencyError("integral does not reproduce the zero count mod p^beta")
+        raise failure(
+            "integral does not reproduce the zero count mod p^beta", count=count, integral=total
+        )
     integral_ord = multiplicity(p, total)
     if integral_ord != count_ord:
-        raise ConsistencyError(
-            f"integral valuation {integral_ord} disagrees with the count valuation {count_ord}"
+        raise failure(
+            f"integral valuation {integral_ord} disagrees with the count valuation {count_ord}",
+            count_ord=count_ord,
+            integral_ord=integral_ord,
         )
     return TraceReport(
         count, count_ord, beta, total, integral_ord, tuple(floors_per_map), floors_ok
@@ -618,6 +700,33 @@ class PolySystem:
             raise ValueError(f"malformed polynomial system: {exc}") from exc
 
 
+def _value_tables(system: PolySystem) -> list[list[int]]:
+    """Each polynomial's values mod m at every point of (Z/m)^n, in
+    itertools.product order (last variable fastest).
+
+    The powers x -> x^e mod m are tabulated once per exponent, and each
+    monomial's table is built one axis at a time, as the outer product of
+    the table so far with that axis's row of powers.
+    """
+    m, n = system.modulus, system.nvars
+    rows: dict[int, list[int]] = {}
+    tables = []
+    for poly in system.polys:
+        total = [0] * m**n
+        for coeff, exps in poly:
+            term = [coeff % m]
+            if not term[0]:
+                continue
+            for e in exps:
+                row = rows.get(e)
+                if row is None:
+                    row = rows[e] = [pow(x, e, m) for x in range(m)]
+                term = [t * v for t in term for v in row]
+            total = list(map(operator.add, total, term))
+        tables.append([v % m for v in total])
+    return tables
+
+
 def poly_zero_count(
     system: PolySystem, check: bool = True, limit: int | None = None
 ) -> tuple[int, dict[int, Degree]]:
@@ -630,36 +739,13 @@ def poly_zero_count(
     """
     m = system.modulus
     cap = enumeration_limit() if limit is None else limit
-    if m**system.nvars > cap:
+    if power_exceeds(m, system.nvars, cap):
         raise ResourceLimitError(
-            f"{m ** system.nvars} points exceed the enumeration limit {cap}"
+            f"{power_text(m, system.nvars)} points exceed the enumeration limit {cap}"
         )
-    sparse = []
-    for poly in system.polys:
-        terms = []
-        for coeff, exps in poly:
-            c = coeff % m
-            if c:
-                terms.append((c, tuple((i, e) for i, e in enumerate(exps) if e)))
-        sparse.append(terms)
-
-    count = 0
-    constant_tracker: list[set[int]] = [set() for _ in sparse]
-    for point in itertools.product(range(m), repeat=system.nvars):
-        all_zero = True
-        for idx, terms in enumerate(sparse):
-            value = 0
-            for coeff, exps in terms:
-                term = coeff
-                for i, e in exps:
-                    term *= point[i] ** e
-                value += term
-            value %= m
-            constant_tracker[idx].add(value)
-            if value != 0:
-                all_zero = False
-        if all_zero:
-            count += 1
+    everywhere = (1 << m**system.nvars) - 1
+    tables = _value_tables(system)
+    count = reduce(operator.and_, (zero_mask(t, 0) for t in tables), everywhere).bit_count()
 
     primes = sorted(factorize(m))
     ords = {
@@ -668,17 +754,19 @@ def poly_zero_count(
 
     if check and count != 0:
         surviving = [
-            system.degrees[idx]
-            for idx, seen in enumerate(constant_tracker)
-            if len(seen) > 1
+            declared for declared, table in zip(system.degrees, tables) if len(set(table)) > 1
         ]
         if surviving:
-            from .bounds import polynomial_system_bound
-
             reports = polynomial_system_bound(m, system.nvars, surviving)
             for q, report in reports.items():
                 if ords[q] < Degree.of(report.bound):
                     raise ConsistencyError(
-                        f"ord_{q}(count) = {ords[q]} below the bound {report.bound}"
+                        f"ord_{q}(count) = {ords[q]} below the bound {report.bound}",
+                        instance={
+                            "system": system.to_json_dict(),
+                            "prime": q,
+                            "ord": ords[q].to_json(),
+                            "bound": report.bound,
+                        },
                     )
     return count, ords

@@ -34,6 +34,7 @@ from axkatz import (
     tensor_product,
     vp_value,
     zero_count,
+    zero_mask,
 )
 from axkatz import calculus
 from axkatz.intmath import factorize, multiplicity
@@ -374,6 +375,61 @@ def test_zero_count_fixtures():
         zero_count([])
     with pytest.raises(ValueError):
         zero_count([parity, FiniteMap(Z2, Z2, ((0,), (1,)))])
+
+
+def _definition_count(maps, domain):
+    """Zeros counted from the definition: points where every map's value is 0."""
+    return sum(1 for k in range(domain.order) if all(not any(f.values[k]) for f in maps))
+
+
+# Composite-order and mixed-order domains next to p-groups; codomains of one
+# and of two factors.
+ZERO_SHAPES = [
+    ((4, 2), (2,)),
+    ((6,), (3,)),
+    ((2, 3), (2, 2)),
+    ((12,), (6,)),
+    ((3, 5), (15,)),
+    ((9,), (3, 3)),
+]
+
+
+@pytest.mark.parametrize("dom, cod", ZERO_SHAPES)
+def test_zero_mask_and_count_match_the_definition(dom, cod):
+    domain, codomain = AbelianShape(dom), AbelianShape(cod)
+    rng = random.Random(f"{dom}{cod}")
+    targets = enumerate_elements(codomain)
+    zero = codomain.zero()
+    zero_map = FiniteMap(domain, codomain, (zero,) * domain.order)
+    for _ in range(40):
+        maps = [
+            FiniteMap(domain, codomain, tuple(rng.choice(targets) for _ in range(domain.order)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        if rng.random() < 0.2:
+            maps.append(zero_map)
+        for f in maps:
+            mask = zero_mask(f.values, zero)
+            assert [bool(mask >> k & 1) for k in range(domain.order)] == [
+                not any(v) for v in f.values
+            ]
+            assert mask >> domain.order == 0
+        count, ords = zero_count(maps)
+        assert count == _definition_count(maps, domain)
+        assert sorted(ords) == sorted(factorize(domain.order))
+        for q, o in ords.items():
+            assert o == (INF if count == 0 else Degree.of(multiplicity(q, count)))
+    assert zero_mask(zero_map.values, zero) == (1 << domain.order) - 1
+    assert zero_count([zero_map])[0] == domain.order
+    empty_count, empty_ords = zero_count([], domain)
+    assert empty_count == _definition_count([], domain) == domain.order
+    assert sorted(empty_ords) == sorted(factorize(domain.order))
+
+
+def test_zero_mask_reads_int_tables():
+    assert zero_mask([0, 1, 0, 2], 0) == 0b0101
+    assert zero_mask([1, 1], 0) == 0
+    assert zero_mask([], 0) == 0
 
 
 def test_primary_split_and_assemble():

@@ -4,11 +4,13 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -218,31 +220,62 @@ def test_outputs_are_deterministic(capsys):
     assert first == second
 
 
-def test_polybound_with_a_mersenne_prime_modulus_finishes():
+def _cli_process(*argv):
+    """Run the CLI in a fresh interpreter, failing the test past 10 s."""
     src = str(Path(axkatz.__file__).resolve().parent.parent)
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run(
-        [sys.executable, "-m", "axkatz.cli", "polybound", "--m", str(2**61 - 1),
-         "--n", "3", "--degrees", "2"],
+    return subprocess.run(
+        [sys.executable, "-m", "axkatz.cli", *argv],
         capture_output=True, text=True, env=env, timeout=10,
     )
+
+
+def test_polybound_with_a_mersenne_prime_modulus_finishes():
+    done = _cli_process("polybound", "--m", str(2**61 - 1), "--n", "3", "--degrees", "2")
     assert done.returncode == 0, done.stderr
     assert list(json.loads(done.stdout)["bounds"]) == [str(2**61 - 1)]
 
 
 def test_huge_target_exponent_exits_2_at_once():
-    src = str(Path(axkatz.__file__).resolve().parent.parent)
-    paths = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run(
-        [sys.executable, "-m", "axkatz.cli", "bound", "--p", "2", "--alpha", "1",
-         "--targets", "1000000:1"],
-        capture_output=True, text=True, env=env, timeout=10,
-    )
+    done = _cli_process("bound", "--p", "2", "--alpha", "1", "--targets", "1000000:1")
     assert done.returncode == 2
     assert done.stdout == ""
     assert f"more than {sys.get_int_max_str_digits()} digits" in done.stderr
+
+
+def test_huge_alpha_parts_exit_2_at_once():
+    too_long = f"more than {sys.get_int_max_str_digits()} digits"
+    for argv, message in [
+        (["bound", "--p", "7", "--alpha", "1000000", "--targets", "1:1"], too_long),
+        (["scan", "--p", "7", "--alphas", "1000000", "--targets", "1:1"], too_long),
+        (["delta", "--p", "7", "--alpha", "10000000", "--beta", "1"], too_long),
+        (["verify", "--p", "7", "--alpha", "1000000", "--targets", "1:1"],
+         "7^(7^1000000) tables exceed the exhaustive cap"),
+        (["verify", "--p", "7", "--alpha", "1000000", "--targets", "1:1", "--mode", "sampled",
+          "--seed", "1"], "group of order 7^1000000 exceeds the enumeration limit"),
+    ]:
+        done = _cli_process(*argv)
+        assert done.returncode == 2, argv
+        assert done.stdout == "", argv
+        assert message in done.stderr, argv
+
+
+def test_huge_alpha_parts_stay_fine_where_nothing_big_is_printed(capsys):
+    code, out, _ = run_cli(capsys, "vp", "--p", "7", "--alpha", "1000000", "--D", "5")
+    assert code == 0 and json.loads(out)["value"] == 1000000
+    code, out, _ = run_cli(capsys, "nu", "--p", "7", "--alpha", "1000000", "--n", "1")
+    assert code == 0 and json.loads(out)["value"] == 1000000
+
+
+def test_exponent_past_float_range_exits_2(capsys):
+    for argv in (
+        ["bound", "--p", "2", "--alpha", "1", "--targets", f"{10**400}:1"],
+        ["bound", "--p", "2", "--alpha", str(10**400), "--targets", "1:1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"more than {sys.get_int_max_str_digits()} digits" in err, argv
 
 
 def test_unprintable_results_exit_2_with_no_output(capsys):
@@ -325,7 +358,14 @@ def _argv(draw):
 @example(["bound", "--p", "2", "--alpha", "1", "--targets", "1000000:1"])
 @example(["bound", "--p", "7", "--alpha", "1", "--targets", "10000000:1"])
 @example(["scan", "--p", "2", "--alphas", "1", "--targets", "14285:1", "--format", "csv"])
+@example(["bound", "--p", "7", "--alpha", "1000000", "--targets", "1:1"])
+@example(["bound", "--p", "2", "--alpha", "1", "--targets", f"{10**400}:1"])
 def test_cli_fuzz_exit_codes_and_outputs(argv):
+    _check_cli_contract(argv)
+
+
+def _check_cli_contract(argv):
+    """Exit code in {0, 1, 2}, no escaping exception, JSON or CSV on stdout at 0."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -342,3 +382,103 @@ def test_cli_fuzz_exit_codes_and_outputs(argv):
             json.loads(out.getvalue())
     else:
         assert err.getvalue()
+
+
+def _mostly_valid(valid, anything):
+    """Draws from ``valid`` three times in four, so most examples reach the compute."""
+    return st.sampled_from([valid, valid, valid, anything]).flatmap(lambda strategy: strategy)
+
+
+_small_targets = _mostly_valid(
+    st.lists(st.tuples(st.integers(1, 2), st.integers(1, 3)), min_size=1, max_size=2),
+    st.lists(st.tuples(st.integers(-1, 2), st.integers(-1, 3)), min_size=1, max_size=2),
+).map(lambda pairs: ",".join(f"{b}:{d}" for b, d in pairs))
+
+
+@st.composite
+def _verify_argv(draw):
+    """verify on domains and caps small enough to keep each example in milliseconds."""
+    def option(name, value):
+        return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
+    parts = st.lists(st.integers(1, 2), min_size=1, max_size=3).map(
+        lambda xs: ",".join(map(str, sorted(xs, reverse=True)))
+    )
+    argv = [
+        "verify",
+        # Only p in {2, 3} reaches the compute: (Z/49)^3 at p = 7 takes seconds.
+        *option("--p", draw(_mostly_valid(st.sampled_from(["2", "3"]), st.sampled_from(["-1", "0", "1", "4"])))),
+        *option("--alpha", draw(_mostly_valid(parts, _ints(-1, 2, 3)))),
+    ]
+    if draw(st.sampled_from([True, True, True, False])):
+        argv += option("--targets", draw(_small_targets))
+    else:
+        argv += option("--target-shape", draw(_ints(-1, 4, 2).map(lambda f: f"{f}:1")))
+    mode = draw(st.sampled_from(["exhaustive", "sampled"]))
+    argv += option("--mode", mode)
+    if mode == "sampled":
+        if draw(st.sampled_from([True, True, True, False])):
+            argv += option("--seed", str(draw(st.integers(0, 10**6))))
+        argv += option("--samples", str(draw(_mostly_valid(st.integers(1, 4), st.integers(-1, 4)))))
+    else:
+        argv += option("--cap", str(draw(_mostly_valid(st.integers(16, 300), st.integers(-1, 300)))))
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(_verify_argv())
+@example(["verify", "--p", "2", "--alpha", "2,1", "--targets", "1:3", "--cap", "256"])
+@example(["verify", "--p", "3", "--alpha", "1,1", "--targets", "1:2,2:1", "--mode", "sampled",
+          "--seed", "4", "--samples", "3"])
+def test_cli_fuzz_verify(argv):
+    _check_cli_contract(argv)
+
+
+_table_json = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "domain": st.lists(st.integers(-1, 4), max_size=2),
+            "codomain": st.lists(st.integers(-1, 4), max_size=2),
+            "values": st.lists(
+                st.lists(st.one_of(st.integers(-1, 4), st.booleans()), max_size=2), max_size=17
+            ),
+        }
+    ).map(json.dumps),
+    st.sampled_from(["{not json", "[]", '{"domain": 4}', '{"domain": [2], "codomain": [2]}']),
+)
+
+
+@st.composite
+def _valid_table(draw, domain):
+    """A well-formed table on the given small domain, so fdeg and zeros get
+    past parsing and zeros meets systems of several maps."""
+    codomain = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
+    order = math.prod(domain)
+    values = [[draw(st.integers(0, m - 1)) for m in codomain] for _ in range(order)]
+    return json.dumps({"domain": domain, "codomain": codomain, "values": values})
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables")
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_table_files(table_dir, data):
+    domain = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
+    tables = data.draw(st.lists(st.one_of(_valid_table(domain), _table_json), max_size=3))
+    paths = []
+    for k, text in enumerate(tables):
+        path = table_dir / f"table{k}.json"
+        path.write_text(text)
+        paths.append(str(path))
+    if data.draw(st.booleans()):
+        paths.append(str(table_dir / "missing.json"))
+    if data.draw(st.booleans()) and paths:
+        argv = ["fdeg", "--map", paths[0]]
+    else:
+        argv = ["zeros", "--maps", ",".join(paths)]
+        if data.draw(st.booleans()):
+            argv += ["--domain", data.draw(_ints(-1, 4, 2))]
+    _check_cli_contract(argv)

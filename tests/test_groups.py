@@ -13,7 +13,7 @@ from axkatz import (
     max_functional_degree,
     primary_decomposition,
 )
-from axkatz.groups import component_of
+from axkatz.groups import check_enumerable, component_of
 
 
 def test_shape_validation():
@@ -132,3 +132,15 @@ def test_component_of_missing_prime_is_trivial():
     assert comp.shape.is_trivial
     assert comp.project((3, 1)) == ()
     assert comp.include(()) == (0, 0)
+
+
+def test_check_enumerable_reads_the_order_as_a_power(monkeypatch):
+    check_enumerable(2, 3, limit=8)
+    check_enumerable(1, 10**30, limit=1)
+    with pytest.raises(ResourceLimitError, match="group of order 16 exceeds the enumeration limit 8"):
+        check_enumerable(2, 4, limit=8)
+    with pytest.raises(ResourceLimitError, match=r"group of order 7\^1000000 exceeds"):
+        check_enumerable(7, 10**6)
+    monkeypatch.setenv("AXKATZ_ENUM_LIMIT", "15")
+    with pytest.raises(ResourceLimitError, match="group of order 16 exceeds the enumeration limit 15"):
+        enumerate_elements(AbelianShape((4, 4)))

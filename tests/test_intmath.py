@@ -4,7 +4,16 @@ import math
 
 import pytest
 
-from axkatz.intmath import _strong_lucas_probable_prime, check_prime, factorize, is_prime
+import sys
+
+from axkatz.intmath import (
+    _strong_lucas_probable_prime,
+    check_prime,
+    factorize,
+    is_prime,
+    power_exceeds,
+    power_text,
+)
 
 LIMIT = 2 * 10**4
 
@@ -97,3 +106,20 @@ def test_factorize_splits_products_of_large_primes():
     assert factorize(999983 * 1000003) == {999983: 1, 1000003: 1}
     assert factorize(2**67 - 1) == {193707721: 1, 761838257287: 1}
     assert factorize(10**20) == {2: 20, 5: 20}
+
+
+def test_power_exceeds_matches_the_power():
+    for base in (1, 2, 3, 7, 255, 256, 257, 10**20):
+        for exponent in range(0, 40):
+            for cap in (-5, 0, 1, 2, 255, 256, 10**9, 10**40, 2**200):
+                assert power_exceeds(base, exponent, cap) == (base**exponent > cap)
+
+
+def test_power_exceeds_and_text_never_form_a_huge_power():
+    assert power_exceeds(7, 10**18, 10**6)
+    assert power_exceeds(2, 10**100, 2**64)
+    assert power_text(7, 10**18) == f"7^{10**18}"
+    digits = sys.get_int_max_str_digits()
+    assert power_text(10, digits - 1) == "1" + "0" * (digits - 1)
+    assert power_text(10, digits) == f"10^{digits}"
+    assert power_text(2, 10) == "1024"

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from axkatz import (
     zero_count_trace,
 )
 from axkatz import calculus, oracle
+from axkatz.intmath import factorize, multiplicity
 
 Z2 = AbelianShape((2,))
 Z4 = AbelianShape((4,))
@@ -322,3 +324,226 @@ def test_poly_zero_count_json_roundtrip():
     assert rebuilt == system
     count, ords = poly_zero_count(system)
     assert count == poly_zero_count(rebuilt)[0]
+
+
+def _per_system_reference(p, domain, candidate_lists, combine, claimed):
+    """The systems loop as it reads from the definition: one zero_count per system."""
+    min_ord, witness, tested, passed = None, None, 0, True
+    for system in combine(*candidate_lists):
+        maps = list(system)
+        observed = zero_count(maps)[1][p]
+        tested += 1
+        if observed < claimed:
+            passed = False
+        if min_ord is None or observed < min_ord:
+            min_ord, witness = observed, tuple(f.values for f in maps)
+    return min_ord, witness, tested, passed
+
+
+# The benchmark's sampled shapes (two targets in the last but one), two seeds each.
+SAMPLED_INSTANCES = [
+    (2, [2, 2], [((2,), 2)]),
+    (2, [1, 1, 1, 1], [((2,), 3)]),
+    (2, [3, 1], [((4,), 2)]),
+    (3, [1, 1], [((9,), 3)]),
+    (2, [2, 2], [((2,), 3), ((2,), 2)]),
+    (2, [2, 1, 1], [((4,), 3)]),
+]
+
+
+def test_masked_systems_loop_matches_per_system_zero_count(monkeypatch):
+    def run():
+        reports = [
+            verify_bound(p, make_partition(parts), [(AbelianShape(c), d) for c, d in targets])
+            for p, parts, targets in VERIFY_INSTANCES
+        ]
+        for p, parts, targets in SAMPLED_INSTANCES:
+            for seed in (5, 6):
+                shaped = [(AbelianShape(c), d) for c, d in targets]
+                reports.append(
+                    verify_bound(p, make_partition(parts), shaped, mode="sampled", seed=seed)
+                )
+        return [report.to_json_dict() for report in reports]
+
+    masked = run()
+    assert any(len(r["witness"]) == 2 and r["mode"] == "exhaustive" for r in masked)
+    assert any(len(r["witness"]) == 2 and r["mode"] == "sampled" for r in masked)
+    monkeypatch.setattr(oracle, "_scan_systems", _per_system_reference)
+    assert run() == masked
+
+
+def test_affine_table_per_axis_matches_the_per_point_formula():
+    for p, factors, b in [(2, (4, 2), 2), (3, (9, 3), 1), (2, (2, 8, 4), 3), (5, (5,), 2)]:
+        domain = AbelianShape(factors)
+        for seed in range(5):
+            rng, ref = random.Random(seed), random.Random(seed)
+            table = oracle._random_homomorphism_affine(domain, p, b, rng)
+            q = p**b
+            coeffs = []
+            for m in factors:
+                a = multiplicity(p, m)
+                coeffs.append(p ** max(b - a, 0) * ref.randrange(p ** min(a, b)))
+            shift = ref.randrange(q)
+            assert table == [
+                (shift + sum(c * x for c, x in zip(coeffs, point))) % q
+                for point in enumerate_elements(domain)
+            ]
+            assert rng.getstate() == ref.getstate()
+
+
+def test_sampling_past_the_enumeration_limit_raises(monkeypatch):
+    monkeypatch.setenv("AXKATZ_ENUM_LIMIT", "8")
+    domain = AbelianShape((4, 4))
+    with pytest.raises(ResourceLimitError) as expected:
+        enumerate_elements(domain)
+
+    def no_table(*args):
+        raise AssertionError("a table was built past the enumeration limit")
+
+    monkeypatch.setattr(oracle, "_random_homomorphism_affine", no_table)
+    with pytest.raises(ResourceLimitError) as sampled:
+        sample_bounded_map(domain, Z2, 2, random.Random(1))
+    with pytest.raises(ResourceLimitError) as verified:
+        verify_bound(2, make_partition([2, 2]), [(Z2, 2)], mode="sampled", seed=1)
+    assert str(sampled.value) == str(verified.value) == str(expected.value)
+    # Drawing no sample builds no table, so nothing is enumerated: a vacuous pass.
+    report = verify_bound(2, make_partition([2, 2]), [(Z2, 2)], mode="sampled", seed=1, samples=0)
+    assert report.vacuous and report.passed
+
+
+def test_verify_checks_its_caps_before_any_power_of_a_part():
+    with pytest.raises(ResourceLimitError) as exhaustive:
+        verify_bound(7, make_partition([10**6]), [(AbelianShape((7,)), 1)])
+    assert str(exhaustive.value) == (
+        "7^(7^1000000) tables exceed the exhaustive cap 1048576; use sampled mode"
+    )
+    with pytest.raises(ResourceLimitError) as sampled:
+        verify_bound(7, make_partition([10**6]), [(AbelianShape((7,)), 1)], mode="sampled", seed=1)
+    assert str(sampled.value) == "group of order 7^1000000 exceeds the enumeration limit 1000000"
+    # Below the printing limit the count is written out, as functions_by_degree writes it.
+    with pytest.raises(ResourceLimitError) as small:
+        verify_bound(2, make_partition([2, 1]), [(Z4, 1)], cap=100)
+    with pytest.raises(ResourceLimitError) as direct:
+        functions_by_degree(Z42, Z4, cap=100)
+    assert str(small.value) == str(direct.value)
+    assert str(direct.value) == "65536 tables exceed the exhaustive cap 100; use sampled mode"
+
+
+def test_brute_max_degree_failure_replays(monkeypatch):
+    real = oracle.max_functional_degree
+    monkeypatch.setattr(oracle, "max_functional_degree", lambda shape, beta: real(shape, beta) + 1)
+    with pytest.raises(ConsistencyError) as info:
+        brute_max_degree(Z4, Z2)
+    instance = info.value.instance
+    assert instance == {"domain": (4,), "codomain": (2,), "observed": 3, "expected": 4}
+    with pytest.raises(ConsistencyError) as again:
+        brute_max_degree(AbelianShape(instance["domain"]), AbelianShape(instance["codomain"]))
+    assert again.value.instance == instance
+
+
+def _replay_trace(instance):
+    maps = [FiniteMap.from_json_dict(table) for table in instance["system"]]
+    with pytest.raises(ConsistencyError) as again:
+        zero_count_trace(maps, instance["beta"])
+    assert again.value.instance == instance
+
+
+PARITY = FiniteMap(Z42, Z2, tuple((x % 2,) for x, _ in enumerate_elements(Z42)))
+
+
+def test_trace_indicator_support_failure_replays(monkeypatch):
+    real = oracle.proper_lift
+
+    def padded(f):
+        # The one-variable indicators get a coefficient far past their cap.
+        series = real(f)
+        if series.arity != 1:
+            return series
+        return oracle.BinomialSeries(1, {**series.coeffs, (99,): 1})
+
+    monkeypatch.setattr(oracle, "proper_lift", padded)
+    with pytest.raises(ConsistencyError) as info:
+        zero_count_trace([PARITY])
+    instance = info.value.instance
+    assert (instance["beta"], instance["exponent"], instance["support"], instance["cap"]) == (
+        3, 1, 99, 3
+    )
+    assert instance["system"] == [PARITY.to_json_dict()]
+    _replay_trace(instance)
+
+
+def test_trace_integral_failure_replays(monkeypatch):
+    real = oracle.zero_count
+    monkeypatch.setattr(oracle, "zero_count", lambda maps: (real(maps)[0] + 1, real(maps)[1]))
+    with pytest.raises(ConsistencyError, match="does not reproduce") as info:
+        zero_count_trace([PARITY])
+    instance = info.value.instance
+    assert (instance["count"], instance["integral"] % 8) == (5, 4)
+    _replay_trace(instance)
+
+
+def test_trace_valuation_failure_replays(monkeypatch):
+    real = oracle.zero_count
+
+    def low(maps):
+        count, ords = real(maps)
+        return count, {q: Degree.of(o.value - 1) for q, o in ords.items()}
+
+    monkeypatch.setattr(oracle, "zero_count", low)
+    with pytest.raises(ConsistencyError, match="disagrees") as info:
+        zero_count_trace([PARITY])
+    instance = info.value.instance
+    assert (instance["beta"], instance["count_ord"], instance["integral_ord"]) == (2, 1, 2)
+    _replay_trace(instance)
+
+
+def test_poly_zero_count_failure_replays(monkeypatch):
+    class Claim:
+        bound = 9
+
+    calls = []
+
+    def claim(m, n, degrees):
+        calls.append(degrees)
+        return {q: Claim() for q in factorize(m)}
+
+    monkeypatch.setattr(oracle, "polynomial_system_bound", claim)
+    # The second polynomial vanishes identically mod 6, so only the first
+    # one's degree enters the bound.
+    system = PolySystem(6, 2, (((1, (1, 0)), (5, (0, 1))), ((6, (1, 1)),)), (1, 2))
+    with pytest.raises(ConsistencyError) as info:
+        poly_zero_count(system)
+    assert calls == [[1]]
+    instance = info.value.instance
+    assert instance == {"system": system.to_json_dict(), "prime": 2, "ord": 1, "bound": 9}
+    with pytest.raises(ConsistencyError) as again:
+        poly_zero_count(PolySystem.from_json_dict(instance["system"]))
+    assert again.value.instance == instance
+
+
+def test_poly_zero_count_matches_the_definition():
+    rng = random.Random(8)
+    for _ in range(200):
+        m = rng.choice([2, 3, 4, 6, 9])
+        n = rng.randint(1, 3)
+        polys = tuple(
+            tuple(
+                (rng.randint(-9, 9), tuple(rng.randint(0, 3) for _ in range(n)))
+                for _ in range(rng.randint(0, 3))
+            )
+            for _ in range(rng.randint(0, 2))
+        )
+        degrees = tuple(
+            max([sum(e) for c, e in poly if c % m] + [1]) for poly in polys
+        )
+        count, ords = poly_zero_count(PolySystem(m, n, polys, degrees))
+        expected = sum(
+            1
+            for point in itertools.product(range(m), repeat=n)
+            if all(
+                sum(c * math.prod(x**e for x, e in zip(point, exps)) for c, exps in poly) % m == 0
+                for poly in polys
+            )
+        )
+        assert count == expected
+        assert sorted(ords) == sorted(factorize(m))

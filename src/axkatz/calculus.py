@@ -30,7 +30,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .degrees import INF, NEG_INF, Degree
 from .errors import ConsistencyError, UnsupportedMapError
@@ -270,7 +270,9 @@ def _box_plan(
     return (None if factors == widths else tuple(gather)), tuple(orders)
 
 
-def _forward_differences(column: list[int], widths: Sequence[int], mod: int | None) -> None:
+def _forward_differences(
+    column: list[int], widths: Sequence[int], mod: int | None, step=operator.sub
+) -> None:
     """In place over a row-major box: cell n becomes the n-th iterated forward
     difference of the original array at the origin, mod ``mod`` (None keeps
     exact integers).
@@ -278,7 +280,8 @@ def _forward_differences(column: list[int], widths: Sequence[int], mod: int | No
     One pass per axis (Yates): with the axis outermost, rows k..w-1 are
     differenced against their predecessors for k = 1..w-1, then the axis is
     rotated to the end so the next one comes outermost; after every axis
-    the layout is the original one again.
+    the layout is the original one again.  With step=operator.add the same
+    passes undo the transform (``_inverse_differences``).
     """
     size = len(column)
     if not size:  # a zero width leaves an empty box
@@ -287,7 +290,7 @@ def _forward_differences(column: list[int], widths: Sequence[int], mod: int | No
         rest = size // w
         for k in range(1, w):
             lo = k * rest
-            column[lo:] = map(operator.sub, column[lo:], column[lo - rest : size - rest])
+            column[lo:] = map(step, column[lo:], column[lo - rest : size - rest])
         rotated = (
             column  # the axis is the whole box: rotating it changes nothing
             if rest == 1
@@ -296,6 +299,12 @@ def _forward_differences(column: list[int], widths: Sequence[int], mod: int | No
             )
         )
         column[:] = rotated if mod is None else [v % mod for v in rotated]
+
+
+def _inverse_differences(column: list[int], widths: Sequence[int], mod: int | None) -> None:
+    """In place, the inverse of ``_forward_differences``: cell x becomes
+    sum_n C(x, n) column[n] over the box (Newton interpolation), mod ``mod``."""
+    _forward_differences(column, widths, mod, operator.add)
 
 
 def _coefficient_columns(f: FiniteMap) -> tuple[tuple[int, ...], list[list[int]], int]:
@@ -331,40 +340,151 @@ def _pair_instance(domain: AbelianShape, codomain: AbelianShape, cap: int, order
 
 
 @lru_cache(maxsize=None)
-def unit_coefficients(
-    domain: AbelianShape, codomain: AbelianShape
-) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
-    """(orders, basis) of the coefficient transform of a one-prime pair.
+def degree_generators(
+    domain: AbelianShape, codomain: AbelianShape, max_degree: int
+) -> tuple[tuple[tuple[tuple[tuple[int, int], ...], int], ...], ...]:
+    """Generators, with orders, of the maps of degree <= max_degree that
+    vanish at 0, one tuple per codomain factor Z/q of a one-prime pair.
 
-    orders[c] is the total order of box cell c, and basis[k][j] is the
-    coefficient column of the unit table that is 1 at position k of codomain
-    factor j and 0 elsewhere.  The transform is linear mod each factor q_j,
-    so the column j of any table is sum_k values[k][j] * basis[k][j] mod
-    q_j.  A nonzero basis cell past the pair's degree cap raises
-    ConsistencyError, which by linearity covers every table of the pair.
+    Each generator is (terms, order): terms are its nonzero binomial
+    coefficients as (cell, c) pairs on the domain box (``coefficient_table``
+    evaluates them), order its additive order.  The maps in question are the
+    direct sum of the cyclic groups generated, so each of them is one
+    combination sum t_i g_i with 0 <= t_i < order_i; the q constants give
+    the rest of the maps of degree <= max_degree into Z/q.
+
+    In the binomial coordinates c_n of the domain box (cells n with
+    n_i < m_i) a table has degree <= d exactly when c_n vanishes for |n| > d
+    and its coefficients past order d vanish on the support-box cells outside
+    the domain box too.  Those cells exist only for q = p^b with b > 1; the
+    solutions of their linear conditions mod q are read off a Smith normal
+    form.  For b = 1 nothing is solved: the generators are the unit cells of
+    order 1..d.
     """
-    pair = _p_pair_data(domain, codomain)
-    if pair is None:
+    p = pure_prime(domain)
+    if p is None or pure_prime(codomain) != p:
         raise UnsupportedMapError(
-            "unit coefficients need domain and codomain p-groups of one common prime"
+            "degree generators need domain and codomain p-groups of one common prime"
         )
-    widths, cap = pair
-    gather, orders = _box_plan(domain.factors, widths)
-    sources = range(len(orders)) if gather is None else gather
-    basis = []
-    for k in range(domain.order):
-        exact = [int(g == k) for g in sources]
-        _forward_differences(exact, widths, None)
-        columns = tuple(tuple(c % q for c in exact) for q in codomain.factors)
-        top = max((o for col in columns for o, c in zip(orders, col) if c), default=-1)
-        if top > cap:
-            raise ConsistencyError(
-                f"unit table at position {k} has a nonzero coefficient of order {top}"
-                f" past the degree cap {cap}",
-                instance=_pair_instance(domain, codomain, cap, top),
+    _, orders = _box_plan(domain.factors, domain.factors)
+    free = [n for n, order in enumerate(orders) if 1 <= order <= max_degree]
+    return tuple(
+        _kernel_generators(_outside_forms(domain.factors, p, q, max_degree), free, p, q)
+        for q in codomain.factors
+    )
+
+
+def _outside_forms(
+    factors: tuple[int, ...], p: int, q: int, max_degree: int
+) -> list[dict[int, int]]:
+    """The coefficients of order above max_degree at support-box cells
+    outside the domain box, as linear forms mod q in the domain-box
+    coefficients of orders 1..max_degree; zero forms are skipped and
+    duplicates dropped.
+
+    The table sum_n c_n C(x, n) has coefficient sum_n c_n prod_i E_i(n_i, k_i)
+    at box cell k, where E_i(n, k) is the k-th difference at 0 of the
+    periodic x -> C(x mod m_i, n) (differences of a product of one-variable
+    maps are the products of their differences), and E_i(n, k) = [n = k] for
+    k < m_i.  The forms are built one axis at a time, and a partial term is
+    dropped once its product vanishes mod q or its order passes max_degree,
+    so the work follows the cells that can be nonzero mod q.
+    """
+    if q == p:  # b = 1: the support box is the domain box
+        return []
+    b = multiplicity(p, q)
+    partial: list = [(0, False, ((0, 0, 1),))]  # (order of k, k outside?, (cell, order, c) terms)
+    for m in factors:
+        width = m + (b - 1) * (p - 1) * (m // p)
+        columns = []
+        for n in range(m):
+            column = [binomial(x % m, n) for x in range(width)]
+            _forward_differences(column, (width,), q)
+            columns.append(column)
+        options = [
+            (k, k >= m, [(n, column[k]) for n, column in enumerate(columns) if column[k]])
+            for k in range(width)
+        ]
+        partial = [
+            (order + k, outside or beyond, terms)
+            for order, outside, old in partial
+            for k, beyond, entries in options
+            if (
+                terms := tuple(
+                    (cell * m + n, o + n, c * e % q)
+                    for cell, o, c in old
+                    for n, e in entries
+                    if o + n <= max_degree and c * e % q
+                )
             )
-        basis.append(columns)
-    return orders, tuple(basis)
+        ]
+    forms = {
+        form: None
+        for order, outside, terms in partial
+        if outside and order > max_degree and (form := tuple((n, c) for n, o, c in terms if o))
+    }
+    return [dict(form) for form in forms]
+
+
+def _kernel_generators(
+    forms: list[dict[int, int]], free: list[int], p: int, q: int
+) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+    """(terms, order) generators of the solutions mod q = p^b over the cells
+    in free of the forms (cell -> coefficient), which are used up.
+
+    Smith normal form over Z/p^b: each step pivots on an entry of least
+    p-valuation e, clears its column by row operations and its row by column
+    operations, which are recorded on a basis of the unknowns.  A pivot of
+    valuation e leaves p^(b - e) times its basis vector, of order p^e; a cell
+    never pivoted leaves its basis vector, of order q.
+    """
+    b = multiplicity(p, q)
+    basis = {n: {n: 1} for n in free}
+    valuations: dict[int, int] = {}
+    while any(forms):
+        e, i, n = min(
+            (multiplicity(p, c), i, n) for i, form in enumerate(forms) for n, c in form.items()
+        )
+        pivot = forms.pop(i)
+        inverse = pow(pivot[n] // p**e, -1, q)
+        for form in forms:
+            if n in form:
+                _subtract(form, pivot, form[n] // p**e * inverse, q)
+        for other, c in pivot.items():
+            if other != n:
+                _subtract(basis[other], basis[n], c // p**e * inverse, q)
+        valuations[n] = e
+    generators = []
+    for n in free:
+        e = valuations.get(n, b)
+        if e:
+            scale = p ** (b - e)
+            terms = tuple((cell, c * scale % q) for cell, c in sorted(basis[n].items()))
+            generators.append((tuple(t for t in terms if t[1]), p**e))
+    return tuple(generators)
+
+
+def _subtract(target: dict[int, int], source: dict[int, int], factor: int, q: int) -> None:
+    """target -= factor * source mod q, on sparse vectors without zero entries."""
+    for key, c in source.items():
+        value = (target.get(key, 0) - factor * c) % q
+        if value:
+            target[key] = value
+        else:
+            target.pop(key, None)
+
+
+def coefficient_table(
+    domain: AbelianShape, q: int, terms: Iterable[tuple[int, int]]
+) -> list[int]:
+    """Values mod q, in enumeration order, of the map sum_n c_n C(x, n) given
+    by its (cell, c_n) terms on the domain box (cells row-major); repeated
+    cells add up."""
+    column = [0] * domain.order
+    for cell, c in terms:
+        column[cell] += c
+    _inverse_differences(column, domain.factors, q)
+    return column
 
 
 def series_coefficients(f: FiniteMap) -> dict[tuple[int, ...], tuple[int, ...]]:

@@ -1,8 +1,9 @@
 """Command-line front end: bounds, calculus queries, verification, scans.
 
 All results go to stdout as JSON (or CSV for scans); diagnostics go to
-stderr.  Exit codes: 0 success, 1 verification failure or internal
-inconsistency, 2 usage or validation errors.
+stderr.  Exit codes: 0 success, 1 verification failure, internal
+inconsistency or a reader that closed stdout early, 2 usage or validation
+errors.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .bounds import (
@@ -133,15 +135,18 @@ def _target_spec(p: int, args) -> TargetSpec:
     return make_targets(p, pairs)
 
 
-def _load_map(path: str) -> FiniteMap:
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-    return FiniteMap.from_json_dict(data)
+
+
+def _load_map(path: str) -> FiniteMap:
+    return FiniteMap.from_json_dict(_read_json(path))
 
 
 def _printable(render):
@@ -279,14 +284,7 @@ def _cmd_polybound(args) -> int:
     reports = polynomial_system_bound(args.m, args.n, degrees)
     out = {"bounds": {str(q): r.to_json_dict() for q, r in sorted(reports.items())}}
     if args.system:
-        try:
-            with open(args.system) as fh:
-                system = PolySystem.from_json_dict(json.load(fh))
-        except OSError as exc:
-            raise ValueError(f"cannot read {args.system}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.system} is not valid JSON: {exc}") from exc
-        count, ords = poly_zero_count(system)
+        count, ords = poly_zero_count(PolySystem.from_json_dict(_read_json(args.system)))
         out["count"] = count
         out["ord"] = {str(q): o.to_json() for q, o in sorted(ords.items())}
     _emit(out)
@@ -375,7 +373,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does).  Python's recipe:
+        # point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

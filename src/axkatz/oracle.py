@@ -4,20 +4,19 @@ Nothing in this module trusts the formulas it checks: valuations come from
 exact big-integer sums, degrees from exhaustive difference tables, and the
 headline bound from counting zeros of every qualifying system.
 
-Exhaustive verification enumerates only the maps of degree <= d.  The
-difference transform of a one-prime pair is linear mod each codomain factor,
-so a table has degree <= d exactly when its coefficients of total order above
-d vanish: the qualifying tables are the kernel of a linear map.  The table
-positions are split in two halves; each assignment of a half sums the
-high-order coefficient columns of its unit tables (``unit_coefficients``), and
-a prefix is joined with the suffixes whose sums cancel its own.  Prefixes are
-walked in product order and each suffix bucket is kept in product order, so
-the tables come out in the order of a full ``itertools.product`` with the
-others left out.  The oracle stays independent of what it checks: it never
-consults the closed-form bound, every joined table is rebuilt as a validated
-FiniteMap and gets its degree again from ``functional_degree``, a degree
-above d raises ConsistencyError, and the test suite compares the join with
-the brute-force bucketing of every table.
+Both modes of verification take their maps from one set, the maps of degree
+<= d of a one-prime pair.  ``calculus.degree_generators`` gives it as the
+constants plus a direct sum of cyclic groups, one generator list per codomain
+factor.  Exhaustive mode builds every combination and sorts the tables into
+``itertools.product`` order, so its reports are those of a full enumeration
+with the other tables left out.  Sampled mode draws a constant and a nonzero
+combination uniformly, with one ``randrange`` over their exact count.  The
+oracle stays independent of what it checks: it never consults the
+closed-form bound, every table is rebuilt as a validated FiniteMap and gets
+its degree again from ``functional_degree``, a degree above d (sampled:
+outside (0, d]) raises ConsistencyError, and the test suite compares the
+enumeration, and the sampler's support, with the brute-force bucketing of
+every table.
 
 Zeros are counted on bit masks.  A map's zero set is one int whose bit k is
 set when table entry k is the zero element (``calculus.zero_mask``); a
@@ -33,11 +32,12 @@ count written from the definition.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bounds import (
     TargetSpec,
@@ -50,9 +50,10 @@ from .bounds import (
 from .calculus import (
     BinomialSeries,
     FiniteMap,
+    coefficient_table,
+    degree_generators,
     functional_degree,
     proper_lift,
-    unit_coefficients,
     zero_count,
     zero_mask,
 )
@@ -71,6 +72,7 @@ from .intmath import ceil_div, check_prime, factorize, multiplicity, power_excee
 from .partitions import Partition, make_partition
 
 DIRECT_SUM_CAP = 1024
+MAX_SYSTEMS = 200000  # qualifying systems exhaustive verification may test
 
 
 def binomial_column_sums(limit: int, direct: bool | None = None) -> list[int]:
@@ -152,11 +154,11 @@ def functions_by_degree(
     """Bucket maps from domain to codomain by exact functional degree.
 
     With max_degree=None every table is bucketed.  With max_degree=d (a
-    one-prime pair only) just the tables of degree <= d are: the join in
-    ``_tables`` finds them without building the others.  Tables arrive in
-    itertools.product order, and buckets keep the order in which each degree
-    first appears.  A bucketed degree above max_degree raises
-    ConsistencyError.
+    one-prime pair only) just the tables of degree <= d are: ``_tables``
+    combines the generators of ``degree_generators`` with the constants
+    without building the others.  Tables arrive in itertools.product order,
+    and buckets keep the order in which each degree first appears.  A
+    bucketed degree above max_degree raises ConsistencyError.
     """
     _check_table_cap(codomain.order, domain.order, 1, cap)
     buckets: dict[Degree, list[FiniteMap]] = {}
@@ -165,7 +167,7 @@ def functions_by_degree(
         degree = functional_degree(f)
         if max_degree is not None and degree > max_degree:
             raise ConsistencyError(
-                f"the join yielded a map of degree {degree} above {max_degree}",
+                f"a generated table has degree {degree} above {max_degree}",
                 instance={
                     "domain": domain.factors,
                     "codomain": codomain.factors,
@@ -195,62 +197,98 @@ def _check_table_cap(q: int, p: int, size: int, cap: int) -> None:
 
 def _tables(
     domain: AbelianShape, codomain: AbelianShape, max_degree: int | None
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+) -> Iterable[tuple[tuple[int, ...], ...]]:
     """Value tables in itertools.product order; with max_degree set, only
-    those whose coefficients of total order above it all vanish.
+    those of degree <= max_degree.
 
-    Those coefficients are linear in the table, so each half of the table
-    positions contributes a sum of basis columns, and a prefix joins exactly
-    the suffixes whose sums cancel its own.
+    Those are every combination of the constants and the generators of
+    ``degree_generators``, unless that is every table.  A table is packed
+    into one int, a slot of ``width`` bits per position and codomain factor
+    with the first position on top, so int order is product order.  The
+    multiples of each generator are added slot by slot, and the slots are
+    reduced mod q (``_reduce_slots``) before they could overflow.
     """
     targets = enumerate_elements(codomain)
+    n, r = domain.order, len(codomain.factors)
     if max_degree is None:
-        contributions = [[()] * len(targets)] * domain.order
-        moduli: tuple[int, ...] = ()
-    else:
-        orders, basis = unit_coefficients(domain, codomain)
-        high = [
-            (j, c)
-            for j in range(len(codomain.factors))
-            for c, order in enumerate(orders)
-            if order > max_degree and any(columns[j][c] for columns in basis)
-        ]
-        moduli = tuple(codomain.factors[j] for j, _ in high)
-        contributions = [
-            [tuple(v[j] * columns[j][c] % m for (j, c), m in zip(high, moduli)) for v in targets]
-            for columns in basis
-        ]
-    half = domain.order // 2
-    suffixes: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
-    for rest, key in _half_sums(targets, contributions[half:], moduli):
-        suffixes.setdefault(tuple(-x % m for x, m in zip(key, moduli)), []).append(rest)
-    for values, key in _half_sums(targets, contributions[:half], moduli):
-        for rest in suffixes.get(key, ()):
-            yield values + rest
+        return itertools.product(targets, repeat=n)
+    width, factors = _packed_generators(domain, codomain, max_degree)
+    if math.prod(len(multiples) for _, gens in factors for multiples in gens) == len(targets) ** n:
+        return itertools.product(targets, repeat=n)
+    ones = sum(1 << width * k for k in range(n * r))
+    packed = [0]
+    for q, generators in factors:
+        # A slot holds less than 2^width, and less than 2q when q is odd.
+        limit = q if q & (q - 1) else (1 << width) - q + 1
+        digits, top = [0], 0  # top bounds every slot
+        for multiples in generators:
+            if top >= limit:
+                digits, top = _reduce_slots(digits, q, width, ones), q - 1
+            digits += [d + m for m in multiples[1:] for d in digits]  # multiples[0] is 0
+            top += q - 1
+        packed = [a + d for d in _reduce_slots(digits, q, width, ones) for a in packed]
+    packed.sort()
+    # Each table is read as two halves, and each distinct half once: sorted
+    # tables with one upper half come in a run.
+    low = width * r * (n - n // 2)
+    mask = (1 << low) - 1
+    step = width // 8
+
+    def read(half: int, size: int) -> tuple[tuple[int, ...], ...]:
+        data = half.to_bytes(size * r * step, "big")
+        if step > 1:
+            data = [int.from_bytes(data[i : i + step], "big") for i in range(0, len(data), step)]
+        return tuple(zip(*[iter(data)] * r))
+
+    lower = {h: read(h, n - n // 2) for h in {x & mask for x in packed}}
+    known = lower if n % 2 == 0 else {}  # halves of one size read alike
+    tables, upper = [], None
+    for x in packed:
+        if x >> low != upper:
+            upper = x >> low
+            head = known.get(upper) or read(upper, n // 2)
+        tables.append(head + lower[x & mask])
+    return tables
 
 
-def _half_sums(
-    targets: list[tuple[int, ...]],
-    contributions: list[list[tuple[int, ...]]],
-    moduli: tuple[int, ...],
-) -> list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
-    """(values, summed contribution) of every assignment of targets to the
-    given positions, in itertools.product order."""
-    entries: list = [((), (0,) * len(moduli))]
-    for per_target in contributions:
-        entries = [
-            (values + (v,), tuple(map(operator.mod, map(operator.add, key, c), moduli)))
-            for values, key in entries
-            for v, c in zip(targets, per_target)
-        ]
-    return entries
+def _reduce_slots(digits: list[int], q: int, width: int, ones: int) -> list[int]:
+    """Every slot of every packed table mod q: a mask when q is a power of
+    2, else q taken from each slot that reaches it (slots below 2q), read
+    off the top bit of slot + 2^(width - 1) - q."""
+    if not q & (q - 1):
+        mask = ones * (q - 1)
+        return [d & mask for d in digits]
+    carry, shift = ones * ((1 << width - 1) - q), width - 1
+    return [d - ((d + carry) >> shift & ones) * q for d in digits]
+
+
+@lru_cache(maxsize=None)
+def _packed_generators(
+    domain: AbelianShape, codomain: AbelianShape, max_degree: int
+) -> tuple[int, tuple[tuple[int, tuple[list[int], ...]], ...]]:
+    """(slot width, per codomain factor Z/q: (q, the packed multiples of the
+    constant 1, when max_degree >= 0, and of each generator)) for ``_tables``.
+    Every q stays below 2^(width - 1)."""
+    n, r = domain.order, len(codomain.factors)
+    width = 8 * max(((q.bit_length() + 8) // 8) for q in codomain.factors)
+    factors = []
+    for j, (q, generators) in enumerate(
+        zip(codomain.factors, degree_generators(domain, codomain, max_degree))
+    ):
+        if max_degree >= 0:
+            generators = ((((0, 1),), q), *generators)  # c_0 = 1: the constant 1
+        shifts = [width * ((n - 1 - k) * r + r - 1 - j) for k in range(n)]
+        gens = []
+        for terms, order in generators:
+            table = coefficient_table(domain, q, terms)
+            gens.append([sum(t * v % q << s for v, s in zip(table, shifts)) for t in range(order)])
+        factors.append((q, tuple(gens)))
+    return width, tuple(factors)
 
 
 def brute_max_degree(domain: AbelianShape, codomain: AbelianShape, cap: int = 2**20) -> int:
     """Largest finite degree over all tables, asserted against the closed form."""
-    total = codomain.order**domain.order
-    if total > cap:
-        raise ResourceLimitError(f"{total} tables exceed the exhaustive cap {cap}")
+    _check_table_cap(codomain.order, domain.order, 1, cap)
     p = pure_prime(domain)
     if p is None or pure_prime(codomain) != p:
         raise ValueError("both shapes must be p-groups of one common prime")
@@ -306,38 +344,17 @@ def brute_objective_minimum(
     return best, argmin
 
 
-def _random_homomorphism_affine(
-    domain: AbelianShape, p: int, exp_codomain: int, rng: random.Random
-) -> list[int]:
-    """Value table of a random affine map into Z/p^b, guaranteed degree <= 1.
-
-    The table is built one axis at a time in enumeration order (last
-    coordinate fastest); the caller checks the enumeration limit.
-    """
-    q = p**exp_codomain
-    coeffs = []
-    for m in domain.factors:
-        a = multiplicity(p, m)
-        step = p ** max(exp_codomain - a, 0)
-        coeffs.append(step * rng.randrange(p ** min(a, exp_codomain)))
-    table = [rng.randrange(q)]
-    for c, m in zip(coeffs, domain.factors):
-        table = [(v + c * x) % q for v in table for x in range(m)]
-    return table
-
-
 def sample_bounded_map(
-    domain: AbelianShape,
-    codomain: AbelianShape,
-    cap: int,
-    rng: random.Random,
-    max_tries: int = 500,
+    domain: AbelianShape, codomain: AbelianShape, cap: int, rng: random.Random
 ) -> FiniteMap:
-    """Random map with exact degree in (0, cap].
+    """Uniform random map among those of degree in (0, cap].
 
-    Candidates are sums of ring products of at most cap affine maps per
-    cyclic codomain factor, so their degree never exceeds cap; each candidate
-    is then assigned its exact degree and rejected unless it is nonconstant.
+    One draw from the rng picks a constant and a nonzero combination of the
+    generators of ``degree_generators`` (the maps of degree <= cap that vanish
+    at 0, a direct sum of cyclic groups), decoded digit by digit; each
+    codomain column is then one inverse transform.  The map still gets its
+    degree from ``functional_degree``, and one outside (0, cap] raises
+    ConsistencyError with the table.
     """
     p = pure_prime(domain)
     if p is None or pure_prime(codomain) != p:
@@ -345,26 +362,32 @@ def sample_bounded_map(
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     check_enumerable(domain.order)
-    size = domain.order
-    exps = [multiplicity(p, m) for m in codomain.factors]
-    for _ in range(max_tries):
-        columns = []
-        for b in exps:
-            q = p**b
-            acc = [0] * size
-            for _ in range(rng.randint(1, 2)):
-                term = [1] * size
-                for _ in range(rng.randint(1, cap)):
-                    aff = _random_homomorphism_affine(domain, p, b, rng)
-                    term = [(t * v) % q for t, v in zip(term, aff)]
-                acc = [(s + t) % q for s, t in zip(acc, term)]
-            columns.append(acc)
-        values = tuple(zip(*columns))
-        candidate = FiniteMap(domain, codomain, values)
-        degree = functional_degree(candidate)
-        if Degree.of(0) < degree <= Degree.of(cap):
-            return candidate
-    raise RuntimeError(f"no nonconstant map of degree <= {cap} found in {max_tries} tries")
+    generators = degree_generators(domain, codomain, cap)
+    nonzero = math.prod(order for factor in generators for _, order in factor) - 1
+    constants, combination = divmod(rng.randrange(codomain.order * nonzero), nonzero)
+    combination += 1
+    columns = []
+    for q, factor in zip(codomain.factors, generators):
+        constants, constant = divmod(constants, q)
+        terms = [(0, constant)]
+        for generator, order in factor:
+            combination, t = divmod(combination, order)
+            terms += [(cell, t * c) for cell, c in generator]
+        columns.append(coefficient_table(domain, q, terms))
+    candidate = FiniteMap(domain, codomain, tuple(zip(*columns)))
+    degree = functional_degree(candidate)
+    if not Degree.of(0) < degree <= Degree.of(cap):
+        raise ConsistencyError(
+            f"a sampled table has degree {degree} outside (0, {cap}]",
+            instance={
+                "domain": domain.factors,
+                "codomain": codomain.factors,
+                "max_degree": cap,
+                "order": degree.to_json(),
+                "values": candidate.values,
+            },
+        )
+    return candidate
 
 
 @dataclass(frozen=True)
@@ -407,7 +430,6 @@ def verify_bound(
     seed: int | None = None,
     samples: int = 25,
     cap: int = 2**20,
-    max_systems: int = 200000,
 ) -> VerifyReport:
     """Check ord_p(#zeros) >= bound over qualifying systems.
 
@@ -421,6 +443,8 @@ def verify_bound(
     targets = expand_targets(p, shaped)
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     if mode == "exhaustive":
         for shape, _ in shaped:
             _check_table_cap(shape.order, p, alpha.size, cap)
@@ -465,9 +489,9 @@ def verify_bound(
         volume = 1
         for lst in candidate_lists:
             volume *= len(lst)
-        if volume > max_systems:
+        if volume > MAX_SYSTEMS:
             raise ResourceLimitError(
-                f"{volume} qualifying systems exceed {max_systems}; use sampled mode"
+                f"{volume} qualifying systems exceed {MAX_SYSTEMS}; use sampled mode"
             )
         combine = itertools.product
     else:
@@ -587,6 +611,18 @@ def zero_count_trace(system: Sequence[FiniteMap], beta: int | None = None) -> Tr
     elif beta <= count_ord:
         raise ValueError(f"beta must exceed ord_p(count) = {count_ord}, got {beta}")
 
+    # Each indicator's series box has width cap + 1: its transform costs
+    # about width^2 / 2 cell updates and the integral evaluates width terms
+    # per point, so both are checked before any series is built.
+    caps = [(p**b_j - 1) + (beta - 1) * p ** (b_j - 1) * (p - 1) for b_j in betas]
+    limit = enumeration_limit()
+    for cap in caps:
+        if cap * (cap + 1) // 2 > limit or domain.order * (cap + 1) > limit:
+            raise ResourceLimitError(
+                f"beta {beta} gives an indicator series of width {cap + 1},"
+                f" past the enumeration limit {limit}"
+            )
+
     def failure(message: str, **values) -> ConsistencyError:
         system_json = [f.to_json_dict() for f in system]
         return ConsistencyError(message, instance={"system": system_json, "beta": beta, **values})
@@ -595,13 +631,12 @@ def zero_count_trace(system: Sequence[FiniteMap], beta: int | None = None) -> Tr
     lifted_maps = [proper_lift(f) for f in system]
     indicator_series: list[BinomialSeries] = []
     floors_per_map = []
-    for b_j in betas:
+    for b_j, cap in zip(betas, caps):
         period = AbelianShape((p**b_j,))
         indicator = FiniteMap(
             period, ring, tuple(((1,) if x == (0,) else (0,)) for x in enumerate_elements(period))
         )
         series = proper_lift(indicator)
-        cap = (p**b_j - 1) + (beta - 1) * p ** (b_j - 1) * (p - 1)
         support_max = max((n[0] for n in series.coeffs), default=0)
         if support_max > cap:
             raise failure(

@@ -169,21 +169,25 @@ def test_coefficient_past_the_degree_cap_raises(monkeypatch):
     assert str(again.value) == str(info.value)
 
 
-def test_unit_coefficients_span_the_transform():
-    # Column j of any table is sum_k values[k][j] * basis[k][j] mod q_j.
+def test_inverse_differences_match_reconstruct():
+    # Cell x of the inverse transform is sum_n C(x, n) c_n, the value of the
+    # map with binomial coefficients c_n on the domain box; the forward
+    # transform gives the coefficients back.
     rng = random.Random(5)
     for domain, codomain in [(Z42, Z2), (Z2, AbelianShape((2, 4))), (Z9, Z3), (Z2, Z8)]:
-        orders, basis = calculus.unit_coefficients(domain, codomain)
-        f = random_map(domain, codomain, rng)
-        _, columns, _ = calculus._coefficient_columns(f)
+        cells = list(itertools.product(*map(range, domain.factors)))
+        coeffs = {n: tuple(rng.randrange(q) for q in codomain.factors) for n in cells}
+        expected = reconstruct(domain, codomain, coeffs, INF)
         for j, q in enumerate(codomain.factors):
-            combined = [
-                sum(v[j] * cols[j][c] for v, cols in zip(f.values, basis)) % q
-                for c in range(len(orders))
+            column = [coeffs[n][j] for n in cells]
+            assert calculus.coefficient_table(domain, q, enumerate(column)) == [
+                v[j] for v in expected.values
             ]
-            assert combined == columns[j]
+            calculus._inverse_differences(column, domain.factors, q)
+            calculus._forward_differences(column, domain.factors, q)
+            assert column == [coeffs[n][j] for n in cells]
     with pytest.raises(UnsupportedMapError):
-        calculus.unit_coefficients(AbelianShape((6,)), Z2)
+        calculus.degree_generators(AbelianShape((6,)), Z2, 1)
 
 
 class _Small(enum.IntEnum):

@@ -93,6 +93,43 @@ def test_fdeg_zeros_trace(tmp_path, capsys):
     assert data["count_ord"] == data["integral_ord"] == 1
 
 
+def test_verify_rejects_a_negative_sample_count(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--p", "2", "--alpha", "2,1", "--targets", "1:1",
+        "--mode", "sampled", "--seed", "1", "--samples", "-3",
+    )
+    assert code == 2 and out == ""
+    assert "samples must be >= 0, got -3" in err
+
+
+def test_trace_checks_a_large_beta_before_building_series(tmp_path, capsys):
+    path = tmp_path / "parity.json"
+    path.write_text(json.dumps({"domain": [4], "codomain": [2], "values": [[0], [1], [0], [1]]}))
+    code, out, err = run_cli(capsys, "trace", "--maps", str(path), "--beta", "10000")
+    assert code == 2 and out == ""
+    assert "width 10001, past the enumeration limit 1000000" in err
+    code, out, _ = run_cli(capsys, "trace", "--maps", str(path), "--beta", "1000")
+    assert code == 0 and json.loads(out)["beta"] == 1000
+
+
+def test_a_reader_closing_stdout_early_gets_no_traceback():
+    # As in `axkatz polybound ... | head -1`: the pipe is closed before the
+    # process writes, so its first write fails with EPIPE.
+    src = os.path.dirname(os.path.dirname(axkatz.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "axkatz.cli", "polybound", "--m", "4", "--n", "10",
+         "--degrees", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_zeros_empty_system_with_domain(capsys):
     code, out, _ = run_cli(capsys, "zeros", "--maps", "", "--domain", "4,2")
     assert code == 0
@@ -475,8 +512,16 @@ def test_cli_fuzz_table_files(table_dir, data):
         paths.append(str(path))
     if data.draw(st.booleans()):
         paths.append(str(table_dir / "missing.json"))
-    if data.draw(st.booleans()) and paths:
+    command = data.draw(st.sampled_from(["fdeg", "zeros", "trace"]))
+    if command == "fdeg" and paths:
         argv = ["fdeg", "--map", paths[0]]
+    elif command == "trace":
+        argv = ["trace", "--maps", ",".join(paths)]
+        if data.draw(st.booleans()):
+            # Small lift exponents, and ones whose indicator series is far
+            # too wide to build.
+            beta = data.draw(st.one_of(st.integers(-1, 4), st.integers(10**4, 10**30)))
+            argv += ["--beta", str(beta)]
     else:
         argv = ["zeros", "--maps", ",".join(paths)]
         if data.draw(st.booleans()):

@@ -1,9 +1,14 @@
 """Brute-force oracles: enumeration, sampling, tracing, polynomial systems."""
 
+import collections
 import functools
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +32,7 @@ from axkatz import (
     make_targets,
     objective_box,
     poly_zero_count,
+    reconstruct,
     sample_bounded_map,
     verify_bound,
     zero_count,
@@ -104,6 +110,9 @@ JOIN_PAIRS = [
     ((4,), (2, 2)),
     ((2, 2), (2, 4)),
     ((2,), (8,)),
+    ((2, 2), (8,)),
+    ((4, 2), (4,)),
+    ((3,), (27,)),
 ]
 
 
@@ -116,6 +125,19 @@ def test_join_matches_brute_force_bucketing(dom, cod):
         got = functions_by_degree(domain, codomain, max_degree=d)
         assert list(got) == list(expected), d
         assert got == expected, d
+        # |B| times the product of the generator orders counts them.
+        generators = calculus.degree_generators(domain, codomain, d)
+        count = codomain.order * math.prod(order for gens in generators for _, order in gens)
+        assert count == sum(map(len, expected.values())), d
+
+
+def test_wide_slots_match_brute_force_bucketing():
+    # Z/128 needs slots of two bytes in the packed enumeration.
+    domain, codomain = AbelianShape((2,)), AbelianShape((128,))
+    for d in (1, 3):
+        assert functions_by_degree(domain, codomain, max_degree=d) == _reference_buckets(
+            domain, codomain, d
+        )
 
 
 # The criterion-7 instances and the tiny exhaustive shapes of the benchmark.
@@ -158,15 +180,20 @@ def test_verify_bound_agrees_with_brute_force_bucketing(monkeypatch):
     assert run() == joined
 
 
-def test_basis_past_the_degree_cap_raises(monkeypatch):
-    calculus.unit_coefficients.cache_clear()
-    # Claim a degree cap of 1 on the real Z/4 -> Z/2 box (widths (4,)).
+def test_generated_table_past_a_patched_cap_raises(monkeypatch):
+    # Claim a degree cap of 1 on the real Z/4 -> Z/2 box (widths (4,)): the
+    # first generated table of degree 2 trips functional_degree's cap check.
     monkeypatch.setattr(calculus, "_p_pair_data", lambda domain, codomain: ((4,), 1))
     with pytest.raises(ConsistencyError) as info:
-        functions_by_degree(Z4, Z2, max_degree=1)
-    assert info.value.instance == {"domain": (4,), "codomain": (2,), "cap": 1, "order": 3}
+        functions_by_degree(Z4, Z2, max_degree=3)
+    instance = info.value.instance
+    assert {key: instance[key] for key in ("domain", "codomain", "cap")} == {
+        "domain": (4,), "codomain": (2,), "cap": 1
+    }
+    assert instance["order"] > 1
     monkeypatch.undo()
-    calculus.unit_coefficients.cache_clear()
+    replay = FiniteMap(Z4, Z2, instance["values"])
+    assert functional_degree(replay) == instance["order"]
     assert len(functions_by_degree(Z4, Z2, max_degree=1)[Degree.of(1)]) == 2
 
 
@@ -193,6 +220,10 @@ def test_brute_max_degree_small_pairs():
     assert brute_max_degree(AbelianShape((2, 2)), Z2) == 2
     with pytest.raises(ValueError):
         brute_max_degree(AbelianShape((6,)), Z2)
+    # The cap is checked without forming the 3^531441 table count.
+    with pytest.raises(ResourceLimitError) as info:
+        brute_max_degree(AbelianShape((3,) * 12), AbelianShape((3,)))
+    assert str(info.value) == "3^531441 tables exceed the exhaustive cap 1048576; use sampled mode"
 
 
 def test_brute_min_valuation_fixtures():
@@ -256,6 +287,51 @@ def test_sample_bounded_map_properties():
             f = sample_bounded_map(domain, codomain, cap, rng)
             degree = functional_degree(f)
             assert degree.is_finite and 1 <= degree.value <= cap
+
+
+@pytest.mark.parametrize(
+    "dom, cod, cap", [((4,), (2,), 2), ((8,), (2,), 4), ((4, 2), (4,), 2), ((3,), (9,), 3)]
+)
+def test_sampler_support_is_the_qualifying_set(dom, cod, cap):
+    domain, codomain = AbelianShape(dom), AbelianShape(cod)
+    qualifying = {
+        f.values
+        for degree, fs in functions_by_degree(domain, codomain, max_degree=cap).items()
+        if degree > 0
+        for f in fs
+    }
+    rng = random.Random(2)
+    draws = 20 * len(qualifying)
+    drawn = {sample_bounded_map(domain, codomain, cap, rng).values for _ in range(draws)}
+    assert drawn == qualifying
+
+
+def test_sampler_frequencies_pass_a_chi_square_bound():
+    # The 6 maps Z/4 -> Z/2 of degree 1 or 2, 6000 draws: the statistic has
+    # 5 degrees of freedom, and 20.52 is its 0.999 quantile.
+    rng = random.Random(3)
+    counts = collections.Counter(sample_bounded_map(Z4, Z2, 2, rng).values for _ in range(6000))
+    assert len(counts) == 6
+    assert sum((n - 1000) ** 2 / 1000 for n in counts.values()) < 20.52
+
+
+def test_seeded_sampled_report_does_not_depend_on_the_hash_seed():
+    code = (
+        "import json; from axkatz import AbelianShape, make_partition, verify_bound; "
+        "shaped = [(AbelianShape((4,)), 3), (AbelianShape((2, 4)), 2)]; "
+        "print(json.dumps(verify_bound(2, make_partition([2, 1, 1]), shaped, "
+        "mode='sampled', seed=11, samples=8).to_json_dict()))"
+    )
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["systems_tested"] == 8
 
 
 def test_zero_count_trace_fixtures():
@@ -372,22 +448,30 @@ def test_masked_systems_loop_matches_per_system_zero_count(monkeypatch):
     assert run() == masked
 
 
-def test_affine_table_per_axis_matches_the_per_point_formula():
-    for p, factors, b in [(2, (4, 2), 2), (3, (9, 3), 1), (2, (2, 8, 4), 3), (5, (5,), 2)]:
-        domain = AbelianShape(factors)
+def test_sampled_table_matches_the_per_point_formula():
+    # A replica rng decodes the one draw by hand: a constant per codomain
+    # factor, then a nonzero digit vector over the generators; the table is
+    # the constant plus sum t_i g_i, evaluated point by point by reconstruct.
+    for dom, cod, cap in [((4, 2), (4,), 2), ((9,), (3,), 3), ((2, 2), (2, 4), 2), ((3,), (9,), 3)]:
+        domain, codomain = AbelianShape(dom), AbelianShape(cod)
+        generators = calculus.degree_generators(domain, codomain, cap)
+        orders = [order for gens in generators for _, order in gens]
+        cells = list(itertools.product(*map(range, dom)))
         for seed in range(5):
             rng, ref = random.Random(seed), random.Random(seed)
-            table = oracle._random_homomorphism_affine(domain, p, b, rng)
-            q = p**b
-            coeffs = []
-            for m in factors:
-                a = multiplicity(p, m)
-                coeffs.append(p ** max(b - a, 0) * ref.randrange(p ** min(a, b)))
-            shift = ref.randrange(q)
-            assert table == [
-                (shift + sum(c * x for c, x in zip(coeffs, point))) % q
-                for point in enumerate_elements(domain)
-            ]
+            table = sample_bounded_map(domain, codomain, cap, rng)
+            nonzero = math.prod(orders) - 1
+            constants, combination = divmod(ref.randrange(codomain.order * nonzero), nonzero)
+            combination += 1
+            coeffs = {n: [0] * len(cod) for n in cells}
+            for j, (q, gens) in enumerate(zip(cod, generators)):
+                constants, coeffs[cells[0]][j] = divmod(constants, q)
+                for terms, order in gens:
+                    combination, t = divmod(combination, order)
+                    for cell, c in terms:
+                        coeffs[cells[cell]][j] = (coeffs[cells[cell]][j] + t * c) % q
+            coeffs = {n: tuple(c) for n, c in coeffs.items()}
+            assert table == reconstruct(domain, codomain, coeffs, INF)
             assert rng.getstate() == ref.getstate()
 
 
@@ -400,7 +484,9 @@ def test_sampling_past_the_enumeration_limit_raises(monkeypatch):
     def no_table(*args):
         raise AssertionError("a table was built past the enumeration limit")
 
-    monkeypatch.setattr(oracle, "_random_homomorphism_affine", no_table)
+    # Generators and tables are built only after the limit check.
+    monkeypatch.setattr(oracle, "degree_generators", no_table)
+    monkeypatch.setattr(oracle, "coefficient_table", no_table)
     with pytest.raises(ResourceLimitError) as sampled:
         sample_bounded_map(domain, Z2, 2, random.Random(1))
     with pytest.raises(ResourceLimitError) as verified:

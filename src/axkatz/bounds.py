@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .degrees import INF, Degree
-from .errors import ConsistencyError
-from .groups import AbelianShape, primary_decomposition
+from .errors import ConsistencyError, ResourceLimitError
+from .groups import AbelianShape, enumeration_limit, primary_decomposition
 from .intmath import ceil_div, check_prime, factorize, ilog, multiplicity
 from .partitions import Partition, geometric_sum, make_partition, truncate
 
@@ -598,7 +598,8 @@ def polynomial_system_bound(
 
     The additive group of Z/mZ splits into one cyclic factor per prime; n
     variables give n copies, and each polynomial of degree at most d caps the
-    functional degree of its evaluation map by d.
+    functional degree of its evaluation map by d.  More variables than
+    ``enumeration_limit()`` raise ResourceLimitError.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
@@ -606,6 +607,9 @@ def polynomial_system_bound(
         raise ValueError(f"variable count must be >= 1, got {nvars}")
     if not degrees or any(d < 1 for d in degrees):
         raise ValueError("degrees must be a nonempty list of integers >= 1")
+    limit = enumeration_limit()
+    if nvars > limit:
+        raise ResourceLimitError(f"{nvars} variables exceed the enumeration limit {limit}")
     out: dict[int, BoundReport] = {}
     for prime, e in sorted(factorize(modulus).items()):
         alpha = make_partition([e] * nvars)

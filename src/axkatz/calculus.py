@@ -9,6 +9,10 @@ augmentation ideal of the group ring is generated by (e_i - 1) over the
 standard generators e_i, so all order-(d+1) differences vanish iff all
 order-(d+1) products of arbitrary translation differences do.
 
+Every map is read through one cached plan per (domain, codomain) pair, one
+entry per Sylow component (``_Component``) with its index gathers and
+support box; a pair of p-groups of one prime is the one-component case.
+
 For a map from Z/p^a_1 + ... + Z/p^a_N into a p-group of exponent p^beta,
 every restriction to a line along axis i has degree at most the
 one-variable cap (p^a_i - 1) + (beta - 1)(p - 1)p^(a_i - 1), so the
@@ -18,8 +22,8 @@ all the binomial-basis coefficients of the periodic pullback, and
 Delta^m f(x) = sum_n c_n C(x, n - m) makes the degree the largest total
 order of a nonzero coefficient.  One in-place forward-difference transform
 per axis (Yates) computes the whole box from the values on it, one integer
-column per codomain factor.  A nonzero coefficient beyond the pair's degree
-cap would contradict the closed form and raises ConsistencyError.
+column per codomain factor.  A nonzero coefficient beyond the component's
+degree cap would contradict the closed form and raises ConsistencyError.
 ``difference`` and ``iterated_difference`` are the definition-level
 operators; the test suite checks the transform against them.
 """
@@ -29,7 +33,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .degrees import INF, NEG_INF, Degree
@@ -37,10 +41,12 @@ from .errors import ConsistencyError, UnsupportedMapError
 from .groups import (
     AbelianShape,
     PGroupShape,
+    check_enumerable,
     component_of,
     enumerate_elements,
     index_of,
     max_functional_degree,
+    one_variable_cap,
     pure_prime,
 )
 from .intmath import binomial, factorize, multiplicity
@@ -159,28 +165,134 @@ def iterated_difference(f: FiniteMap, orders: Sequence[int]) -> FiniteMap:
     return FiniteMap(f.domain, f.codomain, values)
 
 
+@dataclass(frozen=True)
+class _Component:
+    """One Sylow component of a (domain, codomain) pair, as index gathers.
+
+    A domain factor Z/m, m = c q with q its p-part, has the mutually inverse
+    CRT maps x -> x c^-1 mod q and u -> c u mod m: project[k] is the component
+    index of domain element k and include[u] the domain index of component
+    element u, both None when the domain is a p-group of this prime.  A
+    codomain slot (position, multiplier, q) reads v as v * multiplier mod q,
+    the multiplier None when the factor is q itself.  Cell n of the support
+    box (axis widths) is component element gather[n], gather None when the
+    box is the component, and has total order orders[n].
+    """
+
+    prime: int
+    project: tuple[int, ...] | None
+    include: tuple[int, ...] | None
+    slots: tuple[tuple[int, int | None, int], ...]
+    widths: tuple[int, ...]
+    cap: int
+    gather: tuple[int, ...] | None
+    orders: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _sylow_plan(domain: AbelianShape, codomain: AbelianShape) -> tuple[_Component, ...]:
+    """The components, by increasing prime, at every prime of |A| |B| whose
+    codomain component is nontrivial (the others carry only zero maps).  The
+    gathers are built one domain factor at a time; the codomain is never
+    enumerated."""
+    plan = []
+    for p in sorted(set(domain.primes()) | set(codomain.primes())):
+        slots = tuple(
+            (pos, None if m == q else pow(m // q, -1, q), q)
+            for pos, m in enumerate(codomain.factors)
+            if (q := p ** multiplicity(p, m)) > 1
+        )
+        if not slots:
+            continue
+        sylow = component_of(domain, p).factors
+        project = include = None
+        if sylow != domain.factors:
+            project, include = [0], [0]
+            for m in domain.factors:
+                q = p ** multiplicity(p, m)
+                c, inverse = m // q, pow(m // q, -1, q)  # inverse 0 for q = 1: x drops out
+                project = [g * q + x * inverse % q for g in project for x in range(m)]
+                include = [g * m + c * u % m for g in include for u in range(q)]
+            project, include = tuple(project), tuple(include)
+        exps = [multiplicity(p, q) for q in sylow]
+        beta = max(multiplicity(p, q) for _, _, q in slots)
+        widths = tuple(one_variable_cap(p, a, beta) + 1 for a in exps)
+        cap = max_functional_degree(PGroupShape(p, make_partition(exps)), beta) if exps else 0
+        gather, orders = [0], [0]
+        for q, w in zip(sylow, widths):
+            gather = [g * q + k % q for g in gather for k in range(w)]
+            orders = [o + k for o in orders for k in range(w)]
+        gather = None if sylow == widths else tuple(gather)
+        plan.append(_Component(p, project, include, slots, widths, cap, gather, tuple(orders)))
+    return tuple(plan)
+
+
+def _is_one_prime(plan: tuple[_Component, ...]) -> bool:
+    """True when domain and codomain are p-groups of one common prime."""
+    return len(plan) == 1 and plan[0].include is None
+
+
+def _component_tables(f: FiniteMap, comp: _Component) -> list[list[int]] | None:
+    """The component map of f, one column per codomain slot, or None when f's
+    component does not factor through the projection of its domain."""
+    tables = []
+    for pos, multiplier, q in comp.slots:
+        column = list(map(operator.itemgetter(pos), f.values))
+        if multiplier is not None:
+            column = [v * multiplier % q for v in column]
+        if comp.include is not None:
+            table = list(map(column.__getitem__, comp.include))
+            if list(map(table.__getitem__, comp.project)) != column:
+                return None
+            column = table
+        tables.append(column)
+    return tables
+
+
+def _coefficient_columns(f: FiniteMap, comp: _Component, tables: list[list[int]]) -> int:
+    """In place, each component table becomes its coefficient column over the
+    support box; returns the top order, the largest total order of a nonzero
+    cell (-1 when all vanish).
+
+    A top past the component's cap raises ConsistencyError with the instance
+    to replay, naming the prime when the pair has more than one.
+    """
+    top = -1
+    for j, (_, _, q) in enumerate(comp.slots):
+        if comp.gather is not None:
+            tables[j] = list(map(tables[j].__getitem__, comp.gather))
+        _forward_differences(tables[j], comp.widths, q)
+        top = max(top, max(itertools.compress(comp.orders, tables[j]), default=-1))
+    if top > comp.cap:
+        instance = {"domain": f.domain.factors, "codomain": f.codomain.factors, "cap": comp.cap}
+        if not _is_one_prime(_sylow_plan(f.domain, f.codomain)):
+            instance["prime"] = comp.prime
+        raise ConsistencyError(
+            f"nonzero coefficient of order {top} exceeds the degree cap {comp.cap}",
+            instance={**instance, "order": top, "values": f.values},
+        )
+    return top
+
+
 def primary_split(f: FiniteMap) -> dict[int, FiniteMap] | None:
-    """Split a map into Sylow-component maps, or None when it does not split.
+    """Split a map into Sylow-component maps, one per prime of |A| |B|, or
+    None when it does not split.
 
     A map splits iff for every prime the component of f(x) depends only on
     the matching component of x; finite functional degree is equivalent to
     splitting, with the degree the maximum over the component maps.
     """
-    primes = sorted(set(f.domain.primes()) | set(f.codomain.primes()))
-    elements = enumerate_elements(f.domain)
+    plan = {comp.prime: comp for comp in _sylow_plan(f.domain, f.codomain)}
     out: dict[int, FiniteMap] = {}
-    for prime in primes:
-        comp_a = component_of(f.domain, prime)
-        comp_b = component_of(f.codomain, prime)
-        table = tuple(
-            comp_b.project(f.at(comp_a.include(u)))
-            for u in enumerate_elements(comp_a.shape)
-        )
-        g = FiniteMap(comp_a.shape, comp_b.shape, table)
-        for k, x in enumerate(elements):
-            if comp_b.project(f.values[k]) != table[index_of(comp_a.shape, comp_a.project(x))]:
-                return None
-        out[prime] = g
+    for prime in sorted(set(f.domain.primes()) | set(f.codomain.primes())):
+        domain, codomain = component_of(f.domain, prime), component_of(f.codomain, prime)
+        if prime not in plan:  # the codomain component is trivial
+            out[prime] = FiniteMap(domain, codomain, ((),) * domain.order)
+            continue
+        tables = _component_tables(f, plan[prime])
+        if tables is None:
+            return None
+        out[prime] = FiniteMap(domain, codomain, tuple(zip(*tables)))
     return out
 
 
@@ -189,85 +301,42 @@ def primary_assemble(
 ) -> FiniteMap:
     """Assemble a map from Sylow-component maps; missing primes act as zero."""
     for prime, g in components.items():
-        if g.domain != component_of(domain, prime).shape:
+        if g.domain != component_of(domain, prime):
             raise ValueError(f"component at {prime} has domain {g.domain.factors}")
-        if g.codomain != component_of(codomain, prime).shape:
+        if g.codomain != component_of(codomain, prime):
             raise ValueError(f"component at {prime} has codomain {g.codomain.factors}")
-
-    def fn(x: tuple[int, ...]) -> tuple[int, ...]:
-        total = codomain.zero()
-        for prime, g in components.items():
-            comp_a = component_of(domain, prime)
-            comp_b = component_of(codomain, prime)
-            total = codomain.add(total, comp_b.include(g.at(comp_a.project(x))))
-        return total
-
-    return FiniteMap.from_callable(domain, codomain, fn)
+    check_enumerable(domain.order)
+    columns = [[0] * domain.order for _ in codomain.factors]
+    for comp in _sylow_plan(domain, codomain):
+        g = components.get(comp.prime)
+        if g is None:
+            continue
+        for j, (pos, _, q) in enumerate(comp.slots):
+            table = list(map(operator.itemgetter(j), g.values))
+            if comp.project is not None:
+                table = list(map(table.__getitem__, comp.project))
+            cofactor = codomain.factors[pos] // q
+            columns[pos] = [a + cofactor * u for a, u in zip(columns[pos], table)]
+    columns = [[a % m for a in column] for column, m in zip(columns, codomain.factors)]
+    values = tuple(zip(*columns)) if columns else ((),) * domain.order
+    return FiniteMap(domain, codomain, values)
 
 
 def functional_degree(f: FiniteMap) -> Degree:
     """Exact functional degree in the extended naturals.
 
-    A map between p-groups of one prime is transformed once into its series
-    coefficients (see the module docstring) and its degree is the largest
-    total order of a nonzero coefficient.  Other maps are split into Sylow
-    component maps, each read the same way; the degree is their maximum, or
-    +inf when the map does not split.
+    Each Sylow component of f is read off its codomain columns: +inf when
+    it does not factor through the projection of the domain, else the
+    largest total order of a nonzero series coefficient (see the module
+    docstring).  The degree is the maximum over the components.
     """
-    if f.is_zero:
-        return NEG_INF
-    if _p_pair_data(f.domain, f.codomain) is not None:
-        return Degree.of(_coefficient_columns(f)[2])
-    split = primary_split(f)
-    if split is None:
-        return INF
-    best = NEG_INF
-    for g in split.values():
-        if g.is_zero:
-            continue
-        if g.domain.is_trivial or g.codomain.is_trivial:
-            part = Degree.of(0)
-        else:
-            part = Degree.of(_coefficient_columns(g)[2])
-        best = max(best, part)
-    return best
-
-
-@lru_cache(maxsize=None)
-def _p_pair_data(
-    domain: AbelianShape, codomain: AbelianShape
-) -> tuple[tuple[int, ...], int] | None:
-    """(per-axis support widths, degree cap) for a one-prime pair, else None.
-
-    Axis i of Z/p^a_i has width p^a_i + (beta - 1)(p - 1)p^(a_i - 1), one
-    more than the largest degree of a one-variable map into exponent p^beta.
-    """
-    p = pure_prime(domain)
-    if p is None or pure_prime(codomain) != p:
-        return None
-    exps = tuple(multiplicity(p, m) for m in domain.factors)
-    beta = max(multiplicity(p, m) for m in codomain.factors)
-    widths = tuple(p**a + (beta - 1) * (p - 1) * p ** (a - 1) for a in exps)
-    cap = max_functional_degree(PGroupShape(p, make_partition(exps)), beta)
-    return widths, cap
-
-
-@lru_cache(maxsize=None)
-def _box_plan(
-    factors: tuple[int, ...], widths: tuple[int, ...]
-) -> tuple[tuple[int, ...] | None, tuple[int, ...]]:
-    """(gather, orders) for the row-major box prod [0, widths[i]).
-
-    gather[k] is the table index of box cell k reduced into the domain, or
-    None when the box is the domain itself; orders[k] is the cell's total
-    order.
-    """
-    gather: list[int] = [0]
-    orders: list[int] = [0]
-    for m, w in zip(factors, widths):
-        gather = [g * m + c % m for g in gather for c in range(w)]
-        orders = [o + c for o in orders for c in range(w)]
-    return (None if factors == widths else tuple(gather)), tuple(orders)
+    top = -1
+    for comp in _sylow_plan(f.domain, f.codomain):
+        tables = _component_tables(f, comp)
+        if tables is None:
+            return INF
+        top = max(top, _coefficient_columns(f, comp, tables))
+    return NEG_INF if top < 0 else Degree.of(top)
 
 
 def _forward_differences(
@@ -307,38 +376,6 @@ def _inverse_differences(column: list[int], widths: Sequence[int], mod: int | No
     _forward_differences(column, widths, mod, operator.add)
 
 
-def _coefficient_columns(f: FiniteMap) -> tuple[tuple[int, ...], list[list[int]], int]:
-    """(widths, one coefficient column per codomain factor, top order) of a
-    one-prime map; top is the largest total order of a nonzero cell, -1 for
-    the zero map.
-    """
-    pair = _p_pair_data(f.domain, f.codomain)
-    if pair is None:
-        raise UnsupportedMapError(
-            "series expansion needs domain and codomain p-groups of one common prime"
-        )
-    widths, cap = pair
-    gather, orders = _box_plan(f.domain.factors, widths)
-    source = f.values if gather is None else [f.values[k] for k in gather]
-    columns = []
-    top = -1
-    for j, q in enumerate(f.codomain.factors):
-        column = list(map(operator.itemgetter(j), source))
-        _forward_differences(column, widths, q)
-        top = max(top, max(itertools.compress(orders, column), default=-1))
-        columns.append(column)
-    if top > cap:
-        raise ConsistencyError(
-            f"nonzero coefficient of order {top} exceeds the degree cap {cap}",
-            instance={**_pair_instance(f.domain, f.codomain, cap, top), "values": f.values},
-        )
-    return widths, columns, top
-
-
-def _pair_instance(domain: AbelianShape, codomain: AbelianShape, cap: int, order: int) -> dict:
-    return {"domain": domain.factors, "codomain": codomain.factors, "cap": cap, "order": order}
-
-
 @lru_cache(maxsize=None)
 def degree_generators(
     domain: AbelianShape, codomain: AbelianShape, max_degree: int
@@ -366,8 +403,8 @@ def degree_generators(
         raise UnsupportedMapError(
             "degree generators need domain and codomain p-groups of one common prime"
         )
-    _, orders = _box_plan(domain.factors, domain.factors)
-    free = [n for n, order in enumerate(orders) if 1 <= order <= max_degree]
+    cells = itertools.product(*map(range, domain.factors))
+    free = [n for n, cell in enumerate(cells) if 1 <= sum(cell) <= max_degree]
     return tuple(
         _kernel_generators(_outside_forms(domain.factors, p, q, max_degree), free, p, q)
         for q in codomain.factors
@@ -395,7 +432,7 @@ def _outside_forms(
     b = multiplicity(p, q)
     partial: list = [(0, False, ((0, 0, 1),))]  # (order of k, k outside?, (cell, order, c) terms)
     for m in factors:
-        width = m + (b - 1) * (p - 1) * (m // p)
+        width = one_variable_cap(p, multiplicity(p, m), b) + 1
         columns = []
         for n in range(m):
             column = [binomial(x % m, n) for x in range(width)]
@@ -496,9 +533,16 @@ def series_coefficients(f: FiniteMap) -> dict[tuple[int, ...], tuple[int, ...]]:
     them; a nonzero coefficient beyond the pair's degree cap raises
     ConsistencyError, and the maximal support order equals the degree.
     """
-    widths, columns, _ = _coefficient_columns(f)
-    points = itertools.product(*(range(w) for w in widths))
-    return {point: c for point, c in zip(points, zip(*columns)) if any(c)}
+    plan = _sylow_plan(f.domain, f.codomain)
+    if not _is_one_prime(plan):
+        raise UnsupportedMapError(
+            "series expansion needs domain and codomain p-groups of one common prime"
+        )
+    (comp,) = plan
+    tables = _component_tables(f, comp)
+    _coefficient_columns(f, comp, tables)
+    points = itertools.product(*(range(w) for w in comp.widths))
+    return {point: c for point, c in zip(points, zip(*tables)) if any(c)}
 
 
 def reconstruct(
@@ -690,10 +734,8 @@ def zero_count(
             raise ValueError("all maps in a system must share one domain")
     elif domain is None:
         raise ValueError("an empty system needs an explicit domain")
-    mask = (1 << domain.order) - 1
-    for f in maps:
-        mask &= zero_mask(f.values, f.codomain.zero())
-    count = mask.bit_count()
+    masks = (zero_mask(f.values, f.codomain.zero()) for f in maps)
+    count = reduce(operator.and_, masks).bit_count() if maps else domain.order
     ords = {
         prime: (INF if count == 0 else Degree.of(multiplicity(prime, count)))
         for prime in domain.primes()

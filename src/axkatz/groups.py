@@ -1,8 +1,10 @@
-"""Finite commutative group shapes, element enumeration, and Sylow splitting.
+"""Finite commutative group shapes, enumeration, Sylow components, degree caps.
 
 A shape is just the tuple of cyclic factor moduli; elements are reduced
 coordinate tuples enumerated in row-major order (last coordinate fastest),
-which fixes the on-disk function-table format.
+which fixes the on-disk function-table format.  Sylow components come as
+exponent partitions (``primary_decomposition``) or positionally
+(``component_of``; ``calculus`` builds the index gathers).
 """
 
 from __future__ import annotations
@@ -139,67 +141,13 @@ def primary_decomposition(shape: AbelianShape) -> dict[int, PGroupShape]:
     }
 
 
-@dataclass(frozen=True)
-class PrimaryComponent:
-    """Positional view of one Sylow component inside a parent shape.
-
-    For a parent factor Z/mZ with m = c * q, q the prime-power part, the
-    component coordinate of x is (x * c^-1) mod q and the inclusion sends
-    u to (c * u) mod m; these are mutually inverse CRT maps.
-    """
-
-    prime: int
-    parent: AbelianShape
-    positions: tuple[int, ...]
-    moduli: tuple[int, ...]
-    cofactors: tuple[int, ...]
-    inverses: tuple[int, ...]
-
-    @property
-    def shape(self) -> AbelianShape:
-        return AbelianShape(self.moduli)
-
-    def project(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(
-            (x[pos] * inv) % q
-            for pos, inv, q in zip(self.positions, self.inverses, self.moduli)
-        )
-
-    def include(self, u: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * len(self.parent.factors)
-        for pos, cof, coord in zip(self.positions, self.cofactors, u):
-            out[pos] = (cof * coord) % self.parent.factors[pos]
-        return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def primary_components(shape: AbelianShape) -> dict[int, PrimaryComponent]:
-    """Positional Sylow components of a shape, keyed by prime."""
-    views: dict[int, PrimaryComponent] = {}
-    for prime in shape.primes():
-        positions, moduli, cofactors, inverses = [], [], [], []
-        for pos, m in enumerate(shape.factors):
-            e = multiplicity(prime, m)
-            if e == 0:
-                continue
-            q = prime**e
-            c = m // q
-            positions.append(pos)
-            moduli.append(q)
-            cofactors.append(c)
-            inverses.append(pow(c, -1, q))
-        views[prime] = PrimaryComponent(
-            prime, shape, tuple(positions), tuple(moduli), tuple(cofactors), tuple(inverses)
-        )
-    return views
-
-
-def component_of(shape: AbelianShape, prime: int) -> PrimaryComponent:
-    """The Sylow view at a prime; a trivial view when the prime does not divide |G|."""
-    views = primary_components(shape)
-    if prime in views:
-        return views[prime]
-    return PrimaryComponent(prime, shape, (), (), (), ())
+def component_of(shape: AbelianShape, prime: int) -> AbelianShape:
+    """The Sylow component at a prime: one factor Z/p^e for each factor of
+    the shape that p^e exactly divides, in the stored order; the trivial
+    group when the prime does not divide |G|."""
+    return AbelianShape(
+        tuple(q for m in shape.factors if (q := prime ** multiplicity(prime, m)) > 1)
+    )
 
 
 def check_enumerable(base: int, exponent: int = 1, limit: int | None = None) -> None:
@@ -256,4 +204,10 @@ def max_functional_degree(shape: PGroupShape, beta: int) -> int:
         raise ValueError(f"beta must be >= 1, got {beta}")
     p = shape.p
     parts = shape.exponents.parts
-    return sum(p**a - 1 for a in parts) + (beta - 1) * (p - 1) * p ** (parts[0] - 1)
+    return one_variable_cap(p, parts[0], beta) + sum(p**a - 1 for a in parts[1:])
+
+
+def one_variable_cap(p: int, a: int, beta: int) -> int:
+    """Largest finite functional degree of a map from Z/p^a into a p-group
+    of exponent p^beta: (p^a - 1) + (beta - 1)(p - 1) p^(a - 1)."""
+    return (p**a - 1) + (beta - 1) * (p - 1) * p ** (a - 1)

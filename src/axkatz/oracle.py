@@ -66,6 +66,7 @@ from .groups import (
     enumerate_elements,
     enumeration_limit,
     max_functional_degree,
+    one_variable_cap,
     pure_prime,
 )
 from .intmath import ceil_div, check_prime, factorize, multiplicity, power_exceeds, power_text
@@ -315,13 +316,11 @@ def brute_max_degree(domain: AbelianShape, codomain: AbelianShape, cap: int = 2*
 
 
 def objective_box(targets: TargetSpec, beta: int) -> tuple[int, ...]:
-    """Per-target coefficient support caps (p^b - 1) + (beta-1) p^(b-1) (p-1)."""
+    """Per-target coefficient support caps, ``one_variable_cap(p, b, beta)``."""
     if beta < 1:
         raise ValueError(f"beta must be >= 1, got {beta}")
     p = targets.p
-    return tuple(
-        (p**b - 1) + (beta - 1) * p ** (b - 1) * (p - 1) for b, _ in targets.targets
-    )
+    return tuple(one_variable_cap(p, b, beta) for b, _ in targets.targets)
 
 
 def brute_objective_minimum(
@@ -614,7 +613,7 @@ def zero_count_trace(system: Sequence[FiniteMap], beta: int | None = None) -> Tr
     # Each indicator's series box has width cap + 1: its transform costs
     # about width^2 / 2 cell updates and the integral evaluates width terms
     # per point, so both are checked before any series is built.
-    caps = [(p**b_j - 1) + (beta - 1) * p ** (b_j - 1) * (p - 1) for b_j in betas]
+    caps = [one_variable_cap(p, b_j, beta) for b_j in betas]
     limit = enumeration_limit()
     for cap in caps:
         if cap * (cap + 1) // 2 > limit or domain.order * (cap + 1) > limit:

@@ -361,8 +361,8 @@ def test_criterion_10_multi_prime_systems():
                 shaped.append((target, cap))
                 components = {}
                 for prime in target.primes():
-                    comp_dom = component_of(domain, prime).shape
-                    comp_cod = component_of(target, prime).shape
+                    comp_dom = component_of(domain, prime)
+                    comp_cod = component_of(target, prime)
                     g = sample_bounded_map(comp_dom, comp_cod, cap, rng)
                     components[prime] = g
                     component_systems.setdefault(prime, []).append(g)
@@ -371,7 +371,7 @@ def test_criterion_10_multi_prime_systems():
             count, ords = zero_count(system)
             product = 1
             for prime in domain.primes():
-                comp_dom = component_of(domain, prime).shape
+                comp_dom = component_of(domain, prime)
                 comp_count, _ = zero_count(
                     component_systems.get(prime, []), comp_dom
                 )

@@ -1,6 +1,7 @@
 """Difference calculus: degrees, series expansions, lifts, zero counting."""
 
 import collections
+import dataclasses
 import enum
 import itertools
 import math
@@ -37,6 +38,7 @@ from axkatz import (
     zero_mask,
 )
 from axkatz import calculus
+from axkatz.groups import component_of
 from axkatz.intmath import factorize, multiplicity
 
 Z2 = AbelianShape((2,))
@@ -151,22 +153,33 @@ def test_series_coefficients_fixtures():
 
 def test_coefficient_past_the_degree_cap_raises(monkeypatch):
     ident = FiniteMap(Z2, Z2, ((0,), (1,)))
-    # Claim a degree cap of 0 on the real box: the order-1 coefficient breaks it.
-    monkeypatch.setattr(calculus, "_p_pair_data", lambda domain, codomain: ((2,), 0))
-    with pytest.raises(ConsistencyError) as info:
-        functional_degree(ident)
+    # x -> x mod 2 on Z/6: its component at 2 is the identity of Z/2.
+    mixed = FiniteMap(AbelianShape((6,)), Z2, tuple((x % 2,) for x in range(6)))
+    # Claim a degree cap of 0 on the real boxes: the order-1 coefficient breaks it.
+    real = calculus._sylow_plan
+    monkeypatch.setattr(
+        calculus,
+        "_sylow_plan",
+        lambda domain, codomain: tuple(
+            dataclasses.replace(comp, cap=0) for comp in real(domain, codomain)
+        ),
+    )
     with pytest.raises(ConsistencyError):
         series_coefficients(ident)
-    # The instance rebuilds the failing call.
-    instance = info.value.instance
-    assert (instance["cap"], instance["order"]) == (0, 1)
-    replay = FiniteMap(
-        AbelianShape(instance["domain"]), AbelianShape(instance["codomain"]), instance["values"]
-    )
-    assert replay == ident
-    with pytest.raises(ConsistencyError) as again:
-        functional_degree(replay)
-    assert str(again.value) == str(info.value)
+    for f, prime in ((ident, None), (mixed, 2)):
+        with pytest.raises(ConsistencyError) as info:
+            functional_degree(f)
+        # The instance rebuilds the failing call; a mixed map names its prime.
+        instance = info.value.instance
+        assert (instance["cap"], instance["order"]) == (0, 1)
+        assert instance.get("prime") == prime
+        replay = FiniteMap(
+            AbelianShape(instance["domain"]), AbelianShape(instance["codomain"]), instance["values"]
+        )
+        assert replay == f
+        with pytest.raises(ConsistencyError) as again:
+            functional_degree(replay)
+        assert str(again.value) == str(info.value)
 
 
 def test_inverse_differences_match_reconstruct():
@@ -450,6 +463,63 @@ def test_primary_split_and_assemble():
     assert count == c2 * c3
     entangled = FiniteMap(Z6, Z6, ((0,), (2,), (4,), (1,), (3,), (5,)))
     assert primary_split(entangled) is None
+
+
+def test_degree_histogram_on_every_z6_table():
+    # 108 of the 6^6 maps Z/6 -> Z/6 split: their components are one of the
+    # 4 maps Z/2 -> Z/2 and one of the 27 maps Z/3 -> Z/3.
+    Z6 = AbelianShape((6,))
+    targets = enumerate_elements(Z6)
+    histogram = collections.Counter(
+        functional_degree(FiniteMap(Z6, Z6, values))
+        for values in itertools.product(targets, repeat=6)
+    )
+    assert histogram == {INF: 46548, Degree.of(2): 72, Degree.of(1): 30, Degree.of(0): 5, NEG_INF: 1}
+
+
+@pytest.mark.parametrize("domain, codomain", [((6,), (6,)), ((12,), (2,))])
+def test_primary_split_and_assemble_are_inverse_on_every_table(domain, codomain):
+    domain, codomain = AbelianShape(domain), AbelianShape(codomain)
+    split_count = 0
+    for values in itertools.product(enumerate_elements(codomain), repeat=domain.order):
+        f = FiniteMap(domain, codomain, values)
+        split = primary_split(f)
+        if split is not None:
+            assert primary_assemble(domain, codomain, split) == f
+            split_count += 1
+    # Every tuple of component maps assembles to a map that splits back into it.
+    primes = sorted(set(domain.primes()) | set(codomain.primes()))
+    component_maps = []
+    for p in primes:
+        sylow_a, sylow_b = component_of(domain, p), component_of(codomain, p)
+        component_maps.append(
+            [
+                FiniteMap(sylow_a, sylow_b, table)
+                for table in itertools.product(enumerate_elements(sylow_b), repeat=sylow_a.order)
+            ]
+        )
+    combos = 0
+    for maps in itertools.product(*component_maps):
+        components = dict(zip(primes, maps))
+        assert primary_split(primary_assemble(domain, codomain, components)) == components
+        combos += 1
+    assert combos == split_count
+
+
+@pytest.mark.parametrize("domain, cap", [(6, 1), (12, 3), (10, 1)])
+def test_finite_degree_is_a_vanishing_difference_on_every_table(domain, cap):
+    # cap is the largest component cap into Z/2: the degree of Z/2^a -> Z/2
+    # is at most 2^a - 1.  A map has finite degree exactly when its
+    # difference of order cap + 1 vanishes, and the degree is then the
+    # largest order whose difference does not.
+    shape = AbelianShape((domain,))
+    for values in itertools.product(((0,), (1,)), repeat=domain):
+        f = FiniteMap(shape, Z2, values)
+        degree = functional_degree(f)
+        assert (degree != INF) == iterated_difference(f, (cap + 1,)).is_zero
+        if degree != INF:
+            nonzero = [n for n in range(cap + 1) if not iterated_difference(f, (n,)).is_zero]
+            assert degree == (Degree.of(max(nonzero)) if nonzero else NEG_INF)
 
 
 # The degree and series routines share one forward-difference transform, and

@@ -136,6 +136,11 @@ def test_zeros_empty_system_with_domain(capsys):
     data = json.loads(out)
     assert data["count"] == 8 and data["ord"]["2"] == 3
 
+    # |A| = 2^36: a mask of every point would take 8 GB.
+    code, out, _ = run_cli(capsys, "zeros", "--maps", "", "--domain", ",".join(["2"] * 36))
+    assert code == 0
+    assert json.loads(out) == {"count": 2**36, "ord": {"2": 36}}
+
     code, _, err = run_cli(capsys, "zeros", "--maps", "")
     assert code == 2 and "domain" in err
 
@@ -223,6 +228,16 @@ def test_polybound(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["count"] == 4 and data["ord"]["2"] == 2
+
+
+def test_polybound_variable_count_is_capped(monkeypatch, capsys):
+    # One partition row per variable: n past the enumeration limit is refused
+    # before the partition is built.
+    monkeypatch.setenv("AXKATZ_ENUM_LIMIT", "100")
+    code, out, _ = run_cli(capsys, "polybound", "--m", "6", "--n", "100", "--degrees", "2")
+    assert code == 0 and set(json.loads(out)["bounds"]) == {"2", "3"}
+    code, _, err = run_cli(capsys, "polybound", "--m", "6", "--n", "101", "--degrees", "2")
+    assert code == 2 and "101 variables exceed the enumeration limit 100" in err
 
 
 def test_malformed_inputs_exit_2(tmp_path, capsys):
@@ -489,7 +504,7 @@ _table_json = st.one_of(
 def _valid_table(draw, domain):
     """A well-formed table on the given small domain, so fdeg and zeros get
     past parsing and zeros meets systems of several maps."""
-    codomain = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
+    codomain = draw(st.lists(st.integers(2, 6), min_size=1, max_size=2))
     order = math.prod(domain)
     values = [[draw(st.integers(0, m - 1)) for m in codomain] for _ in range(order)]
     return json.dumps({"domain": domain, "codomain": codomain, "values": values})
@@ -503,7 +518,8 @@ def table_dir(tmp_path_factory):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_cli_fuzz_table_files(table_dir, data):
-    domain = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
+    # Factors up to 6 take in Z/6, whose Sylow components need CRT multipliers.
+    domain = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=2))
     tables = data.draw(st.lists(st.one_of(_valid_table(domain), _table_json), max_size=3))
     paths = []
     for k, text in enumerate(tables):

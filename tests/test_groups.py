@@ -13,7 +13,8 @@ from axkatz import (
     max_functional_degree,
     primary_decomposition,
 )
-from axkatz.groups import check_enumerable, component_of
+from axkatz import calculus
+from axkatz.groups import check_enumerable, component_of, one_variable_cap
 
 
 def test_shape_validation():
@@ -100,6 +101,7 @@ def test_max_functional_degree_fixtures():
     assert max_functional_degree(PGroupShape(3, make_partition([1] * 4)), 1) == 8
     assert max_functional_degree(PGroupShape(2, make_partition([2, 1])), 2) == 6
     assert max_functional_degree(PGroupShape(3, make_partition([1])), 2) == 4
+    assert one_variable_cap(3, 1, 2) == 4 and one_variable_cap(2, 2, 3) == 7
     with pytest.raises(ValueError):
         max_functional_degree(PGroupShape(2, make_partition([1])), 0)
 
@@ -112,26 +114,38 @@ def test_max_functional_degree_monotone():
 
 
 def test_primary_component_projections():
+    # The Sylow plan's gathers are mutually inverse CRT maps: the sum of each
+    # component's inclusion of its projection rebuilds every element.
     shape = AbelianShape((12, 2))
-    comps = {q: component_of(shape, q) for q in (2, 3)}
-    assert comps[2].shape.factors == (4, 2)
-    assert comps[3].shape.factors == (3,)
-    for x in enumerate_elements(shape):
+    plan = {comp.prime: comp for comp in calculus._sylow_plan(shape, shape)}
+    assert component_of(shape, 2) == AbelianShape((4, 2))
+    assert component_of(shape, 3) == AbelianShape((3,))
+    elements = enumerate_elements(shape)
+    for k, x in enumerate(elements):
         rebuilt = shape.zero()
-        for comp in comps.values():
-            rebuilt = shape.add(rebuilt, comp.include(comp.project(x)))
+        for comp in plan.values():
+            rebuilt = shape.add(rebuilt, elements[comp.include[comp.project[k]]])
         assert rebuilt == x
     # Projection after inclusion is the identity on each component.
-    for comp in comps.values():
-        for u in enumerate_elements(comp.shape):
-            assert comp.project(comp.include(u)) == u
+    for comp in plan.values():
+        order = component_of(shape, comp.prime).order
+        assert [comp.project[i] for i in comp.include] == list(range(order))
+    # The codomain side: (position, CRT multiplier, q).  Z/12 at 3 has
+    # multiplier 4^-1 = 1 mod 3 and still needs its reduction mod 3.
+    assert plan[2].slots == ((0, 3, 4), (1, None, 2))
+    assert plan[3].slots == ((0, 1, 3),)
+    for v in range(12):
+        assert sum(12 // q * (v * u % q) for _, u, q in (plan[2].slots[0], plan[3].slots[0])) % 12 == v
 
 
 def test_component_of_missing_prime_is_trivial():
-    comp = component_of(AbelianShape((4, 2)), 3)
-    assert comp.shape.is_trivial
-    assert comp.project((3, 1)) == ()
-    assert comp.include(()) == (0, 0)
+    shape = AbelianShape((4, 2))
+    assert component_of(shape, 3) == AbelianShape(())
+    # A prime of the codomain only: every domain element projects to the one
+    # element of the trivial component, which includes as 0.
+    (comp,) = calculus._sylow_plan(shape, AbelianShape((3,)))
+    assert comp.project == (0,) * 8
+    assert comp.include == (0,)
 
 
 def test_check_enumerable_reads_the_order_as_a_power(monkeypatch):

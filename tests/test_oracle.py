@@ -1,6 +1,7 @@
 """Brute-force oracles: enumeration, sampling, tracing, polynomial systems."""
 
 import collections
+import dataclasses
 import functools
 import itertools
 import json
@@ -183,7 +184,14 @@ def test_verify_bound_agrees_with_brute_force_bucketing(monkeypatch):
 def test_generated_table_past_a_patched_cap_raises(monkeypatch):
     # Claim a degree cap of 1 on the real Z/4 -> Z/2 box (widths (4,)): the
     # first generated table of degree 2 trips functional_degree's cap check.
-    monkeypatch.setattr(calculus, "_p_pair_data", lambda domain, codomain: ((4,), 1))
+    real = calculus._sylow_plan
+    monkeypatch.setattr(
+        calculus,
+        "_sylow_plan",
+        lambda domain, codomain: tuple(
+            dataclasses.replace(comp, cap=1) for comp in real(domain, codomain)
+        ),
+    )
     with pytest.raises(ConsistencyError) as info:
         functions_by_degree(Z4, Z2, max_degree=3)
     instance = info.value.instance

@@ -22,28 +22,35 @@ all the binomial-basis coefficients of the periodic pullback, and
 Delta^m f(x) = sum_n c_n C(x, n - m) makes the degree the largest total
 order of a nonzero coefficient.  One in-place forward-difference transform
 per axis (Yates) computes the whole box from the values on it, one integer
-column per codomain factor.  A nonzero coefficient beyond the component's
-degree cap would contradict the closed form and raises ConsistencyError.
-``difference`` and ``iterated_difference`` are the definition-level
-operators; the test suite checks the transform against them.
+column per codomain factor.  The box has prod w_i cells, which can dwarf
+the table (3^16 cells for a map (Z/2)^16 -> Z/4), so a box past the
+enumeration limit raises ResourceLimitError before it is built.  A nonzero
+coefficient beyond the component's degree cap would contradict the closed
+form and raises ConsistencyError.  ``difference`` and
+``iterated_difference`` are the definition-level operators, both read
+through one index map per translation; the test suite checks the transform
+against them.  ``reconstruct`` evaluates a coefficient table point by point
+through one ``BinomialSeries`` per codomain factor.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .degrees import INF, NEG_INF, Degree
-from .errors import ConsistencyError, UnsupportedMapError
+from .errors import ConsistencyError, ResourceLimitError, UnsupportedMapError
 from .groups import (
     AbelianShape,
     PGroupShape,
     check_enumerable,
     component_of,
     enumerate_elements,
+    enumeration_limit,
     index_of,
     max_functional_degree,
     one_variable_cap,
@@ -84,9 +91,8 @@ class FiniteMap:
         domain: AbelianShape,
         codomain: AbelianShape,
         fn: Callable[[tuple[int, ...]], tuple[int, ...]],
-        limit: int | None = None,
     ) -> "FiniteMap":
-        values = tuple(codomain.reduce(fn(x)) for x in enumerate_elements(domain, limit))
+        values = tuple(codomain.reduce(fn(x)) for x in enumerate_elements(domain))
         return cls(domain, codomain, values)
 
     def at(self, x: tuple[int, ...]) -> tuple[int, ...]:
@@ -120,25 +126,25 @@ class FiniteMap:
         return cls(domain, codomain, values)
 
 
-@lru_cache(maxsize=None)
-def _generator_shift(shape: AbelianShape, axis: int) -> tuple[int, ...]:
-    """Index permutation sending each element index to the index of x + e_axis."""
-    elements = enumerate_elements(shape)
-    perm = []
-    for x in elements:
-        shifted = list(x)
-        shifted[axis] = (shifted[axis] + 1) % shape.factors[axis]
-        perm.append(index_of(shape, tuple(shifted)))
-    return tuple(perm)
+@lru_cache(maxsize=64)
+def _translation(shape: AbelianShape, a: tuple[int, ...]) -> tuple[int, ...]:
+    """Index map sending the index of each element x to the index of x + a,
+    built one factor at a time.  The cache is bounded: every element of
+    every domain is a possible key."""
+    shifted = [0]
+    for m, c in zip(shape.factors, a):
+        shifted = [t * m + (x + c) % m for t in shifted for x in range(m)]
+    return tuple(shifted)
 
 
 def difference(f: FiniteMap, a: tuple[int, ...]) -> FiniteMap:
     """Translation difference x -> f(x + a) - f(x)."""
     if not f.domain.contains(a):
         raise ValueError(f"{a} is not a reduced element of the domain")
-    perm = [index_of(f.domain, f.domain.add(x, a)) for x in enumerate_elements(f.domain)]
+    values, mods = f.values, f.codomain.factors
     values = tuple(
-        f.codomain.sub(f.values[perm[k]], f.values[k]) for k in range(len(f.values))
+        tuple((u - v) % m for u, v, m in zip(values[k], x, mods))
+        for k, x in zip(_translation(f.domain, a), values)
     )
     return FiniteMap(f.domain, f.codomain, values)
 
@@ -153,16 +159,11 @@ def iterated_difference(f: FiniteMap, orders: Sequence[int]) -> FiniteMap:
         raise ValueError(f"expected {naxes} orders, got {len(orders)}")
     if any(n < 0 for n in orders):
         raise ValueError("difference orders must be nonnegative")
-    values = f.values
-    mods = f.codomain.factors
     for axis, n in enumerate(orders):
-        perm = _generator_shift(f.domain, axis)
+        generator = tuple(int(i == axis) for i in range(naxes))
         for _ in range(n):
-            values = tuple(
-                tuple((a - b) % m for a, b, m in zip(values[perm[k]], values[k], mods))
-                for k in range(len(values))
-            )
-    return FiniteMap(f.domain, f.codomain, values)
+            f = difference(f, generator)
+    return f
 
 
 @dataclass(frozen=True)
@@ -174,19 +175,36 @@ class _Component:
     index of domain element k and include[u] the domain index of component
     element u, both None when the domain is a p-group of this prime.  A
     codomain slot (position, multiplier, q) reads v as v * multiplier mod q,
-    the multiplier None when the factor is q itself.  Cell n of the support
-    box (axis widths) is component element gather[n], gather None when the
-    box is the component, and has total order orders[n].
+    the multiplier None when the factor is q itself.  The component's domain
+    has the cyclic factors ``factors``, and its support box the axis widths.
     """
 
     prime: int
     project: tuple[int, ...] | None
     include: tuple[int, ...] | None
     slots: tuple[tuple[int, int | None, int], ...]
+    factors: tuple[int, ...]
     widths: tuple[int, ...]
     cap: int
-    gather: tuple[int, ...] | None
-    orders: tuple[int, ...]
+
+    @cached_property
+    def box(self) -> tuple[tuple[int, ...] | None, tuple[int, ...]]:
+        """(gather, orders): cell n of the support box is component element
+        gather[n], gather None when the box is the component, and has total
+        order orders[n].  Built on first read, so a pair whose box is never
+        transformed (``primary_split``, ``primary_assemble``) never builds it;
+        a box of more cells than the enumeration limit raises
+        ResourceLimitError instead of being built."""
+        volume, limit = math.prod(self.widths), enumeration_limit()
+        if volume > limit:
+            raise ResourceLimitError(
+                f"support box of {volume} cells exceeds the enumeration limit {limit}"
+            )
+        gather, orders = [0], [0]
+        for q, w in zip(self.factors, self.widths):
+            gather = [g * q + k % q for g in gather for k in range(w)]
+            orders = [o + k for o in orders for k in range(w)]
+        return (None if self.factors == self.widths else tuple(gather)), tuple(orders)
 
 
 @lru_cache(maxsize=None)
@@ -218,12 +236,7 @@ def _sylow_plan(domain: AbelianShape, codomain: AbelianShape) -> tuple[_Componen
         beta = max(multiplicity(p, q) for _, _, q in slots)
         widths = tuple(one_variable_cap(p, a, beta) + 1 for a in exps)
         cap = max_functional_degree(PGroupShape(p, make_partition(exps)), beta) if exps else 0
-        gather, orders = [0], [0]
-        for q, w in zip(sylow, widths):
-            gather = [g * q + k % q for g in gather for k in range(w)]
-            orders = [o + k for o in orders for k in range(w)]
-        gather = None if sylow == widths else tuple(gather)
-        plan.append(_Component(p, project, include, slots, widths, cap, gather, tuple(orders)))
+        plan.append(_Component(p, project, include, slots, sylow, widths, cap))
     return tuple(plan)
 
 
@@ -257,12 +270,13 @@ def _coefficient_columns(f: FiniteMap, comp: _Component, tables: list[list[int]]
     A top past the component's cap raises ConsistencyError with the instance
     to replay, naming the prime when the pair has more than one.
     """
+    gather, orders = comp.box
     top = -1
     for j, (_, _, q) in enumerate(comp.slots):
-        if comp.gather is not None:
-            tables[j] = list(map(tables[j].__getitem__, comp.gather))
+        if gather is not None:
+            tables[j] = list(map(tables[j].__getitem__, gather))
         _forward_differences(tables[j], comp.widths, q)
-        top = max(top, max(itertools.compress(comp.orders, tables[j]), default=-1))
+        top = max(top, max(itertools.compress(orders, tables[j]), default=-1))
     if top > comp.cap:
         instance = {"domain": f.domain.factors, "codomain": f.codomain.factors, "cap": comp.cap}
         if not _is_one_prime(_sylow_plan(f.domain, f.codomain)):
@@ -561,19 +575,11 @@ def reconstruct(
         if any(c) and Degree.of(sum(nvec)) > bound:
             raise ValueError(f"coefficient at {nvec} violates the degree bound {bound}")
 
-    def fn(x: tuple[int, ...]) -> tuple[int, ...]:
-        total = codomain.zero()
-        for nvec, c in coeffs.items():
-            scale = 1
-            for xi, ni in zip(x, nvec):
-                scale *= binomial(xi, ni)
-                if scale == 0:
-                    break
-            if scale:
-                total = codomain.add(total, codomain.scale(scale, c))
-        return total
-
-    return FiniteMap.from_callable(domain, codomain, fn)
+    series = [
+        BinomialSeries(len(domain.factors), {nvec: c[j] for nvec, c in coeffs.items() if c[j]})
+        for j in range(len(codomain.factors))
+    ]
+    return FiniteMap.from_callable(domain, codomain, lambda x: tuple(s(x) for s in series))
 
 
 @dataclass(frozen=True)

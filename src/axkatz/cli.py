@@ -25,7 +25,7 @@ from .bounds import (
 )
 from .calculus import FiniteMap, functional_degree, zero_count
 from .errors import ConsistencyError, ResourceLimitError
-from .groups import AbelianShape, PGroupShape, max_functional_degree
+from .groups import AbelianShape, PGroupShape, enumeration_limit, max_functional_degree
 from .intmath import check_prime, power_exceeds
 from .oracle import PolySystem, poly_zero_count, verify_bound, zero_count_trace
 from .partitions import Partition, conjugate, make_partition
@@ -70,6 +70,18 @@ def _parse_printable_partition(text: str, p: int) -> Partition:
     check_prime(p)
     _check_printable(p, alpha.width, "part")
     return alpha
+
+
+def _check_columns(partition: Partition) -> Partition:
+    """The partition, once its Ferrers columns, one per unit of the largest
+    part, are known to stay within the enumeration limit: conjugate and vp
+    build them all."""
+    limit = enumeration_limit()
+    if partition.width > limit:
+        raise ResourceLimitError(
+            f"largest part {partition.width} exceeds the enumeration limit {limit}"
+        )
+    return partition
 
 
 def _check_printable(p: int, exponent: int, what: str) -> None:
@@ -172,7 +184,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_vp(args) -> int:
-    alpha = _parse_partition(args.alpha)
+    alpha = _check_columns(_parse_partition(args.alpha))
     result = min_valuation(args.p, alpha, _parse_budget(args.D))
     _emit(result.to_json_dict())
     return 0
@@ -198,7 +210,7 @@ def _cmd_fdeg(args) -> int:
 
 
 def _cmd_conjugate(args) -> int:
-    result = conjugate(make_partition(_parse_ints(args.parts, "parts")))
+    result = conjugate(_check_columns(make_partition(_parse_ints(args.parts, "parts"))))
     print(json.dumps(result.to_json()))
     return 0
 

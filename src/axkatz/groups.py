@@ -9,6 +9,7 @@ exponent partitions (``primary_decomposition``) or positionally
 
 from __future__ import annotations
 
+import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -167,10 +168,7 @@ def check_enumerable(base: int, exponent: int = 1, limit: int | None = None) -> 
 def enumerate_elements(shape: AbelianShape, limit: int | None = None) -> list[tuple[int, ...]]:
     """All elements in row-major order, last coordinate fastest."""
     check_enumerable(shape.order, limit=limit)
-    elements = [()]
-    for m in shape.factors:
-        elements = [x + (c,) for x in elements for c in range(m)]
-    return elements
+    return list(itertools.product(*map(range, shape.factors)))
 
 
 def index_of(shape: AbelianShape, x: tuple[int, ...]) -> int:

@@ -7,10 +7,14 @@ headline bound from counting zeros of every qualifying system.
 Both modes of verification take their maps from one set, the maps of degree
 <= d of a one-prime pair.  ``calculus.degree_generators`` gives it as the
 constants plus a direct sum of cyclic groups, one generator list per codomain
-factor.  Exhaustive mode builds every combination and sorts the tables into
-``itertools.product`` order, so its reports are those of a full enumeration
-with the other tables left out.  Sampled mode draws a constant and a nonzero
-combination uniformly, with one ``randrange`` over their exact count.  The
+factor, so the maps number |B| K, K the product of the generator orders
+(``_bounded_map_count``).  Exhaustive mode builds every combination and
+sorts the tables into ``itertools.product`` order, so its reports are those
+of a full enumeration with the other tables left out.  Sampled mode draws a
+constant and a nonzero combination uniformly, with one ``randrange`` over
+their exact count |B| (K - 1).  Either mode checks its number of systems
+against MAX_SYSTEMS before it builds any table: the product of the targets'
+|B| (K - 1) (exhaustive) or the sample count (sampled).  The
 oracle stays independent of what it checks: it never consults the
 closed-form bound, every table is rebuilt as a validated FiniteMap and gets
 its degree again from ``functional_degree``, a degree above d (sampled:
@@ -73,7 +77,7 @@ from .intmath import ceil_div, check_prime, factorize, multiplicity, power_excee
 from .partitions import Partition, make_partition
 
 DIRECT_SUM_CAP = 1024
-MAX_SYSTEMS = 200000  # qualifying systems exhaustive verification may test
+MAX_SYSTEMS = 200000  # systems one verification may test, in either mode
 
 
 def binomial_column_sums(limit: int, direct: bool | None = None) -> list[int]:
@@ -211,11 +215,9 @@ def _tables(
     """
     targets = enumerate_elements(codomain)
     n, r = domain.order, len(codomain.factors)
-    if max_degree is None:
+    if max_degree is None or _bounded_map_count(domain, codomain, max_degree) == len(targets) ** n:
         return itertools.product(targets, repeat=n)
     width, factors = _packed_generators(domain, codomain, max_degree)
-    if math.prod(len(multiples) for _, gens in factors for multiples in gens) == len(targets) ** n:
-        return itertools.product(targets, repeat=n)
     ones = sum(1 << width * k for k in range(n * r))
     packed = [0]
     for q, generators in factors:
@@ -250,6 +252,15 @@ def _tables(
             head = known.get(upper) or read(upper, n // 2)
         tables.append(head + lower[x & mask])
     return tables
+
+
+def _bounded_map_count(domain: AbelianShape, codomain: AbelianShape, max_degree: int) -> int:
+    """The number of maps of degree <= max_degree of a one-prime pair: the
+    constants (the zero map alone when max_degree < 0) times the product of
+    the generator orders of ``degree_generators``."""
+    generators = degree_generators(domain, codomain, max_degree)
+    constants = codomain.order if max_degree >= 0 else 1
+    return constants * math.prod(order for factor in generators for _, order in factor)
 
 
 def _reduce_slots(digits: list[int], q: int, width: int, ones: int) -> list[int]:
@@ -361,12 +372,11 @@ def sample_bounded_map(
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     check_enumerable(domain.order)
-    generators = degree_generators(domain, codomain, cap)
-    nonzero = math.prod(order for factor in generators for _, order in factor) - 1
-    constants, combination = divmod(rng.randrange(codomain.order * nonzero), nonzero)
+    nonconstant = _bounded_map_count(domain, codomain, cap) - codomain.order
+    constants, combination = divmod(rng.randrange(nonconstant), nonconstant // codomain.order)
     combination += 1
     columns = []
-    for q, factor in zip(codomain.factors, generators):
+    for q, factor in zip(codomain.factors, degree_generators(domain, codomain, cap)):
         constants, constant = divmod(constants, q)
         terms = [(0, constant)]
         for generator, order in factor:
@@ -434,10 +444,13 @@ def verify_bound(
 
     Qualifying maps are nonconstant with degree at most the per-target cap.
     Exhaustive mode enumerates every qualifying tuple; sampled mode draws a
-    fixed number of systems deterministically from the seed.  A target with
-    no qualifying map at all yields a vacuous pass, flagged as such.  The
-    table cap (exhaustive) or the enumeration limit (sampled) is checked
-    from p and the exponent sum first, before any p^part is formed.
+    fixed number of systems deterministically from the seed.  Drawing no
+    sample yields a vacuous pass, flagged as such.  The table cap
+    (exhaustive) or the enumeration limit (sampled) is checked from p and
+    the exponent sum first, before any p^part is formed; then the number of
+    systems, the product over the targets of their qualifying counts
+    (exhaustive) or the sample count, is checked against MAX_SYSTEMS before
+    any table is built.
     """
     targets = expand_targets(p, shaped)
     if mode not in ("exhaustive", "sampled"):
@@ -449,12 +462,21 @@ def verify_bound(
             _check_table_cap(shape.order, p, alpha.size, cap)
     elif samples > 0:
         check_enumerable(p, alpha.size)
+    domain = PGroupShape(p, alpha).shape()
+    if mode == "exhaustive":
+        systems = math.prod(
+            _bounded_map_count(domain, shape, d) - shape.order for shape, d in shaped
+        )
+        excess = f"{systems} qualifying systems exceed {MAX_SYSTEMS}; use sampled mode"
+    else:
+        systems, excess = samples, f"{samples} sampled systems exceed {MAX_SYSTEMS}"
+    if systems > MAX_SYSTEMS:
+        raise ResourceLimitError(excess)
     report = zero_count_bound(alpha, targets)
     beta_for_min = (report.s0 or 0) + 1
     objective_match = (
         bound_objective_minimum(alpha, targets, beta_for_min) == report.bound
     )
-    domain = PGroupShape(p, alpha).shape()
     instance = {
         "p": p,
         "alpha": alpha.to_json(),
@@ -472,28 +494,13 @@ def verify_bound(
                 for f in fs
             ]
             candidate_lists.append(qualifying)
+        combine = itertools.product
     else:
         rng = random.Random(seed)
         for shape, d in shaped:
             candidate_lists.append(
                 [sample_bounded_map(domain, shape, d, rng) for _ in range(samples)]
             )
-
-    if any(not lst for lst in candidate_lists):
-        return VerifyReport(
-            instance, report.bound, None, None, 0, mode, seed, True, True, objective_match
-        )
-
-    if mode == "exhaustive":
-        volume = 1
-        for lst in candidate_lists:
-            volume *= len(lst)
-        if volume > MAX_SYSTEMS:
-            raise ResourceLimitError(
-                f"{volume} qualifying systems exceed {MAX_SYSTEMS}; use sampled mode"
-            )
-        combine = itertools.product
-    else:
         combine = zip
 
     min_ord, witness, tested, passed = _scan_systems(
@@ -507,7 +514,7 @@ def verify_bound(
         tested,
         mode,
         seed,
-        False,
+        systems == 0,
         passed,
         objective_match,
     )
@@ -761,18 +768,16 @@ def _value_tables(system: PolySystem) -> list[list[int]]:
     return tables
 
 
-def poly_zero_count(
-    system: PolySystem, check: bool = True, limit: int | None = None
-) -> tuple[int, dict[int, Degree]]:
+def poly_zero_count(system: PolySystem) -> tuple[int, dict[int, Degree]]:
     """Exhaustively count simultaneous zeros of a polynomial system over Z/mZ.
 
-    With check enabled, nonconstant evaluation maps are compared against the
-    per-prime closed-form bound through their declared degrees; zero
-    functions impose no condition and any nonzero-constant polynomial makes
-    the check vacuous by emptying the zero set.
+    Nonconstant evaluation maps are then compared against the per-prime
+    closed-form bound through their declared degrees; zero functions impose
+    no condition and any nonzero-constant polynomial makes the check vacuous
+    by emptying the zero set.
     """
     m = system.modulus
-    cap = enumeration_limit() if limit is None else limit
+    cap = enumeration_limit()
     if power_exceeds(m, system.nvars, cap):
         raise ResourceLimitError(
             f"{power_text(m, system.nvars)} points exceed the enumeration limit {cap}"
@@ -786,7 +791,7 @@ def poly_zero_count(
         q: (INF if count == 0 else Degree.of(multiplicity(q, count))) for q in primes
     }
 
-    if check and count != 0:
+    if count != 0:
         surviving = [
             declared for declared, table in zip(system.degrees, tables) if len(set(table)) > 1
         ]

@@ -306,11 +306,45 @@ def test_huge_alpha_parts_exit_2_at_once():
          "7^(7^1000000) tables exceed the exhaustive cap"),
         (["verify", "--p", "7", "--alpha", "1000000", "--targets", "1:1", "--mode", "sampled",
           "--seed", "1"], "group of order 7^1000000 exceeds the enumeration limit"),
+        # One Ferrers column per unit of the largest part.
+        (["conjugate", "--parts", "1000000000"],
+         "largest part 1000000000 exceeds the enumeration limit 1000000"),
+        (["vp", "--p", "2", "--alpha", "1000000000", "--D", "5"],
+         "largest part 1000000000 exceeds the enumeration limit 1000000"),
     ]:
         done = _cli_process(*argv)
         assert done.returncode == 2, argv
         assert done.stdout == "", argv
         assert message in done.stderr, argv
+
+
+def test_a_sample_count_past_the_system_cap_exits_2_at_once():
+    done = _cli_process(
+        "verify", "--p", "2", "--alpha", "1", "--targets", "1:1", "--mode", "sampled",
+        "--seed", "1", "--samples", "1000000000",
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert "1000000000 sampled systems exceed 200000" in done.stderr
+
+
+def test_fdeg_refuses_a_support_box_past_the_enumeration_limit(tmp_path, monkeypatch):
+    # (Z/2)^4 -> Z/4: 16 entries, but a support box of 3^4 = 81 cells.  A
+    # fresh process, since a box once built is kept with the pair's plan.
+    domain, codomain = axkatz.AbelianShape((2,) * 4), axkatz.AbelianShape((4,))
+    values = tuple(((3 * k + k // 5) % 4,) for k in range(16))
+    f = axkatz.FiniteMap(domain, codomain, values)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(f.to_json_dict()))
+    monkeypatch.setenv("AXKATZ_ENUM_LIMIT", "80")
+    done = _cli_process("fdeg", "--map", str(path))
+    assert done.returncode == 2 and done.stdout == ""
+    assert "support box of 81 cells exceeds the enumeration limit 80" in done.stderr
+    # Splitting and assembling never read the box.
+    assert axkatz.primary_assemble(domain, codomain, axkatz.primary_split(f)) == f
+    monkeypatch.setenv("AXKATZ_ENUM_LIMIT", "81")
+    done = _cli_process("fdeg", "--map", str(path))
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["fdeg"] == axkatz.functional_degree(f).to_json()
 
 
 def test_huge_alpha_parts_stay_fine_where_nothing_big_is_printed(capsys):
@@ -412,6 +446,8 @@ def _argv(draw):
 @example(["scan", "--p", "2", "--alphas", "1", "--targets", "14285:1", "--format", "csv"])
 @example(["bound", "--p", "7", "--alpha", "1000000", "--targets", "1:1"])
 @example(["bound", "--p", "2", "--alpha", "1", "--targets", f"{10**400}:1"])
+@example(["conjugate", "--parts", "1000000000"])
+@example(["vp", "--p", "2", "--alpha", "1000000000", "--D", "5"])
 def test_cli_fuzz_exit_codes_and_outputs(argv):
     _check_cli_contract(argv)
 
@@ -471,7 +507,10 @@ def _verify_argv(draw):
     if mode == "sampled":
         if draw(st.sampled_from([True, True, True, False])):
             argv += option("--seed", str(draw(st.integers(0, 10**6))))
-        argv += option("--samples", str(draw(_mostly_valid(st.integers(1, 4), st.integers(-1, 4)))))
+        # A quarter of the sample counts pass the system cap and exit 2 at once.
+        small = _mostly_valid(st.integers(1, 4), st.integers(-1, 4))
+        huge = st.integers(axkatz.oracle.MAX_SYSTEMS + 1, 10**12)
+        argv += option("--samples", str(draw(_mostly_valid(small, huge))))
     else:
         argv += option("--cap", str(draw(_mostly_valid(st.integers(16, 300), st.integers(-1, 300)))))
     return argv

@@ -126,10 +126,9 @@ def test_join_matches_brute_force_bucketing(dom, cod):
         got = functions_by_degree(domain, codomain, max_degree=d)
         assert list(got) == list(expected), d
         assert got == expected, d
-        # |B| times the product of the generator orders counts them.
-        generators = calculus.degree_generators(domain, codomain, d)
-        count = codomain.order * math.prod(order for gens in generators for _, order in gens)
-        assert count == sum(map(len, expected.values())), d
+        assert oracle._bounded_map_count(domain, codomain, d) == sum(
+            map(len, expected.values())
+        ), d
 
 
 def test_wide_slots_match_brute_force_bucketing():
@@ -521,6 +520,24 @@ def test_verify_checks_its_caps_before_any_power_of_a_part():
         functions_by_degree(Z42, Z4, cap=100)
     assert str(small.value) == str(direct.value)
     assert str(direct.value) == "65536 tables exceed the exhaustive cap 100; use sampled mode"
+
+
+def test_verify_checks_its_system_count_before_building_any_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built past the system cap")
+
+    monkeypatch.setattr(oracle, "functions_by_degree", no_table)
+    monkeypatch.setattr(oracle, "sample_bounded_map", no_table)
+    # 2 (2^6 - 1) = 126 nonconstant maps Z/4 + Z/2 -> Z/2 of degree <= 3, per target.
+    with pytest.raises(ResourceLimitError) as exhaustive:
+        verify_bound(2, make_partition([2, 1]), [(Z2, 3)] * 3)
+    assert str(exhaustive.value) == "2000376 qualifying systems exceed 200000; use sampled mode"
+    with pytest.raises(ResourceLimitError) as sampled:
+        verify_bound(
+            2, make_partition([2, 1]), [(Z2, 3)], mode="sampled", seed=1,
+            samples=oracle.MAX_SYSTEMS + 1,
+        )
+    assert str(sampled.value) == "200001 sampled systems exceed 200000"
 
 
 def test_brute_max_degree_failure_replays(monkeypatch):

@@ -22,9 +22,12 @@ all the binomial-basis coefficients of the periodic pullback, and
 Delta^m f(x) = sum_n c_n C(x, n - m) makes the degree the largest total
 order of a nonzero coefficient.  One in-place forward-difference transform
 per axis (Yates) computes the whole box from the values on it, one integer
-column per codomain factor.  The box has prod w_i cells, which can dwarf
-the table (3^16 cells for a map (Z/2)^16 -> Z/4), so a box past the
-enumeration limit raises ResourceLimitError before it is built.  A nonzero
+column per codomain factor.  ``functional_degrees`` runs it once for a whole
+batch of tables: each cell of a column packs the batch into one int, one
+slot of whole bytes per table, and the transform's step works slot by slot.
+The box has prod w_i cells, which can dwarf the table (3^16 cells for a map
+(Z/2)^16 -> Z/4), so a box past the enumeration limit raises
+ResourceLimitError before it is built.  A nonzero
 coefficient beyond the component's degree cap would contradict the closed
 form and raises ConsistencyError.  ``difference`` and
 ``iterated_difference`` are the definition-level operators, both read
@@ -188,13 +191,14 @@ class _Component:
     cap: int
 
     @cached_property
-    def box(self) -> tuple[tuple[int, ...] | None, tuple[int, ...]]:
-        """(gather, orders): cell n of the support box is component element
-        gather[n], gather None when the box is the component, and has total
-        order orders[n].  Built on first read, so a pair whose box is never
-        transformed (``primary_split``, ``primary_assemble``) never builds it;
-        a box of more cells than the enumeration limit raises
-        ResourceLimitError instead of being built."""
+    def box(self) -> tuple[tuple[int, ...] | None, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(gather, orders, levels): cell n of the support box is component
+        element gather[n], gather None when the box is the component, and has
+        total order orders[n]; levels[o] lists the cells of order o.  Built
+        on first read, so a pair whose box is never transformed
+        (``primary_split``, ``primary_assemble``) never builds it; a box of
+        more cells than the enumeration limit raises ResourceLimitError
+        instead of being built."""
         volume, limit = math.prod(self.widths), enumeration_limit()
         if volume > limit:
             raise ResourceLimitError(
@@ -204,7 +208,20 @@ class _Component:
         for q, w in zip(self.factors, self.widths):
             gather = [g * q + k % q for g in gather for k in range(w)]
             orders = [o + k for o in orders for k in range(w)]
-        return (None if self.factors == self.widths else tuple(gather)), tuple(orders)
+        levels: list[list[int]] = [[] for _ in range(orders[-1] + 1)]
+        for n, o in enumerate(orders):
+            levels[o].append(n)
+        gather = None if self.factors == self.widths else tuple(gather)
+        return gather, tuple(orders), tuple(map(tuple, levels))
+
+    @cached_property
+    def slot_bytes(self) -> int:
+        """Bytes per table in a packed column (``_pack``): a slot of w bits
+        holds every q of the component below 2^(w - 1), and one plus the
+        order of every box cell below 2^w."""
+        orders = len(self.box[2])
+        bits = max(orders.bit_length(), *(q.bit_length() + 1 for _, _, q in self.slots))
+        return (bits + 7) // 8
 
 
 @lru_cache(maxsize=None)
@@ -245,12 +262,15 @@ def _is_one_prime(plan: tuple[_Component, ...]) -> bool:
     return len(plan) == 1 and plan[0].include is None
 
 
-def _component_tables(f: FiniteMap, comp: _Component) -> list[list[int]] | None:
-    """The component map of f, one column per codomain slot, or None when f's
-    component does not factor through the projection of its domain."""
+def _component_tables(
+    values: Sequence[tuple[int, ...]], comp: _Component
+) -> list[list[int]] | None:
+    """The component map of a value table, one column per codomain slot, or
+    None when its component does not factor through the projection of its
+    domain."""
     tables = []
     for pos, multiplier, q in comp.slots:
-        column = list(map(operator.itemgetter(pos), f.values))
+        column = list(map(operator.itemgetter(pos), values))
         if multiplier is not None:
             column = [v * multiplier % q for v in column]
         if comp.include is not None:
@@ -262,30 +282,114 @@ def _component_tables(f: FiniteMap, comp: _Component) -> list[list[int]] | None:
     return tables
 
 
-def _coefficient_columns(f: FiniteMap, comp: _Component, tables: list[list[int]]) -> int:
-    """In place, each component table becomes its coefficient column over the
-    support box; returns the top order, the largest total order of a nonzero
-    cell (-1 when all vanish).
+def _pack(
+    flat: Iterable[int], count: int, cells: int, slots: int, size: int
+) -> list[list[int]]:
+    """Per codomain slot j, per cell k, one int holding that entry of each of
+    ``count`` tables, table i in bytes [size i, size (i + 1)); flat holds
+    entry (k, j) of table i at position (i cells + k) slots + j."""
+    data = bytes(flat) if size == 1 else list(flat)
+    stride = cells * slots
+    packed = []
+    for j in range(slots):
+        chunks = (data[k * slots + j :: stride] for k in range(cells))
+        if size > 1:
+            sizes, order = itertools.repeat(size), itertools.repeat("little")
+            chunks = (b"".join(map(int.to_bytes, c, sizes, order)) for c in chunks)
+        packed.append([int.from_bytes(c, "little") for c in chunks])
+    return packed
 
-    A top past the component's cap raises ConsistencyError with the instance
-    to replay, naming the prime when the pair has more than one.
+
+def _slot_reduction(q: int, width: int, ones: int) -> Callable[[int], int]:
+    """Every width-bit slot of a packed int mod q, ``ones`` holding a 1 in
+    the lowest bit of each slot: a mask when q is a power of 2, else q taken
+    from each slot that reaches it (slots below 2q), read off the top bit of
+    slot + 2^(width - 1) - q.  Every q stays below 2^(width - 1)."""
+    if not q & (q - 1):
+        return (ones * (q - 1)).__and__
+    carry, shift = ones * ((1 << width - 1) - q), width - 1
+    return lambda d: d - ((d + carry) >> shift & ones) * q
+
+
+def _slot_difference(q: int, width: int, ones: int) -> Callable[[int, int], int]:
+    """Slot-wise a - b mod q on packed ints of reduced slots: a + q - b
+    stays below 2q, so ``_slot_reduction`` reduces it."""
+    offset, reduction = q * ones, _slot_reduction(q, width, ones)
+    return lambda a, b: reduction(a + offset - b)
+
+
+def _top_orders(comp: _Component, columns: list[list[int]], count: int) -> list[int]:
+    """In place, each column becomes its coefficient column over the support
+    box; returns, per table, one plus its top order, the largest total order
+    of a nonzero cell (0 when all vanish).
+
+    A column holds ``count`` tables packed by ``_pack`` (one table: its
+    plain values, transformed mod q), and one transform with the slot-wise
+    step ``_slot_difference`` serves all of them.  A table's top
+    order is the largest order whose cells, ORed over the codomain slots,
+    leave its slot nonzero; slot + 2^(w - 1) - 1 sets the slot's top bit
+    exactly then, since every slot stays below 2^(w - 1).
     """
-    gather, orders = comp.box
+    gather, orders, levels = comp.box
+    size = comp.slot_bytes
+    width = 8 * size
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * count, "little")
     top = -1
     for j, (_, _, q) in enumerate(comp.slots):
         if gather is not None:
-            tables[j] = list(map(tables[j].__getitem__, gather))
-        _forward_differences(tables[j], comp.widths, q)
-        top = max(top, max(itertools.compress(orders, tables[j]), default=-1))
-    if top > comp.cap:
-        instance = {"domain": f.domain.factors, "codomain": f.codomain.factors, "cap": comp.cap}
-        if not _is_one_prime(_sylow_plan(f.domain, f.codomain)):
-            instance["prime"] = comp.prime
-        raise ConsistencyError(
-            f"nonzero coefficient of order {top} exceeds the degree cap {comp.cap}",
-            instance={**instance, "order": top, "values": f.values},
-        )
-    return top
+            columns[j] = list(map(columns[j].__getitem__, gather))
+        if count == 1:
+            _forward_differences(columns[j], comp.widths, q)
+        else:
+            _forward_differences(columns[j], comp.widths, None, _slot_difference(q, width, ones))
+        top = max(top, max(itertools.compress(orders, columns[j]), default=-1))
+    if count == 1:
+        return [top + 1]
+    chain = itertools.chain.from_iterable
+    pending = ones << width - 1
+    fill, tops = pending - ones, 0
+    for order in range(top, -1, -1):
+        cells = levels[order]
+        nonzero = reduce(operator.or_, chain(map(c.__getitem__, cells) for c in columns), 0)
+        hit = nonzero + fill & pending
+        if hit:
+            tops |= (hit >> width - 1) * (order + 1)
+            pending ^= hit
+            if not pending:
+                break
+    data = tops.to_bytes(count * size, "little")
+    if size == 1:
+        return list(data)
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+
+
+def _raise_past_cap(
+    domain: AbelianShape,
+    codomain: AbelianShape,
+    plan: tuple[_Component, ...],
+    tops: list[list[int]],
+    tables: Sequence[Sequence[tuple[int, ...]]],
+) -> None:
+    """Raise ConsistencyError for the first table, in input order, whose top
+    order passes its component's cap.
+
+    ``tops`` holds, per component, one plus the top order of each table; the
+    error carries the instance to replay, naming the prime when the pair
+    has more than one.
+    """
+    k, n = min(
+        (next(k for k, t in enumerate(comp_tops) if t > comp.cap + 1), n)
+        for n, (comp, comp_tops) in enumerate(zip(plan, tops))
+        if max(comp_tops) > comp.cap + 1
+    )
+    comp, order = plan[n], tops[n][k] - 1
+    instance = {"domain": domain.factors, "codomain": codomain.factors, "cap": comp.cap}
+    if not _is_one_prime(plan):
+        instance["prime"] = comp.prime
+    raise ConsistencyError(
+        f"nonzero coefficient of order {order} exceeds the degree cap {comp.cap}",
+        instance={**instance, "order": order, "values": tables[k]},
+    )
 
 
 def primary_split(f: FiniteMap) -> dict[int, FiniteMap] | None:
@@ -303,7 +407,7 @@ def primary_split(f: FiniteMap) -> dict[int, FiniteMap] | None:
         if prime not in plan:  # the codomain component is trivial
             out[prime] = FiniteMap(domain, codomain, ((),) * domain.order)
             continue
-        tables = _component_tables(f, plan[prime])
+        tables = _component_tables(f.values, plan[prime])
         if tables is None:
             return None
         out[prime] = FiniteMap(domain, codomain, tuple(zip(*tables)))
@@ -337,20 +441,59 @@ def primary_assemble(
 
 
 def functional_degree(f: FiniteMap) -> Degree:
-    """Exact functional degree in the extended naturals.
+    """Exact functional degree in the extended naturals: the one-table call
+    of ``functional_degrees``."""
+    return functional_degrees(f.domain, f.codomain, [f.values])[0]
 
-    Each Sylow component of f is read off its codomain columns: +inf when
-    it does not factor through the projection of the domain, else the
+
+def functional_degrees(
+    domain: AbelianShape, codomain: AbelianShape, tables: Sequence[Sequence[tuple[int, ...]]]
+) -> list[Degree]:
+    """Exact functional degrees, in the extended naturals and in input order,
+    of value tables from domain to codomain that hold reduced values in
+    enumeration order, as a FiniteMap does.
+
+    Each Sylow component of a table is read off its codomain columns: +inf
+    when it does not factor through the projection of the domain, else the
     largest total order of a nonzero series coefficient (see the module
-    docstring).  The degree is the maximum over the components.
+    docstring).  The degree is the maximum over the components.  The tables
+    are packed side by side (``_pack``), so one transform per codomain slot
+    serves them all (``_top_orders``); a single table is transformed as its
+    plain values mod q.
     """
-    top = -1
-    for comp in _sylow_plan(f.domain, f.codomain):
-        tables = _component_tables(f, comp)
-        if tables is None:
-            return INF
-        top = max(top, _coefficient_columns(f, comp, tables))
-    return NEG_INF if top < 0 else Degree.of(top)
+    count = len(tables)
+    plan = _sylow_plan(domain, codomain)
+    if _is_one_prime(plan):  # the component's columns are the value columns
+        finite, parts = range(count), None
+    else:
+        parts = [[_component_tables(values, comp) for values in tables] for comp in plan]
+        finite = [i for i in range(count) if all(p[i] is not None for p in parts)]
+    chain = itertools.chain.from_iterable
+    tops, past_cap = [], False
+    for n, comp in enumerate(plan if finite else ()):
+        if len(finite) == 1:
+            columns = _component_tables(tables[0], comp) if parts is None else parts[n][finite[0]]
+        else:
+            rows = tables if parts is None else (zip(*parts[n][i]) for i in finite)
+            cells, slots = math.prod(comp.factors), len(comp.slots)
+            columns = _pack(chain(chain(rows)), len(finite), cells, slots, comp.slot_bytes)
+        tops.append(_top_orders(comp, columns, len(finite)))
+        past_cap = past_cap or max(tops[-1]) > comp.cap + 1
+    if past_cap:
+        _raise_past_cap(domain, codomain, plan, tops, [tables[i] for i in finite])
+    combined = tops[0] if tops else [0] * len(finite)
+    for more in tops[1:]:
+        combined = list(map(max, combined, more))
+    degrees = [INF] * count
+    for i, top in zip(finite, combined):
+        degrees[i] = _degree(top)
+    return degrees
+
+
+@lru_cache(maxsize=None)
+def _degree(top: int) -> Degree:
+    """The degree of a table with top order top - 1 (``_top_orders``)."""
+    return Degree.of(top - 1) if top else NEG_INF
 
 
 def _forward_differences(
@@ -553,8 +696,10 @@ def series_coefficients(f: FiniteMap) -> dict[tuple[int, ...], tuple[int, ...]]:
             "series expansion needs domain and codomain p-groups of one common prime"
         )
     (comp,) = plan
-    tables = _component_tables(f, comp)
-    _coefficient_columns(f, comp, tables)
+    tables = _component_tables(f.values, comp)
+    tops = _top_orders(comp, tables, 1)
+    if tops[0] > comp.cap + 1:
+        _raise_past_cap(f.domain, f.codomain, plan, [tops], [f.values])
     points = itertools.product(*(range(w) for w in comp.widths))
     return {point: c for point, c in zip(points, zip(*tables)) if any(c)}
 

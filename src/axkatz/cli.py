@@ -65,7 +65,8 @@ def _parse_target_pairs(text: str, p: int) -> list[tuple[int, int]]:
 
 def _parse_printable_partition(text: str, p: int) -> Partition:
     """A partition whose largest part e leaves the output printable: bound,
-    scan and delta print an integer >= p^(e - 1)."""
+    scan and delta print an integer >= p^(e - 1), and verify with no sample
+    computes the bound."""
     alpha = _parse_partition(text)
     check_prime(p)
     _check_printable(p, alpha.width, "part")
@@ -226,7 +227,13 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    alpha = _parse_partition(args.alpha)
+    if args.mode == "sampled" and args.samples == 0:
+        # No sample means no table, so neither the table cap nor the
+        # enumeration limit bounds the run: only the bound is computed, so it
+        # takes the bound's digit check.
+        alpha = _parse_printable_partition(args.alpha, args.p)
+    else:
+        alpha = _parse_partition(args.alpha)
     shaped = _shaped_targets(args.p, args)
     if args.mode == "sampled" and args.seed is None:
         raise ValueError("sampled mode requires --seed for reproducibility")

@@ -16,11 +16,13 @@ their exact count |B| (K - 1).  Either mode checks its number of systems
 against MAX_SYSTEMS before it builds any table: the product of the targets'
 |B| (K - 1) (exhaustive) or the sample count (sampled).  The
 oracle stays independent of what it checks: it never consults the
-closed-form bound, every table is rebuilt as a validated FiniteMap and gets
-its degree again from ``functional_degree``, a degree above d (sampled:
-outside (0, d]) raises ConsistencyError, and the test suite compares the
-enumeration, and the sampler's support, with the brute-force bucketing of
-every table.
+closed-form bound, every table is rebuilt as a validated FiniteMap, and the
+degrees of all the tables of one target (exhaustive: every enumerated
+table; sampled: every draw, once all of them are drawn) are computed again
+from their value tables, not from the generators, by one packed
+``functional_degrees`` call.  A degree above d (sampled: outside (0, d])
+raises ConsistencyError, and the test suite compares the enumeration, and
+the sampler's support, with the brute-force bucketing of every table.
 
 Zeros are counted on bit masks.  A map's zero set is one int whose bit k is
 set when table entry k is the zero element (``calculus.zero_mask``); a
@@ -54,9 +56,11 @@ from .bounds import (
 from .calculus import (
     BinomialSeries,
     FiniteMap,
+    _slot_reduction,
     coefficient_table,
     degree_generators,
     functional_degree,
+    functional_degrees,
     proper_lift,
     zero_count,
     zero_mask,
@@ -162,25 +166,31 @@ def functions_by_degree(
     one-prime pair only) just the tables of degree <= d are: ``_tables``
     combines the generators of ``degree_generators`` with the constants
     without building the others.  Tables arrive in itertools.product order,
-    and buckets keep the order in which each degree first appears.  A
-    bucketed degree above max_degree raises ConsistencyError.
+    and buckets keep the order in which each degree first appears.  Every
+    table is rebuilt as a validated FiniteMap, and all their degrees are
+    computed again from the value tables, not from the generators, by one
+    ``functional_degrees`` call; a bucketed degree above max_degree raises
+    ConsistencyError, for the first such table.
     """
     _check_table_cap(codomain.order, domain.order, 1, cap)
+    tables = list(_tables(domain, codomain, max_degree))
+    maps = [FiniteMap(domain, codomain, values) for values in tables]
     buckets: dict[Degree, list[FiniteMap]] = {}
-    for values in _tables(domain, codomain, max_degree):
-        f = FiniteMap(domain, codomain, values)
-        degree = functional_degree(f)
-        if max_degree is not None and degree > max_degree:
-            raise ConsistencyError(
-                f"a generated table has degree {degree} above {max_degree}",
-                instance={
-                    "domain": domain.factors,
-                    "codomain": codomain.factors,
-                    "max_degree": max_degree,
-                    "order": degree.to_json(),
-                },
-            )
+    for f, degree in zip(maps, functional_degrees(domain, codomain, tables)):
         buckets.setdefault(degree, []).append(f)
+    # Degrees come in the order of their first tables, so the first one above
+    # max_degree is that of the first table above it.
+    above = [degree for degree in buckets if max_degree is not None and degree > max_degree]
+    if above:
+        raise ConsistencyError(
+            f"a generated table has degree {above[0]} above {max_degree}",
+            instance={
+                "domain": domain.factors,
+                "codomain": codomain.factors,
+                "max_degree": max_degree,
+                "order": above[0].to_json(),
+            },
+        )
     return buckets
 
 
@@ -211,7 +221,7 @@ def _tables(
     into one int, a slot of ``width`` bits per position and codomain factor
     with the first position on top, so int order is product order.  The
     multiples of each generator are added slot by slot, and the slots are
-    reduced mod q (``_reduce_slots``) before they could overflow.
+    reduced mod q (``calculus._slot_reduction``) before they could overflow.
     """
     targets = enumerate_elements(codomain)
     n, r = domain.order, len(codomain.factors)
@@ -223,13 +233,14 @@ def _tables(
     for q, generators in factors:
         # A slot holds less than 2^width, and less than 2q when q is odd.
         limit = q if q & (q - 1) else (1 << width) - q + 1
+        reduction = _slot_reduction(q, width, ones)
         digits, top = [0], 0  # top bounds every slot
         for multiples in generators:
             if top >= limit:
-                digits, top = _reduce_slots(digits, q, width, ones), q - 1
+                digits, top = list(map(reduction, digits)), q - 1
             digits += [d + m for m in multiples[1:] for d in digits]  # multiples[0] is 0
             top += q - 1
-        packed = [a + d for d in _reduce_slots(digits, q, width, ones) for a in packed]
+        packed = [a + d for d in map(reduction, digits) for a in packed]
     packed.sort()
     # Each table is read as two halves, and each distinct half once: sorted
     # tables with one upper half come in a run.
@@ -261,17 +272,6 @@ def _bounded_map_count(domain: AbelianShape, codomain: AbelianShape, max_degree:
     generators = degree_generators(domain, codomain, max_degree)
     constants = codomain.order if max_degree >= 0 else 1
     return constants * math.prod(order for factor in generators for _, order in factor)
-
-
-def _reduce_slots(digits: list[int], q: int, width: int, ones: int) -> list[int]:
-    """Every slot of every packed table mod q: a mask when q is a power of
-    2, else q taken from each slot that reaches it (slots below 2q), read
-    off the top bit of slot + 2^(width - 1) - q."""
-    if not q & (q - 1):
-        mask = ones * (q - 1)
-        return [d & mask for d in digits]
-    carry, shift = ones * ((1 << width - 1) - q), width - 1
-    return [d - ((d + carry) >> shift & ones) * q for d in digits]
 
 
 @lru_cache(maxsize=None)
@@ -357,14 +357,23 @@ def brute_objective_minimum(
 def sample_bounded_map(
     domain: AbelianShape, codomain: AbelianShape, cap: int, rng: random.Random
 ) -> FiniteMap:
-    """Uniform random map among those of degree in (0, cap].
+    """Uniform random map among those of degree in (0, cap]: the one-draw
+    call of ``sample_bounded_maps``."""
+    return sample_bounded_maps(domain, codomain, cap, rng, 1)[0]
 
-    One draw from the rng picks a constant and a nonzero combination of the
-    generators of ``degree_generators`` (the maps of degree <= cap that vanish
-    at 0, a direct sum of cyclic groups), decoded digit by digit; each
-    codomain column is then one inverse transform.  The map still gets its
-    degree from ``functional_degree``, and one outside (0, cap] raises
-    ConsistencyError with the table.
+
+def sample_bounded_maps(
+    domain: AbelianShape, codomain: AbelianShape, cap: int, rng: random.Random, count: int
+) -> list[FiniteMap]:
+    """count independent uniform random maps among those of degree in (0, cap].
+
+    One draw from the rng per map picks a constant and a nonzero combination
+    of the generators of ``degree_generators`` (the maps of degree <= cap
+    that vanish at 0, a direct sum of cyclic groups), decoded digit by digit;
+    each codomain column is then one inverse transform.  Once all count maps
+    are drawn, their degrees are computed again from their value tables, not
+    from the generators, by one ``functional_degrees`` call, and the first
+    one outside (0, cap] raises ConsistencyError with its table.
     """
     p = pure_prime(domain)
     if p is None or pure_prime(codomain) != p:
@@ -373,30 +382,34 @@ def sample_bounded_map(
         raise ValueError(f"cap must be >= 1, got {cap}")
     check_enumerable(domain.order)
     nonconstant = _bounded_map_count(domain, codomain, cap) - codomain.order
-    constants, combination = divmod(rng.randrange(nonconstant), nonconstant // codomain.order)
-    combination += 1
-    columns = []
-    for q, factor in zip(codomain.factors, degree_generators(domain, codomain, cap)):
-        constants, constant = divmod(constants, q)
-        terms = [(0, constant)]
-        for generator, order in factor:
-            combination, t = divmod(combination, order)
-            terms += [(cell, t * c) for cell, c in generator]
-        columns.append(coefficient_table(domain, q, terms))
-    candidate = FiniteMap(domain, codomain, tuple(zip(*columns)))
-    degree = functional_degree(candidate)
-    if not Degree.of(0) < degree <= Degree.of(cap):
-        raise ConsistencyError(
-            f"a sampled table has degree {degree} outside (0, {cap}]",
-            instance={
-                "domain": domain.factors,
-                "codomain": codomain.factors,
-                "max_degree": cap,
-                "order": degree.to_json(),
-                "values": candidate.values,
-            },
-        )
-    return candidate
+    generators = degree_generators(domain, codomain, cap)
+    candidates = []
+    for _ in range(count):
+        constants, combination = divmod(rng.randrange(nonconstant), nonconstant // codomain.order)
+        combination += 1
+        columns = []
+        for q, factor in zip(codomain.factors, generators):
+            constants, constant = divmod(constants, q)
+            terms = [(0, constant)]
+            for generator, order in factor:
+                combination, t = divmod(combination, order)
+                terms += [(cell, t * c) for cell, c in generator]
+            columns.append(coefficient_table(domain, q, terms))
+        candidates.append(FiniteMap(domain, codomain, tuple(zip(*columns))))
+    degrees = functional_degrees(domain, codomain, [f.values for f in candidates])
+    for candidate, degree in zip(candidates, degrees):
+        if not Degree.of(0) < degree <= Degree.of(cap):
+            raise ConsistencyError(
+                f"a sampled table has degree {degree} outside (0, {cap}]",
+                instance={
+                    "domain": domain.factors,
+                    "codomain": codomain.factors,
+                    "max_degree": cap,
+                    "order": degree.to_json(),
+                    "values": candidate.values,
+                },
+            )
+    return candidates
 
 
 @dataclass(frozen=True)
@@ -496,15 +509,16 @@ def verify_bound(
             candidate_lists.append(qualifying)
         combine = itertools.product
     else:
+        # Drawing no sample builds no table, so the domain is never enumerated.
         rng = random.Random(seed)
         for shape, d in shaped:
             candidate_lists.append(
-                [sample_bounded_map(domain, shape, d, rng) for _ in range(samples)]
+                sample_bounded_maps(domain, shape, d, rng, samples) if samples else []
             )
         combine = zip
 
     min_ord, witness, tested, passed = _scan_systems(
-        p, domain, candidate_lists, combine, Degree.of(report.bound)
+        p, candidate_lists, combine, Degree.of(report.bound)
     )
     return VerifyReport(
         instance,
@@ -522,7 +536,6 @@ def verify_bound(
 
 def _scan_systems(
     p: int,
-    domain: AbelianShape,
     candidate_lists: list[list[FiniteMap]],
     combine: Callable,
     claimed: Degree,
@@ -531,19 +544,20 @@ def _scan_systems(
     whether every system met the claimed bound) over combine(*lists).
 
     Each candidate's zero set is one bit mask, so a system's zero count is
-    the bit count of an AND.  Systems are compared once per distinct count:
+    the bit count of the AND of its maps' masks (a system has one map per
+    target, and at least one target); with no system, no mask of |A| bits
+    is formed.  Systems are compared once per distinct count:
     a later system with a count already seen has the same valuation, so it
     can neither fail where the first did not nor become the witness.
     """
     masks = [[zero_mask(f.values, f.codomain.zero()) for f in lst] for lst in candidate_lists]
-    everywhere = (1 << domain.order) - 1
     seen: set[int] = set()
     min_ord: Degree | None = None
     witness = None
     tested = 0
     passed = True
     for system_masks, maps in zip(combine(*masks), combine(*candidate_lists)):
-        count = reduce(operator.and_, system_masks, everywhere).bit_count()
+        count = reduce(operator.and_, system_masks).bit_count()
         tested += 1
         if count in seen:
             continue

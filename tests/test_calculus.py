@@ -22,6 +22,7 @@ from axkatz import (
     difference,
     enumerate_elements,
     functional_degree,
+    functional_degrees,
     integral,
     iterated_difference,
     lift_difference_at_zero,
@@ -465,6 +466,9 @@ def test_primary_split_and_assemble():
     assert primary_split(entangled) is None
 
 
+Z6_HISTOGRAM = {INF: 46548, Degree.of(2): 72, Degree.of(1): 30, Degree.of(0): 5, NEG_INF: 1}
+
+
 def test_degree_histogram_on_every_z6_table():
     # 108 of the 6^6 maps Z/6 -> Z/6 split: their components are one of the
     # 4 maps Z/2 -> Z/2 and one of the 27 maps Z/3 -> Z/3.
@@ -474,7 +478,56 @@ def test_degree_histogram_on_every_z6_table():
         functional_degree(FiniteMap(Z6, Z6, values))
         for values in itertools.product(targets, repeat=6)
     )
-    assert histogram == {INF: 46548, Degree.of(2): 72, Degree.of(1): 30, Degree.of(0): 5, NEG_INF: 1}
+    assert histogram == Z6_HISTOGRAM
+
+
+@pytest.mark.parametrize(
+    "domain, codomain",
+    [
+        ((4, 2), (4,)),  # a support box wider than the domain: the gather
+        ((5,), (5,)),  # odd q: slots reduced by the carry
+        ((2, 2), (2, 4)),  # two codomain slots
+        ((3,), (27,)),
+        ((2,), (128,)),  # q = 128 needs two-byte slots
+        ((6,), (6,)),  # multi-prime: most tables do not split
+        ((12,), (2,)),
+    ],
+)
+def test_batch_degrees_match_single_tables(domain, codomain):
+    domain, codomain = AbelianShape(domain), AbelianShape(codomain)
+    tables = list(itertools.product(enumerate_elements(codomain), repeat=domain.order))
+    batch = functional_degrees(domain, codomain, tables)
+    assert batch == [functional_degree(FiniteMap(domain, codomain, t)) for t in tables]
+    if domain == codomain == AbelianShape((6,)):
+        assert collections.Counter(batch) == Z6_HISTOGRAM
+    assert functional_degrees(domain, codomain, []) == []
+    for values in (tables[0], tables[-1], tables[len(tables) // 3]):
+        assert functional_degrees(domain, codomain, [values]) == [
+            functional_degree(FiniteMap(domain, codomain, values))
+        ]
+
+
+def test_batch_past_a_patched_cap_names_the_first_offending_table(monkeypatch):
+    # Z/6 -> Z/6 with every cap at 0: x -> 3x splits with degree 1 at 2 and
+    # the zero map at 3, x -> 2x the other way round.  Whatever the primes'
+    # order, the error names the first offending table of the batch.
+    Z6 = AbelianShape((6,))
+    zero, three, two = (tuple((k * x % 6,) for x in range(6)) for k in (0, 3, 2))
+    real = calculus._sylow_plan
+    monkeypatch.setattr(
+        calculus,
+        "_sylow_plan",
+        lambda domain, codomain: tuple(
+            dataclasses.replace(comp, cap=0) for comp in real(domain, codomain)
+        ),
+    )
+    for batch, values, prime in (([zero, two, three], two, 3), ([zero, three, two], three, 2)):
+        with pytest.raises(ConsistencyError) as info:
+            functional_degrees(Z6, Z6, batch)
+        instance = info.value.instance
+        assert (instance["values"], instance["prime"], instance["order"]) == (values, prime, 1)
+    monkeypatch.undo()
+    assert functional_degrees(Z6, Z6, [zero, three, two]) == [NEG_INF, Degree.of(1), Degree.of(1)]
 
 
 @pytest.mark.parametrize("domain, codomain", [((6,), (6,)), ((12,), (2,))])

@@ -327,6 +327,21 @@ def test_a_sample_count_past_the_system_cap_exits_2_at_once():
     assert "1000000000 sampled systems exceed 200000" in done.stderr
 
 
+def test_verify_with_no_sample_on_a_big_domain(capsys):
+    # No sample builds no table, so no cap applies: a part of 10^9 takes the
+    # bound's digit check and exits 2 at once, and a part of 30 is a vacuous
+    # pass without a bit mask of |A| = 7^30 bits.
+    argv = ["verify", "--p", "7", "--targets", "1:1", "--mode", "sampled", "--seed", "1",
+            "--samples", "0"]
+    done = _cli_process(*argv, "--alpha", "1000000000")
+    assert done.returncode == 2 and done.stdout == ""
+    assert f"more than {sys.get_int_max_str_digits()} digits" in done.stderr
+    code, out, _ = run_cli(capsys, *argv, "--alpha", "30")
+    report = json.loads(out)
+    assert code == 0 and report["vacuous"] and report["passed"]
+    assert (report["systems_tested"], report["min_ord"]) == (0, None)
+
+
 def test_fdeg_refuses_a_support_box_past_the_enumeration_limit(tmp_path, monkeypatch):
     # (Z/2)^4 -> Z/4: 16 entries, but a support box of 3^4 = 81 cells.  A
     # fresh process, since a box once built is kept with the pair's plan.
@@ -521,6 +536,10 @@ def _verify_argv(draw):
 @example(["verify", "--p", "2", "--alpha", "2,1", "--targets", "1:3", "--cap", "256"])
 @example(["verify", "--p", "3", "--alpha", "1,1", "--targets", "1:2,2:1", "--mode", "sampled",
           "--seed", "4", "--samples", "3"])
+@example(["verify", "--p", "7", "--alpha", "1000000000", "--targets", "1:1", "--mode", "sampled",
+          "--seed", "1", "--samples", "0"])
+@example(["verify", "--p", "7", "--alpha", "30", "--targets", "1:1", "--mode", "sampled",
+          "--seed", "1", "--samples", "0"])
 def test_cli_fuzz_verify(argv):
     _check_cli_contract(argv)
 

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -207,8 +208,12 @@ def test_generated_table_past_a_patched_cap_raises(monkeypatch):
 def test_join_degree_cross_check_replays(monkeypatch):
     # A degree oracle that reads one more than the truth makes the join's
     # cross-check fire; its instance rebuilds the same call.
-    real = oracle.functional_degree
-    monkeypatch.setattr(oracle, "functional_degree", lambda f: real(f) + 1)
+    real = oracle.functional_degrees
+    monkeypatch.setattr(
+        oracle,
+        "functional_degrees",
+        lambda domain, codomain, tables: [d + 1 for d in real(domain, codomain, tables)],
+    )
     with pytest.raises(ConsistencyError) as info:
         functions_by_degree(Z42, Z2, max_degree=2)
     instance = info.value.instance
@@ -313,6 +318,28 @@ def test_sampler_support_is_the_qualifying_set(dom, cod, cap):
     assert drawn == qualifying
 
 
+def test_batch_sampling_draws_as_single_draws_and_rechecks_every_table(monkeypatch):
+    for domain, codomain, cap in [(Z42, Z4, 2), (AbelianShape((2,) * 6), Z2, 3)]:
+        rng, ref = random.Random(9), random.Random(9)
+        batch = oracle.sample_bounded_maps(domain, codomain, cap, rng, 7)
+        assert batch == [sample_bounded_map(domain, codomain, cap, ref) for _ in range(7)]
+        assert rng.getstate() == ref.getstate()
+    # A recheck that reads the third and fifth draws as constants names the third.
+    expected = oracle.sample_bounded_maps(Z42, Z4, 2, random.Random(9), 7)[2]
+    real = oracle.functional_degrees
+    monkeypatch.setattr(
+        oracle,
+        "functional_degrees",
+        lambda domain, codomain, tables: [
+            Degree.of(0) if k in (2, 4) else d
+            for k, d in enumerate(real(domain, codomain, tables))
+        ],
+    )
+    with pytest.raises(ConsistencyError) as info:
+        oracle.sample_bounded_maps(Z42, Z4, 2, random.Random(9), 7)
+    assert (info.value.instance["values"], info.value.instance["order"]) == (expected.values, 0)
+
+
 def test_sampler_frequencies_pass_a_chi_square_bound():
     # The 6 maps Z/4 -> Z/2 of degree 1 or 2, 6000 draws: the statistic has
     # 5 degrees of freedom, and 20.52 is its 0.999 quantile.
@@ -320,6 +347,17 @@ def test_sampler_frequencies_pass_a_chi_square_bound():
     counts = collections.Counter(sample_bounded_map(Z4, Z2, 2, rng).values for _ in range(6000))
     assert len(counts) == 6
     assert sum((n - 1000) ** 2 / 1000 for n in counts.values()) < 20.52
+
+
+def test_seed_3_sampled_report_on_ten_copies_of_z2_into_z4_is_pinned():
+    # (Z/2)^10 -> Z/4, d <= 3: 25 uniform draws meet the bound 1, and the
+    # whole report, witness included, is pinned by its digest.
+    report = verify_bound(2, make_partition([1] * 10), [(Z4, 3)], mode="sampled", seed=3)
+    data = report.to_json_dict()
+    assert (data["bound"], data["min_ord"], data["systems_tested"]) == (1, 1, 25)
+    assert data["passed"] and not data["vacuous"]
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == "c9c85437019b52fd69b6740b180959a636b8862cca1ca4d987043d4aae44815d"
 
 
 def test_seeded_sampled_report_does_not_depend_on_the_hash_seed():
@@ -409,7 +447,7 @@ def test_poly_zero_count_json_roundtrip():
     assert count == poly_zero_count(rebuilt)[0]
 
 
-def _per_system_reference(p, domain, candidate_lists, combine, claimed):
+def _per_system_reference(p, candidate_lists, combine, claimed):
     """The systems loop as it reads from the definition: one zero_count per system."""
     min_ord, witness, tested, passed = None, None, 0, True
     for system in combine(*candidate_lists):

@@ -62,6 +62,8 @@ from .groups import (
 from .intmath import binomial, factorize, multiplicity
 from .partitions import make_partition
 
+Table = tuple[tuple[int, ...], ...]  # the values of a map, in enumeration order
+
 
 @dataclass(frozen=True)
 class FiniteMap:
@@ -69,24 +71,10 @@ class FiniteMap:
 
     domain: AbelianShape
     codomain: AbelianShape
-    values: tuple[tuple[int, ...], ...]
+    values: Table
 
     def __post_init__(self):
-        values = self.values
-        if len(values) != self.domain.order:
-            raise ValueError(f"table has {len(values)} entries, domain has {self.domain.order}")
-        factors = self.codomain.factors
-        # Bulk checks at C speed accept only tables the per-value loop accepts;
-        # on any doubt the loop runs and names the first offending value.
-        if not (
-            set(map(type, values)) == {tuple}
-            and set(map(len, values)) == {len(factors)}
-            and set(map(type, itertools.chain.from_iterable(values))) <= {int}
-            and all(0 <= min(col) and max(col) < m for col, m in zip(zip(*values), factors))
-        ):
-            for v in values:
-                if not self.codomain.contains(v):
-                    raise ValueError(f"{v!r} is not a reduced element of {factors}")
+        _check_tables(self.domain, self.codomain, (self.values,))
 
     @classmethod
     def from_callable(
@@ -107,10 +95,6 @@ class FiniteMap:
     def is_zero(self) -> bool:
         return not any(map(any, self.values))
 
-    @property
-    def is_constant(self) -> bool:
-        return all(v == self.values[0] for v in self.values)
-
     def to_json_dict(self) -> dict:
         return {
             "domain": self.domain.to_json(),
@@ -127,6 +111,28 @@ class FiniteMap:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed function table: {exc}") from exc
         return cls(domain, codomain, values)
+
+
+def _check_tables(domain: AbelianShape, codomain: AbelianShape, tables: Sequence[Table]) -> None:
+    """Raise ValueError, naming the first wrong table length or value, unless
+    every table holds one reduced codomain element per domain element."""
+    order, factors = domain.order, codomain.factors
+    rows = list(itertools.chain.from_iterable(tables))
+    # Bulk checks at C speed accept only what the per-table loop accepts; once
+    # the rows are tuples of ints, their distinct values stand for them all.
+    if not (
+        set(map(len, tables)) <= {order}
+        and set(map(type, rows)) <= {tuple}
+        and set(map(type, itertools.chain.from_iterable(rows))) <= {int}
+        and set(map(len, distinct := set(rows))) <= {len(factors)}
+        and all(0 <= min(col) and max(col) < m for col, m in zip(zip(*distinct), factors))
+    ):
+        for values in tables:
+            if len(values) != order:
+                raise ValueError(f"table has {len(values)} entries, domain has {order}")
+            for v in values:
+                if not codomain.contains(v):
+                    raise ValueError(f"{v!r} is not a reduced element of {factors}")
 
 
 @lru_cache(maxsize=64)
@@ -262,9 +268,7 @@ def _is_one_prime(plan: tuple[_Component, ...]) -> bool:
     return len(plan) == 1 and plan[0].include is None
 
 
-def _component_tables(
-    values: Sequence[tuple[int, ...]], comp: _Component
-) -> list[list[int]] | None:
+def _component_tables(values: Table, comp: _Component) -> list[list[int]] | None:
     """The component map of a value table, one column per codomain slot, or
     None when its component does not factor through the projection of its
     domain."""
@@ -368,7 +372,7 @@ def _raise_past_cap(
     codomain: AbelianShape,
     plan: tuple[_Component, ...],
     tops: list[list[int]],
-    tables: Sequence[Sequence[tuple[int, ...]]],
+    tables: Sequence[Table],
 ) -> None:
     """Raise ConsistencyError for the first table, in input order, whose top
     order passes its component's cap.
@@ -442,16 +446,16 @@ def primary_assemble(
 
 def functional_degree(f: FiniteMap) -> Degree:
     """Exact functional degree in the extended naturals: the one-table call
-    of ``functional_degrees``."""
-    return functional_degrees(f.domain, f.codomain, [f.values])[0]
+    of ``functional_degrees``, without its check (a FiniteMap has passed it)."""
+    return _degrees(f.domain, f.codomain, [f.values])[0]
 
 
 def functional_degrees(
-    domain: AbelianShape, codomain: AbelianShape, tables: Sequence[Sequence[tuple[int, ...]]]
+    domain: AbelianShape, codomain: AbelianShape, tables: Sequence[Table]
 ) -> list[Degree]:
     """Exact functional degrees, in the extended naturals and in input order,
-    of value tables from domain to codomain that hold reduced values in
-    enumeration order, as a FiniteMap does.
+    of value tables from domain to codomain in enumeration order, every one
+    of which is checked first as a FiniteMap checks its own (ValueError).
 
     Each Sylow component of a table is read off its codomain columns: +inf
     when it does not factor through the projection of the domain, else the
@@ -461,6 +465,14 @@ def functional_degrees(
     serves them all (``_top_orders``); a single table is transformed as its
     plain values mod q.
     """
+    _check_tables(domain, codomain, tables)
+    return _degrees(domain, codomain, tables)
+
+
+def _degrees(
+    domain: AbelianShape, codomain: AbelianShape, tables: Sequence[Table]
+) -> list[Degree]:
+    """``functional_degrees`` on tables already checked."""
     count = len(tables)
     plan = _sylow_plan(domain, codomain)
     if _is_one_prime(plan):  # the component's columns are the value columns
@@ -887,8 +899,9 @@ def zero_count(
         raise ValueError("an empty system needs an explicit domain")
     masks = (zero_mask(f.values, f.codomain.zero()) for f in maps)
     count = reduce(operator.and_, masks).bit_count() if maps else domain.order
-    ords = {
-        prime: (INF if count == 0 else Degree.of(multiplicity(prime, count)))
-        for prime in domain.primes()
-    }
-    return count, ords
+    return count, {prime: _count_valuation(prime, count) for prime in domain.primes()}
+
+
+def _count_valuation(prime: int, count: int) -> Degree:
+    """ord_prime of a zero count: +inf when the count is 0."""
+    return INF if count == 0 else Degree.of(multiplicity(prime, count))

@@ -69,12 +69,6 @@ class AbelianShape:
     def add(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((a + b) % m for a, b, m in zip(x, y, self.factors))
 
-    def sub(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((a - b) % m for a, b, m in zip(x, y, self.factors))
-
-    def scale(self, k: int, x: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((k * a) % m for a, m in zip(x, self.factors))
-
     def reduce(self, x: tuple[int, ...]) -> tuple[int, ...]:
         if len(x) != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} coordinates, got {len(x)}")
@@ -104,11 +98,6 @@ class PGroupShape:
     @property
     def order(self) -> int:
         return self.p**self.exponents.size
-
-    @property
-    def group_exponent(self) -> int:
-        """Exponent of the group, p^(largest invariant-factor exponent)."""
-        return self.p ** self.exponents.width
 
     def shape(self) -> AbelianShape:
         return AbelianShape(tuple(self.p**a for a in self.exponents.parts))

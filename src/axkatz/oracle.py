@@ -14,15 +14,13 @@ of a full enumeration with the other tables left out.  Sampled mode draws a
 constant and a nonzero combination uniformly, with one ``randrange`` over
 their exact count |B| (K - 1).  Either mode checks its number of systems
 against MAX_SYSTEMS before it builds any table: the product of the targets'
-|B| (K - 1) (exhaustive) or the sample count (sampled).  The
-oracle stays independent of what it checks: it never consults the
-closed-form bound, every table is rebuilt as a validated FiniteMap, and the
-degrees of all the tables of one target (exhaustive: every enumerated
-table; sampled: every draw, once all of them are drawn) are computed again
-from their value tables, not from the generators, by one packed
-``functional_degrees`` call.  A degree above d (sampled: outside (0, d])
-raises ConsistencyError, and the test suite compares the enumeration, and
-the sampler's support, with the brute-force bucketing of every table.
+|B| (K - 1) (exhaustive) or the sample count (sampled).  Verification
+carries value tables and stays independent of what it checks: it never
+consults the closed-form bound, and one ``functional_degrees`` call per
+target checks its tables and computes their degrees again from their values
+(``_rechecked_degrees``).  A degree above d (sampled: outside (0, d]) raises
+ConsistencyError; the test suite compares the enumeration, and the sampler's
+support, with the brute-force bucketing of every table.
 
 Zeros are counted on bit masks.  A map's zero set is one int whose bit k is
 set when table entry k is the zero element (``calculus.zero_mask``); a
@@ -56,10 +54,12 @@ from .bounds import (
 from .calculus import (
     BinomialSeries,
     FiniteMap,
+    Table,
+    _count_valuation,
     _slot_reduction,
     coefficient_table,
     degree_generators,
-    functional_degree,
+    functional_degree,  # not called here; perfbench's tracer test reads oracle.functional_degree
     functional_degrees,
     proper_lift,
     zero_count,
@@ -166,32 +166,52 @@ def functions_by_degree(
     one-prime pair only) just the tables of degree <= d are: ``_tables``
     combines the generators of ``degree_generators`` with the constants
     without building the others.  Tables arrive in itertools.product order,
-    and buckets keep the order in which each degree first appears.  Every
-    table is rebuilt as a validated FiniteMap, and all their degrees are
-    computed again from the value tables, not from the generators, by one
-    ``functional_degrees`` call; a bucketed degree above max_degree raises
-    ConsistencyError, for the first such table.
+    and buckets keep the order in which each degree first appears: those of
+    ``_table_buckets``, each table wrapped in a FiniteMap.
     """
+    buckets = _table_buckets(domain, codomain, cap, max_degree)
+    return {d: [FiniteMap(domain, codomain, t) for t in ts] for d, ts in buckets.items()}
+
+
+def _table_buckets(
+    domain: AbelianShape, codomain: AbelianShape, cap: int, max_degree: int | None
+) -> dict[Degree, list[Table]]:
+    """The buckets of ``functions_by_degree`` as value tables, by the degrees
+    of ``_rechecked_degrees``."""
     _check_table_cap(codomain.order, domain.order, 1, cap)
     tables = list(_tables(domain, codomain, max_degree))
-    maps = [FiniteMap(domain, codomain, values) for values in tables]
-    buckets: dict[Degree, list[FiniteMap]] = {}
-    for f, degree in zip(maps, functional_degrees(domain, codomain, tables)):
-        buckets.setdefault(degree, []).append(f)
-    # Degrees come in the order of their first tables, so the first one above
-    # max_degree is that of the first table above it.
-    above = [degree for degree in buckets if max_degree is not None and degree > max_degree]
-    if above:
+    degrees = _rechecked_degrees(domain, codomain, tables, NEG_INF, max_degree)
+    buckets: dict[Degree, list[Table]] = {}
+    for values, degree in zip(tables, degrees):
+        buckets.setdefault(degree, []).append(values)
+    return buckets
+
+
+def _rechecked_degrees(
+    domain: AbelianShape,
+    codomain: AbelianShape,
+    tables: list[Table],
+    least: Degree,
+    max_degree: int | None,
+) -> list[Degree]:
+    """Degrees of generated or drawn tables, again from their values by one
+    ``functional_degrees`` call; the first outside [least, max_degree] raises."""
+    degrees = functional_degrees(domain, codomain, tables)
+    top = INF if max_degree is None else max_degree
+    # Distinct degrees, in the order of their first tables.
+    outside = [degree for degree in dict.fromkeys(degrees) if not least <= degree <= top]
+    if outside:
         raise ConsistencyError(
-            f"a generated table has degree {above[0]} above {max_degree}",
+            f"a generated table has degree {outside[0]} outside [{least}, {top}]",
             instance={
                 "domain": domain.factors,
                 "codomain": codomain.factors,
                 "max_degree": max_degree,
-                "order": above[0].to_json(),
+                "order": outside[0].to_json(),
+                "values": tables[degrees.index(outside[0])],
             },
         )
-    return buckets
+    return degrees
 
 
 def _check_table_cap(q: int, p: int, size: int, cap: int) -> None:
@@ -212,7 +232,7 @@ def _check_table_cap(q: int, p: int, size: int, cap: int) -> None:
 
 def _tables(
     domain: AbelianShape, codomain: AbelianShape, max_degree: int | None
-) -> Iterable[tuple[tuple[int, ...], ...]]:
+) -> Iterable[Table]:
     """Value tables in itertools.product order; with max_degree set, only
     those of degree <= max_degree.
 
@@ -248,7 +268,7 @@ def _tables(
     mask = (1 << low) - 1
     step = width // 8
 
-    def read(half: int, size: int) -> tuple[tuple[int, ...], ...]:
+    def read(half: int, size: int) -> Table:
         data = half.to_bytes(size * r * step, "big")
         if step > 1:
             data = [int.from_bytes(data[i : i + step], "big") for i in range(0, len(data), step)]
@@ -299,17 +319,11 @@ def _packed_generators(
 
 
 def brute_max_degree(domain: AbelianShape, codomain: AbelianShape, cap: int = 2**20) -> int:
-    """Largest finite degree over all tables, asserted against the closed form."""
-    _check_table_cap(codomain.order, domain.order, 1, cap)
+    """Largest degree over all tables, asserted against the closed form."""
     p = pure_prime(domain)
     if p is None or pure_prime(codomain) != p:
         raise ValueError("both shapes must be p-groups of one common prime")
-    targets = enumerate_elements(codomain)
-    best = NEG_INF
-    for values in itertools.product(targets, repeat=domain.order):
-        deg = functional_degree(FiniteMap(domain, codomain, values))
-        if best < deg:
-            best = deg
+    best = max(functions_by_degree(domain, codomain, cap))
     exponents = make_partition(multiplicity(p, m) for m in domain.factors)
     beta = max(multiplicity(p, m) for m in codomain.factors)
     expected = max_functional_degree(PGroupShape(p, exponents), beta)
@@ -371,10 +385,17 @@ def sample_bounded_maps(
     of the generators of ``degree_generators`` (the maps of degree <= cap
     that vanish at 0, a direct sum of cyclic groups), decoded digit by digit;
     each codomain column is then one inverse transform.  Once all count maps
-    are drawn, their degrees are computed again from their value tables, not
-    from the generators, by one ``functional_degrees`` call, and the first
-    one outside (0, cap] raises ConsistencyError with its table.
+    are drawn, ``_rechecked_degrees`` computes their degrees again, and the
+    first one outside (0, cap] raises ConsistencyError with its table.
     """
+    tables = _drawn_tables(domain, codomain, cap, rng, count)
+    return [FiniteMap(domain, codomain, values) for values in tables]
+
+
+def _drawn_tables(
+    domain: AbelianShape, codomain: AbelianShape, cap: int, rng: random.Random, count: int
+) -> list[Table]:
+    """The value tables of ``sample_bounded_maps``."""
     p = pure_prime(domain)
     if p is None or pure_prime(codomain) != p:
         raise ValueError("sampling needs p-groups of one common prime")
@@ -383,7 +404,7 @@ def sample_bounded_maps(
     check_enumerable(domain.order)
     nonconstant = _bounded_map_count(domain, codomain, cap) - codomain.order
     generators = degree_generators(domain, codomain, cap)
-    candidates = []
+    tables = []
     for _ in range(count):
         constants, combination = divmod(rng.randrange(nonconstant), nonconstant // codomain.order)
         combination += 1
@@ -395,21 +416,9 @@ def sample_bounded_maps(
                 combination, t = divmod(combination, order)
                 terms += [(cell, t * c) for cell, c in generator]
             columns.append(coefficient_table(domain, q, terms))
-        candidates.append(FiniteMap(domain, codomain, tuple(zip(*columns))))
-    degrees = functional_degrees(domain, codomain, [f.values for f in candidates])
-    for candidate, degree in zip(candidates, degrees):
-        if not Degree.of(0) < degree <= Degree.of(cap):
-            raise ConsistencyError(
-                f"a sampled table has degree {degree} outside (0, {cap}]",
-                instance={
-                    "domain": domain.factors,
-                    "codomain": codomain.factors,
-                    "max_degree": cap,
-                    "order": degree.to_json(),
-                    "values": candidate.values,
-                },
-            )
-    return candidates
+        tables.append(tuple(zip(*columns)))
+    _rechecked_degrees(domain, codomain, tables, Degree.of(1), cap)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -496,25 +505,17 @@ def verify_bound(
         "targets": [[shape.to_json(), d] for shape, d in shaped],
     }
 
-    candidate_lists: list[list[FiniteMap]] = []
     if mode == "exhaustive":
-        for shape, d in shaped:
-            buckets = functions_by_degree(domain, shape, cap, max_degree=d)
-            qualifying = [
-                f
-                for degree, fs in buckets.items()
-                if degree.is_finite and 1 <= degree.value <= d
-                for f in fs
-            ]
-            candidate_lists.append(qualifying)
+        buckets = [_table_buckets(domain, shape, cap, d) for shape, d in shaped]
+        # Rechecked degrees lie in [-inf, d], so those above 0 qualify.
+        candidate_lists = [[t for k, ts in b.items() if k > 0 for t in ts] for b in buckets]
         combine = itertools.product
     else:
         # Drawing no sample builds no table, so the domain is never enumerated.
         rng = random.Random(seed)
-        for shape, d in shaped:
-            candidate_lists.append(
-                sample_bounded_maps(domain, shape, d, rng, samples) if samples else []
-            )
+        candidate_lists = [
+            _drawn_tables(domain, shape, d, rng, samples) if samples else [] for shape, d in shaped
+        ]
         combine = zip
 
     min_ord, witness, tested, passed = _scan_systems(
@@ -536,38 +537,38 @@ def verify_bound(
 
 def _scan_systems(
     p: int,
-    candidate_lists: list[list[FiniteMap]],
+    candidate_lists: list[list[Table]],
     combine: Callable,
     claimed: Degree,
 ) -> tuple[Degree | None, tuple | None, int, bool]:
     """(min ord_p of the zero counts, its first witness, systems tested,
     whether every system met the claimed bound) over combine(*lists).
 
-    Each candidate's zero set is one bit mask, so a system's zero count is
-    the bit count of the AND of its maps' masks (a system has one map per
-    target, and at least one target); with no system, no mask of |A| bits
-    is formed.  Systems are compared once per distinct count:
-    a later system with a count already seen has the same valuation, so it
+    Each candidate table's zero set (entries with every coordinate 0) is one
+    bit mask, so a system's zero count is the bit count of the AND of its
+    maps' masks (a system has one map per target, and at least one target);
+    with no system, no mask of |A| bits is formed.  Systems are compared once
+    per distinct count: a later system with a count already seen has the same valuation, so it
     can neither fail where the first did not nor become the witness.
     """
-    masks = [[zero_mask(f.values, f.codomain.zero()) for f in lst] for lst in candidate_lists]
+    masks = [[zero_mask(t, (0,) * len(t[0])) for t in tables] for tables in candidate_lists]
     seen: set[int] = set()
     min_ord: Degree | None = None
     witness = None
     tested = 0
     passed = True
-    for system_masks, maps in zip(combine(*masks), combine(*candidate_lists)):
+    for system_masks, system in zip(combine(*masks), combine(*candidate_lists)):
         count = reduce(operator.and_, system_masks).bit_count()
         tested += 1
         if count in seen:
             continue
         seen.add(count)
-        observed = INF if count == 0 else Degree.of(multiplicity(p, count))
+        observed = _count_valuation(p, count)
         if observed < claimed:
             passed = False
         if min_ord is None or observed < min_ord:
             min_ord = observed
-            witness = tuple(f.values for f in maps)
+            witness = system
     return min_ord, witness, tested, passed
 
 
@@ -800,10 +801,7 @@ def poly_zero_count(system: PolySystem) -> tuple[int, dict[int, Degree]]:
     tables = _value_tables(system)
     count = reduce(operator.and_, (zero_mask(t, 0) for t in tables), everywhere).bit_count()
 
-    primes = sorted(factorize(m))
-    ords = {
-        q: (INF if count == 0 else Degree.of(multiplicity(q, count))) for q in primes
-    }
+    ords = {q: _count_valuation(q, count) for q in sorted(factorize(m))}
 
     if count != 0:
         surviving = [

@@ -49,6 +49,7 @@ Z8 = AbelianShape((8,))
 Z9 = AbelianShape((9,))
 Z42 = AbelianShape((4, 2))
 Z22 = AbelianShape((2, 2))
+Z6 = AbelianShape((6,))
 
 
 def random_map(domain, codomain, rng):
@@ -244,6 +245,48 @@ def test_finite_map_rejects(domain, codomain, values, message):
     with pytest.raises(ValueError) as info:
         FiniteMap(domain, codomain, values)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        ((0,), (1,), (0,)),  # short
+        ((0,), (1,), (0,), (1,), (0,)),  # an extra entry
+        ((0,), (1,), (0,), (3,)),  # 3 is not reduced in Z/2
+        ((0,), (-1,), (0,), (1,)),  # negative
+        ((0,), (1,), (0, 1), (1,)),  # a row of the wrong length
+    ],
+)
+def test_batch_degrees_check_every_table_as_a_finite_map_does(values):
+    with pytest.raises(ValueError) as expected:
+        FiniteMap(Z4, Z2, values)
+    zero, parity = ((0,),) * 4, ((0,), (1,), (0,), (1,))
+    # Alone, after a valid table, and between valid tables of other degrees.
+    for batch in ([values], [zero, values], [parity, zero, values, parity]):
+        with pytest.raises(ValueError) as info:
+            functional_degrees(Z4, Z2, batch)
+        assert str(info.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "domain, codomain, values, message",
+    [
+        (Z2, Z2, ((0,),), "table has 1 entries, domain has 2"),
+        (Z2, Z2, ((0,), (1.0,)), "(1.0,) is not a reduced element of (2,)"),
+        (Z2, Z2, ((0,), [1]), "[1] is not a reduced element of (2,)"),
+        (Z3, Z2, ((0,), [0], (5,)), "[0] is not a reduced element of (2,)"),
+        (Z6, Z6, ((0,),) * 5 + ((6,),), "(6,) is not a reduced element of (6,)"),
+        (Z6, Z6, ((0,),) * 5, "table has 5 entries, domain has 6"),
+    ],
+)
+def test_batch_degrees_name_the_first_offending_table_or_value(domain, codomain, values, message):
+    # The tables after the offending one are malformed both ways.
+    valid = ((0,),) * domain.order
+    later = [((9,),) * domain.order, ((0,),)]
+    for rest in (later, later[::-1]):
+        with pytest.raises(ValueError) as info:
+            functional_degrees(domain, codomain, [valid, values, *rest])
+        assert str(info.value) == message
 
 
 def test_reconstruct_fixtures():

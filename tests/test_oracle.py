@@ -171,14 +171,35 @@ def test_verify_bound_agrees_with_brute_force_bucketing(monkeypatch):
         ]
 
     joined = run()
-    monkeypatch.setattr(
-        oracle,
-        "functions_by_degree",
-        lambda domain, codomain, cap=2**20, max_degree=None: _reference_buckets(
-            domain, codomain, max_degree
-        ),
-    )
+    calls = []
+
+    def reference_tables(domain, codomain, cap, max_degree):
+        calls.append((domain, codomain, max_degree))
+        buckets = _reference_buckets(domain, codomain, max_degree)
+        return {degree: [f.values for f in fs] for degree, fs in buckets.items()}
+
+    monkeypatch.setattr(oracle, "_table_buckets", reference_tables)
     assert run() == joined
+    assert len(calls) == sum(len(targets) for _, _, targets in VERIFY_INSTANCES)
+
+
+def test_verify_builds_no_finite_map(monkeypatch):
+    def run():
+        shaped = [(Z2, 2), (AbelianShape((2, 2)), 1)]
+        return [
+            verify_bound(2, make_partition([2, 1]), shaped).to_json_dict(),
+            verify_bound(2, make_partition([2, 1]), shaped, mode="sampled", seed=4).to_json_dict(),
+        ]
+
+    expected = run()
+
+    def no_map(self):
+        raise AssertionError("verify_bound built a FiniteMap")
+
+    monkeypatch.setattr(FiniteMap, "__post_init__", no_map)
+    with pytest.raises(AssertionError, match="built a FiniteMap"):
+        FiniteMap(Z2, Z2, ((0,), (1,)))
+    assert run() == expected
 
 
 def test_generated_table_past_a_patched_cap_raises(monkeypatch):
@@ -214,10 +235,14 @@ def test_join_degree_cross_check_replays(monkeypatch):
         "functional_degrees",
         lambda domain, codomain, tables: [d + 1 for d in real(domain, codomain, tables)],
     )
+    # The first generated table of true degree 2 is the first read as 3.
+    first = _reference_buckets(Z42, Z2, 2)[Degree.of(2)][0].values
     with pytest.raises(ConsistencyError) as info:
         functions_by_degree(Z42, Z2, max_degree=2)
     instance = info.value.instance
-    assert instance == {"domain": (4, 2), "codomain": (2,), "max_degree": 2, "order": 3}
+    assert instance == {
+        "domain": (4, 2), "codomain": (2,), "max_degree": 2, "order": 3, "values": first
+    }
     with pytest.raises(ConsistencyError) as again:
         functions_by_degree(
             AbelianShape(instance["domain"]),
@@ -448,16 +473,17 @@ def test_poly_zero_count_json_roundtrip():
 
 
 def _per_system_reference(p, candidate_lists, combine, claimed):
-    """The systems loop as it reads from the definition: one zero_count per system."""
+    """The systems loop as it reads from the definition, on value tables: a
+    point is a zero of a system when every map's entry there is all zeros."""
     min_ord, witness, tested, passed = None, None, 0, True
     for system in combine(*candidate_lists):
-        maps = list(system)
-        observed = zero_count(maps)[1][p]
+        count = sum(not any(map(any, entries)) for entries in zip(*system))
+        observed = INF if count == 0 else Degree.of(multiplicity(p, count))
         tested += 1
         if observed < claimed:
             passed = False
         if min_ord is None or observed < min_ord:
-            min_ord, witness = observed, tuple(f.values for f in maps)
+            min_ord, witness = observed, tuple(system)
     return min_ord, witness, tested, passed
 
 
@@ -564,8 +590,9 @@ def test_verify_checks_its_system_count_before_building_any_table(monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("a table was built past the system cap")
 
-    monkeypatch.setattr(oracle, "functions_by_degree", no_table)
-    monkeypatch.setattr(oracle, "sample_bounded_map", no_table)
+    # The table sources each mode calls.
+    monkeypatch.setattr(oracle, "_table_buckets", no_table)
+    monkeypatch.setattr(oracle, "_drawn_tables", no_table)
     # 2 (2^6 - 1) = 126 nonconstant maps Z/4 + Z/2 -> Z/2 of degree <= 3, per target.
     with pytest.raises(ResourceLimitError) as exhaustive:
         verify_bound(2, make_partition([2, 1]), [(Z2, 3)] * 3)
@@ -576,6 +603,11 @@ def test_verify_checks_its_system_count_before_building_any_table(monkeypatch):
             samples=oracle.MAX_SYSTEMS + 1,
         )
     assert str(sampled.value) == "200001 sampled systems exceed 200000"
+    # Below the system cap, both modes reach the patched sources.
+    with pytest.raises(AssertionError, match="past the system cap"):
+        verify_bound(2, make_partition([2, 1]), [(Z2, 3)])
+    with pytest.raises(AssertionError, match="past the system cap"):
+        verify_bound(2, make_partition([2, 1]), [(Z2, 3)], mode="sampled", seed=1, samples=1)
 
 
 def test_brute_max_degree_failure_replays(monkeypatch):

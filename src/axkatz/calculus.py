@@ -135,6 +135,16 @@ def _check_tables(domain: AbelianShape, codomain: AbelianShape, tables: Sequence
                     raise ValueError(f"{v!r} is not a reduced element of {factors}")
 
 
+def _checked_maps(
+    domain: AbelianShape, codomain: AbelianShape, tables: Sequence[Table]
+) -> list[FiniteMap]:
+    """FiniteMaps of tables that ``_check_tables`` has passed, not checked again."""
+    maps = [object.__new__(FiniteMap) for _ in tables]
+    for f, values in zip(maps, tables):
+        f.__dict__.update(domain=domain, codomain=codomain, values=values)
+    return maps
+
+
 @lru_cache(maxsize=64)
 def _translation(shape: AbelianShape, a: tuple[int, ...]) -> tuple[int, ...]:
     """Index map sending the index of each element x to the index of x + a,

@@ -14,13 +14,15 @@ of a full enumeration with the other tables left out.  Sampled mode draws a
 constant and a nonzero combination uniformly, with one ``randrange`` over
 their exact count |B| (K - 1).  Either mode checks its number of systems
 against MAX_SYSTEMS before it builds any table: the product of the targets'
-|B| (K - 1) (exhaustive) or the sample count (sampled).  Verification
-carries value tables and stays independent of what it checks: it never
-consults the closed-form bound, and one ``functional_degrees`` call per
-target checks its tables and computes their degrees again from their values
-(``_rechecked_degrees``).  A degree above d (sampled: outside (0, d]) raises
-ConsistencyError; the test suite compares the enumeration, and the sampler's
-support, with the brute-force bucketing of every table.
+|B| (K - 1) (exhaustive) or the sample count (sampled).  The
+oracle stays independent of what it checks: it never consults the
+closed-form bound, and one ``functional_degrees`` call per target checks
+every table (exhaustive: every enumerated table; sampled: every draw, once
+all of them are drawn) and computes its degree again from its values, not
+from the generators (``_rechecked_degrees``).  A degree above d (sampled:
+outside (0, d]) raises ConsistencyError, and the test suite compares the
+enumeration, and the sampler's support, with the brute-force bucketing of
+every table.
 
 Zeros are counted on bit masks.  A map's zero set is one int whose bit k is
 set when table entry k is the zero element (``calculus.zero_mask``); a
@@ -55,6 +57,7 @@ from .calculus import (
     BinomialSeries,
     FiniteMap,
     Table,
+    _checked_maps,
     _count_valuation,
     _slot_reduction,
     coefficient_table,
@@ -166,24 +169,16 @@ def functions_by_degree(
     one-prime pair only) just the tables of degree <= d are: ``_tables``
     combines the generators of ``degree_generators`` with the constants
     without building the others.  Tables arrive in itertools.product order,
-    and buckets keep the order in which each degree first appears: those of
-    ``_table_buckets``, each table wrapped in a FiniteMap.
+    and buckets keep the order in which each degree first appears.  Every
+    table is checked, and its degree computed again from its values, in one
+    batch (``_rechecked_degrees``), then wrapped in a FiniteMap.
     """
-    buckets = _table_buckets(domain, codomain, cap, max_degree)
-    return {d: [FiniteMap(domain, codomain, t) for t in ts] for d, ts in buckets.items()}
-
-
-def _table_buckets(
-    domain: AbelianShape, codomain: AbelianShape, cap: int, max_degree: int | None
-) -> dict[Degree, list[Table]]:
-    """The buckets of ``functions_by_degree`` as value tables, by the degrees
-    of ``_rechecked_degrees``."""
     _check_table_cap(codomain.order, domain.order, 1, cap)
     tables = list(_tables(domain, codomain, max_degree))
     degrees = _rechecked_degrees(domain, codomain, tables, NEG_INF, max_degree)
-    buckets: dict[Degree, list[Table]] = {}
-    for values, degree in zip(tables, degrees):
-        buckets.setdefault(degree, []).append(values)
+    buckets: dict[Degree, list[FiniteMap]] = {}
+    for f, degree in zip(_checked_maps(domain, codomain, tables), degrees):
+        buckets.setdefault(degree, []).append(f)
     return buckets
 
 
@@ -320,10 +315,12 @@ def _packed_generators(
 
 def brute_max_degree(domain: AbelianShape, codomain: AbelianShape, cap: int = 2**20) -> int:
     """Largest degree over all tables, asserted against the closed form."""
+    _check_table_cap(codomain.order, domain.order, 1, cap)
     p = pure_prime(domain)
     if p is None or pure_prime(codomain) != p:
         raise ValueError("both shapes must be p-groups of one common prime")
-    best = max(functions_by_degree(domain, codomain, cap))
+    tables = list(_tables(domain, codomain, None))
+    best = max(_rechecked_degrees(domain, codomain, tables, NEG_INF, None))
     exponents = make_partition(multiplicity(p, m) for m in domain.factors)
     beta = max(multiplicity(p, m) for m in codomain.factors)
     expected = max_functional_degree(PGroupShape(p, exponents), beta)
@@ -388,14 +385,6 @@ def sample_bounded_maps(
     are drawn, ``_rechecked_degrees`` computes their degrees again, and the
     first one outside (0, cap] raises ConsistencyError with its table.
     """
-    tables = _drawn_tables(domain, codomain, cap, rng, count)
-    return [FiniteMap(domain, codomain, values) for values in tables]
-
-
-def _drawn_tables(
-    domain: AbelianShape, codomain: AbelianShape, cap: int, rng: random.Random, count: int
-) -> list[Table]:
-    """The value tables of ``sample_bounded_maps``."""
     p = pure_prime(domain)
     if p is None or pure_prime(codomain) != p:
         raise ValueError("sampling needs p-groups of one common prime")
@@ -418,7 +407,7 @@ def _drawn_tables(
             columns.append(coefficient_table(domain, q, terms))
         tables.append(tuple(zip(*columns)))
     _rechecked_degrees(domain, codomain, tables, Degree.of(1), cap)
-    return tables
+    return _checked_maps(domain, codomain, tables)
 
 
 @dataclass(frozen=True)
@@ -506,15 +495,16 @@ def verify_bound(
     }
 
     if mode == "exhaustive":
-        buckets = [_table_buckets(domain, shape, cap, d) for shape, d in shaped]
         # Rechecked degrees lie in [-inf, d], so those above 0 qualify.
-        candidate_lists = [[t for k, ts in b.items() if k > 0 for t in ts] for b in buckets]
+        buckets = [functions_by_degree(domain, shape, cap, d) for shape, d in shaped]
+        candidate_lists = [[f for k, fs in b.items() if k > 0 for f in fs] for b in buckets]
         combine = itertools.product
     else:
         # Drawing no sample builds no table, so the domain is never enumerated.
         rng = random.Random(seed)
         candidate_lists = [
-            _drawn_tables(domain, shape, d, rng, samples) if samples else [] for shape, d in shaped
+            sample_bounded_maps(domain, shape, d, rng, samples) if samples else []
+            for shape, d in shaped
         ]
         combine = zip
 
@@ -537,27 +527,27 @@ def verify_bound(
 
 def _scan_systems(
     p: int,
-    candidate_lists: list[list[Table]],
+    candidate_lists: list[list[FiniteMap]],
     combine: Callable,
     claimed: Degree,
 ) -> tuple[Degree | None, tuple | None, int, bool]:
     """(min ord_p of the zero counts, its first witness, systems tested,
     whether every system met the claimed bound) over combine(*lists).
 
-    Each candidate table's zero set (entries with every coordinate 0) is one
-    bit mask, so a system's zero count is the bit count of the AND of its
-    maps' masks (a system has one map per target, and at least one target);
-    with no system, no mask of |A| bits is formed.  Systems are compared once
-    per distinct count: a later system with a count already seen has the same valuation, so it
+    Each candidate's zero set is one bit mask, so a system's zero count is
+    the bit count of the AND of its maps' masks (a system has one map per
+    target, and at least one target); with no system, no mask of |A| bits
+    is formed.  Systems are compared once per distinct count:
+    a later system with a count already seen has the same valuation, so it
     can neither fail where the first did not nor become the witness.
     """
-    masks = [[zero_mask(t, (0,) * len(t[0])) for t in tables] for tables in candidate_lists]
+    masks = [[zero_mask(f.values, f.codomain.zero()) for f in lst] for lst in candidate_lists]
     seen: set[int] = set()
     min_ord: Degree | None = None
     witness = None
     tested = 0
     passed = True
-    for system_masks, system in zip(combine(*masks), combine(*candidate_lists)):
+    for system_masks, maps in zip(combine(*masks), combine(*candidate_lists)):
         count = reduce(operator.and_, system_masks).bit_count()
         tested += 1
         if count in seen:
@@ -568,7 +558,7 @@ def _scan_systems(
             passed = False
         if min_ord is None or observed < min_ord:
             min_ord = observed
-            witness = system
+            witness = tuple(f.values for f in maps)
     return min_ord, witness, tested, passed
 
 

@@ -173,33 +173,40 @@ def test_verify_bound_agrees_with_brute_force_bucketing(monkeypatch):
     joined = run()
     calls = []
 
-    def reference_tables(domain, codomain, cap, max_degree):
+    def reference(domain, codomain, cap, max_degree):
         calls.append((domain, codomain, max_degree))
-        buckets = _reference_buckets(domain, codomain, max_degree)
-        return {degree: [f.values for f in fs] for degree, fs in buckets.items()}
+        return _reference_buckets(domain, codomain, max_degree)
 
-    monkeypatch.setattr(oracle, "_table_buckets", reference_tables)
+    monkeypatch.setattr(oracle, "functions_by_degree", reference)
     assert run() == joined
     assert len(calls) == sum(len(targets) for _, _, targets in VERIFY_INSTANCES)
 
 
-def test_verify_builds_no_finite_map(monkeypatch):
+def test_verify_checks_each_target_in_one_batch(monkeypatch):
+    shaped = [(Z2, 2), (AbelianShape((2, 2)), 1)]
+
     def run():
-        shaped = [(Z2, 2), (AbelianShape((2, 2)), 1)]
         return [
             verify_bound(2, make_partition([2, 1]), shaped).to_json_dict(),
             verify_bound(2, make_partition([2, 1]), shaped, mode="sampled", seed=4).to_json_dict(),
         ]
 
     expected = run()
+    batches = []
+    real = calculus._check_tables
 
-    def no_map(self):
-        raise AssertionError("verify_bound built a FiniteMap")
+    def counted(domain, codomain, tables):
+        batches.append((codomain, len(tables)))
+        return real(domain, codomain, tables)
 
-    monkeypatch.setattr(FiniteMap, "__post_init__", no_map)
-    with pytest.raises(AssertionError, match="built a FiniteMap"):
-        FiniteMap(Z2, Z2, ((0,), (1,)))
+    # FiniteMap.__post_init__ and functional_degrees both check through it.
+    monkeypatch.setattr(calculus, "_check_tables", counted)
     assert run() == expected
+    # One check per target and mode, over all of its tables: every map of
+    # degree <= d (exhaustive), then the 25 draws (sampled).
+    domain = AbelianShape((4, 2))
+    exhaustive = [(c, oracle._bounded_map_count(domain, c, d)) for c, d in shaped]
+    assert batches == exhaustive + [(c, 25) for c, _ in shaped]
 
 
 def test_generated_table_past_a_patched_cap_raises(monkeypatch):
@@ -473,17 +480,16 @@ def test_poly_zero_count_json_roundtrip():
 
 
 def _per_system_reference(p, candidate_lists, combine, claimed):
-    """The systems loop as it reads from the definition, on value tables: a
-    point is a zero of a system when every map's entry there is all zeros."""
+    """The systems loop as it reads from the definition: one zero_count per system."""
     min_ord, witness, tested, passed = None, None, 0, True
     for system in combine(*candidate_lists):
-        count = sum(not any(map(any, entries)) for entries in zip(*system))
-        observed = INF if count == 0 else Degree.of(multiplicity(p, count))
+        maps = list(system)
+        observed = zero_count(maps)[1][p]
         tested += 1
         if observed < claimed:
             passed = False
         if min_ord is None or observed < min_ord:
-            min_ord, witness = observed, tuple(system)
+            min_ord, witness = observed, tuple(f.values for f in maps)
     return min_ord, witness, tested, passed
 
 
@@ -591,8 +597,8 @@ def test_verify_checks_its_system_count_before_building_any_table(monkeypatch):
         raise AssertionError("a table was built past the system cap")
 
     # The table sources each mode calls.
-    monkeypatch.setattr(oracle, "_table_buckets", no_table)
-    monkeypatch.setattr(oracle, "_drawn_tables", no_table)
+    monkeypatch.setattr(oracle, "functions_by_degree", no_table)
+    monkeypatch.setattr(oracle, "sample_bounded_maps", no_table)
     # 2 (2^6 - 1) = 126 nonconstant maps Z/4 + Z/2 -> Z/2 of degree <= 3, per target.
     with pytest.raises(ResourceLimitError) as exhaustive:
         verify_bound(2, make_partition([2, 1]), [(Z2, 3)] * 3)

@@ -117,6 +117,14 @@ def _check_tables(domain: AbelianShape, codomain: AbelianShape, tables: Sequence
     """Raise ValueError, naming the first wrong table length or value, unless
     every table holds one reduced codomain element per domain element."""
     order, factors = domain.order, codomain.factors
+    if isinstance(tables, TableSet):  # slot-wise: each codomain slot below its modulus
+        entries, r = _entries(tables.data, tables.size), len(factors)
+        shape = (tables.domain, tables.codomain, len(entries))
+        if shape == (domain, codomain, order * r * len(tables)) and all(
+            max(entries[j::r], default=0) < m for j, m in enumerate(factors)
+        ):
+            return
+        tables = list(map(tables.table, range(len(tables))))
     rows = list(itertools.chain.from_iterable(tables))
     # Bulk checks at C speed accept only what the per-table loop accepts; once
     # the rows are tuples of ints, their distinct values stand for them all.
@@ -135,14 +143,114 @@ def _check_tables(domain: AbelianShape, codomain: AbelianShape, tables: Sequence
                     raise ValueError(f"{v!r} is not a reduced element of {factors}")
 
 
-def _checked_maps(
-    domain: AbelianShape, codomain: AbelianShape, tables: Sequence[Table]
-) -> list[FiniteMap]:
-    """FiniteMaps of tables that ``_check_tables`` has passed, not checked again."""
-    maps = [object.__new__(FiniteMap) for _ in tables]
-    for f, values in zip(maps, tables):
-        f.__dict__.update(domain=domain, codomain=codomain, values=values)
-    return maps
+class TableSet(Sequence):
+    """The value tables of one (domain, codomain) pair side by side in one
+    blob: entry j of table i at domain index k is the little-endian slot of
+    ``size`` bytes (``_slot_size``) at (i |A| + k) r + j, r the number of
+    codomain factors.  A FiniteMap is built only for a table read by index or
+    iteration, and the set equals any sequence of the same FiniteMaps."""
+
+    def __init__(
+        self, domain: AbelianShape, codomain: AbelianShape, length: int, data: bytes, size: int
+    ):
+        self.domain, self.codomain, self.length, self.data, self.size = (
+            domain, codomain, length, data, size
+        )
+
+    def __repr__(self) -> str:
+        return f"TableSet({self.domain}, {self.codomain}, {self.length} tables)"
+
+    @classmethod
+    def of(cls, domain: AbelianShape, codomain: AbelianShape, tables: Iterable, length: int):
+        """The set of the given number of value tables."""
+        size, chain = _slot_size(domain, codomain), itertools.chain.from_iterable
+        return cls(domain, codomain, length, _blob(chain(chain(tables)), size), size)
+
+    @classmethod
+    def join(cls, domain: AbelianShape, codomain: AbelianShape, parts: Iterable):
+        """The tables of parts in order; a plain sequence of FiniteMaps is packed once."""
+        sets = [t if isinstance(t, cls) else [f.values for f in t] for t in parts]
+        sets = [t if isinstance(t, cls) else cls.of(domain, codomain, t, len(t)) for t in sets]
+        data, size = b"".join(s.data for s in sets), _slot_size(domain, codomain)
+        return cls(domain, codomain, sum(map(len, sets)), data, size)
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    def table(self, i: int) -> Table:
+        """The value table of table i, decoded without a FiniteMap."""
+        order, r = self.domain.order, len(self.codomain.factors)
+        step = order * r * self.size
+        entries = _entries(self.data[i * step : (i + 1) * step], self.size)
+        return tuple(zip(*[iter(entries)] * r)) if r else ((),) * order
+
+    def __getitem__(self, i: int) -> FiniteMap:
+        if not -self.length <= i < self.length:
+            raise IndexError("table index out of range")
+        f = object.__new__(FiniteMap)  # checked with the set, not again
+        values = self.table(i % self.length)
+        vars(f).update(domain=self.domain, codomain=self.codomain, values=values)
+        return f
+
+    def select(self, indices: Iterable[int]) -> "TableSet":
+        """The set of the tables at indices, in that order."""
+        step = self.domain.order * len(self.codomain.factors) * self.size
+        if isinstance(indices, range) and indices.step == 1:  # one run of tables
+            data = self.data[indices.start * step : indices.stop * step]
+            return TableSet(self.domain, self.codomain, len(indices), data, self.size)
+        starts = list(map(operator.mul, indices, itertools.repeat(step)))
+        ends = map(operator.add, starts, itertools.repeat(step))
+        data = b"".join(map(self.data.__getitem__, map(slice, starts, ends)))
+        return TableSet(self.domain, self.codomain, len(starts), data, self.size)
+
+    def zero_flags(self) -> list[int]:
+        """Per domain position, a 1 in the lowest bit of the slot of each table
+        that vanishes there, read off the top bits as in ``_top_orders``."""
+        width, ones = 8 * self.size, _slot_ones(self.length, self.size)
+        fill, r = ones * ((1 << width - 1) - 1), len(self.codomain.factors)
+        columns = _pack(self.data, self.domain.order, r, self.size)
+        nonzero = (reduce(operator.or_, cells) for cells in zip(*columns))
+        return [ones ^ ((n + fill) >> width - 1 & ones) for n in nonzero]
+
+    def zero_masks(self) -> list[int]:
+        """Per table, its zero set as one int (``zero_mask``), from ``zero_flags``."""
+        size, stride = self.size, self.length * self.size
+        rows = b"".join(f.to_bytes(stride, "little") for f in reversed(self.zero_flags()))
+        digits = (rows[i * size :: stride].translate(_BINARY_DIGITS) for i in range(self.length))
+        return [int(d or b"0", 2) for d in digits]
+
+
+@lru_cache(maxsize=None)
+def _slot_size(domain: AbelianShape, codomain: AbelianShape) -> int:
+    """Bytes per TableSet entry, in w bits: each modulus below 2^(w - 1), each
+    zero count up to |A| below 2^w, and for a one-prime pair the slot of its
+    degree transform (``_Component.slot_bytes``)."""
+    bits = max([domain.order.bit_length(), *(q.bit_length() + 1 for q in codomain.factors)])
+    plan = _sylow_plan(domain, codomain)
+    return max((bits + 7) // 8, plan[0].slot_bytes if _is_one_prime(plan) else 0)
+
+
+def _slot_ones(count: int, size: int) -> int:
+    """A 1 in the lowest bit of each of count slots of size bytes."""
+    return int.from_bytes((b"\x01" + bytes(size - 1)) * count, "little")
+
+
+def _blob(flat: Iterable[int], size: int) -> bytes:
+    """Entries as consecutive little-endian slots of size bytes."""
+    if size == 1:
+        return bytes(flat)
+    return b"".join(map(int.to_bytes, flat, itertools.repeat(size), itertools.repeat("little")))
+
+
+def _entries(data: bytes, size: int) -> Sequence[int]:
+    """The entries of a blob (``_blob`` inverted), from its top byte plane down."""
+    entries, repeat = data[size - 1 :: size], itertools.repeat
+    for b in range(size - 2, -1, -1):
+        entries = map(operator.add, map(operator.mul, entries, repeat(256)), data[b::size])
+    return entries if size == 1 else list(entries)
 
 
 @lru_cache(maxsize=64)
@@ -296,22 +404,24 @@ def _component_tables(values: Table, comp: _Component) -> list[list[int]] | None
     return tables
 
 
-def _pack(
-    flat: Iterable[int], count: int, cells: int, slots: int, size: int
-) -> list[list[int]]:
-    """Per codomain slot j, per cell k, one int holding that entry of each of
-    ``count`` tables, table i in bytes [size i, size (i + 1)); flat holds
-    entry (k, j) of table i at position (i cells + k) slots + j."""
-    data = bytes(flat) if size == 1 else list(flat)
-    stride = cells * slots
+def _pack(data: bytes, cells: int, slots: int, size: int) -> list[list[int]]:
+    """Per codomain slot j, per cell k, one int holding that entry of each
+    table of a TableSet blob, table i in bytes [size i, size (i + 1))."""
+    entries, stride = _entries(data, size), cells * slots
     packed = []
     for j in range(slots):
-        chunks = (data[k * slots + j :: stride] for k in range(cells))
+        chunks = (entries[k * slots + j :: stride] for k in range(cells))
         if size > 1:
-            sizes, order = itertools.repeat(size), itertools.repeat("little")
-            chunks = (b"".join(map(int.to_bytes, c, sizes, order)) for c in chunks)
+            chunks = (_blob(c, size) for c in chunks)
         packed.append([int.from_bytes(c, "little") for c in chunks])
     return packed
+
+
+def _unpack(columns: list[list[int]], count: int, size: int) -> bytes:
+    """The blob of count tables packed into columns (``_pack`` inverted)."""
+    cells = [c.to_bytes(count * size, "little") for cell in zip(*columns) for c in cell]
+    (tables,) = _pack(b"".join(cells), count, 1, size)
+    return b"".join(t.to_bytes(len(cells) * size, "little") for t in tables)
 
 
 def _slot_reduction(q: int, width: int, ones: int) -> Callable[[int], int]:
@@ -332,22 +442,21 @@ def _slot_difference(q: int, width: int, ones: int) -> Callable[[int, int], int]
     return lambda a, b: reduction(a + offset - b)
 
 
-def _top_orders(comp: _Component, columns: list[list[int]], count: int) -> list[int]:
+def _top_orders(comp: _Component, columns: list[list[int]], count: int, size: int) -> list[int]:
     """In place, each column becomes its coefficient column over the support
     box; returns, per table, one plus its top order, the largest total order
     of a nonzero cell (0 when all vanish).
 
-    A column holds ``count`` tables packed by ``_pack`` (one table: its
-    plain values, transformed mod q), and one transform with the slot-wise
-    step ``_slot_difference`` serves all of them.  A table's top
-    order is the largest order whose cells, ORed over the codomain slots,
-    leave its slot nonzero; slot + 2^(w - 1) - 1 sets the slot's top bit
-    exactly then, since every slot stays below 2^(w - 1).
+    A column holds ``count`` tables packed by ``_pack`` in slots of ``size``
+    bytes, at least ``comp.slot_bytes`` (one table: its plain values,
+    transformed mod q), and one transform with the slot-wise step
+    ``_slot_difference`` serves all of them.  A table's top order is the
+    largest order whose cells, ORed over the codomain slots, leave its slot
+    nonzero; slot + 2^(w - 1) - 1 sets the slot's top bit exactly then,
+    since every slot stays below 2^(w - 1).
     """
     gather, orders, levels = comp.box
-    size = comp.slot_bytes
-    width = 8 * size
-    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * count, "little")
+    width, ones = 8 * size, _slot_ones(count, size)
     top = -1
     for j, (_, _, q) in enumerate(comp.slots):
         if gather is not None:
@@ -371,10 +480,7 @@ def _top_orders(comp: _Component, columns: list[list[int]], count: int) -> list[
             pending ^= hit
             if not pending:
                 break
-    data = tops.to_bytes(count * size, "little")
-    if size == 1:
-        return list(data)
-    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+    return list(_entries(tops.to_bytes(count * size, "little"), size))
 
 
 def _raise_past_cap(
@@ -457,15 +563,16 @@ def primary_assemble(
 def functional_degree(f: FiniteMap) -> Degree:
     """Exact functional degree in the extended naturals: the one-table call
     of ``functional_degrees``, without its check (a FiniteMap has passed it)."""
-    return _degrees(f.domain, f.codomain, [f.values])[0]
+    return _degree(_tops(f.domain, f.codomain, [f.values])[0])
 
 
 def functional_degrees(
     domain: AbelianShape, codomain: AbelianShape, tables: Sequence[Table]
 ) -> list[Degree]:
     """Exact functional degrees, in the extended naturals and in input order,
-    of value tables from domain to codomain in enumeration order, every one
-    of which is checked first as a FiniteMap checks its own (ValueError).
+    of value tables from domain to codomain in enumeration order (or of a
+    TableSet of the pair), every one of which is checked first as a
+    FiniteMap checks its own (ValueError).
 
     Each Sylow component of a table is read off its codomain columns: +inf
     when it does not factor through the projection of the domain, else the
@@ -475,47 +582,60 @@ def functional_degrees(
     serves them all (``_top_orders``); a single table is transformed as its
     plain values mod q.
     """
+    return list(map(_degree, _degree_tops(domain, codomain, tables)))
+
+
+def _degree_tops(domain: AbelianShape, codomain: AbelianShape, tables: Sequence[Table]) -> list:
+    """``functional_degrees`` as integers, one plus each degree: 0 for -inf,
+    math.inf for +inf."""
     _check_tables(domain, codomain, tables)
-    return _degrees(domain, codomain, tables)
+    return _tops(domain, codomain, tables)
 
 
-def _degrees(
-    domain: AbelianShape, codomain: AbelianShape, tables: Sequence[Table]
-) -> list[Degree]:
-    """``functional_degrees`` on tables already checked."""
+def _tops(domain: AbelianShape, codomain: AbelianShape, tables: Sequence[Table]) -> list:
+    """``_degree_tops`` on tables already checked."""
     count = len(tables)
     plan = _sylow_plan(domain, codomain)
-    if _is_one_prime(plan):  # the component's columns are the value columns
-        finite, parts = range(count), None
-    else:
-        parts = [[_component_tables(values, comp) for values in tables] for comp in plan]
-        finite = [i for i in range(count) if all(p[i] is not None for p in parts)]
+    if _is_one_prime(plan) and count > 1:  # the component's columns are the value columns
+        if not isinstance(tables, TableSet):
+            tables = TableSet.of(domain, codomain, tables, count)
+        (comp,) = plan
+        columns = _pack(tables.data, domain.order, len(comp.slots), tables.size)
+        tops = _top_orders(comp, columns, count, tables.size)
+        if max(tops) > comp.cap + 1:
+            _raise_past_cap(domain, codomain, plan, [tops], list(map(tables.table, range(count))))
+        return tops
+    if isinstance(tables, TableSet):
+        tables = list(map(tables.table, range(count)))
+    parts = [[_component_tables(values, comp) for values in tables] for comp in plan]
+    finite = [i for i in range(count) if all(p[i] is not None for p in parts)]
     chain = itertools.chain.from_iterable
     tops, past_cap = [], False
     for n, comp in enumerate(plan if finite else ()):
         if len(finite) == 1:
-            columns = _component_tables(tables[0], comp) if parts is None else parts[n][finite[0]]
+            columns = parts[n][finite[0]]
         else:
-            rows = tables if parts is None else (zip(*parts[n][i]) for i in finite)
-            cells, slots = math.prod(comp.factors), len(comp.slots)
-            columns = _pack(chain(chain(rows)), len(finite), cells, slots, comp.slot_bytes)
-        tops.append(_top_orders(comp, columns, len(finite)))
+            rows = (zip(*parts[n][i]) for i in finite)
+            cells, slots, size = math.prod(comp.factors), len(comp.slots), comp.slot_bytes
+            columns = _pack(_blob(chain(chain(rows)), size), cells, slots, size)
+        tops.append(_top_orders(comp, columns, len(finite), comp.slot_bytes))
         past_cap = past_cap or max(tops[-1]) > comp.cap + 1
     if past_cap:
         _raise_past_cap(domain, codomain, plan, tops, [tables[i] for i in finite])
     combined = tops[0] if tops else [0] * len(finite)
     for more in tops[1:]:
         combined = list(map(max, combined, more))
-    degrees = [INF] * count
+    degrees = [math.inf] * count
     for i, top in zip(finite, combined):
-        degrees[i] = _degree(top)
+        degrees[i] = top
     return degrees
 
 
 @lru_cache(maxsize=None)
 def _degree(top: int) -> Degree:
-    """The degree of a table with top order top - 1 (``_top_orders``)."""
-    return Degree.of(top - 1) if top else NEG_INF
+    """The degree of a table with top order top - 1 (``_top_orders``), +inf
+    for top math.inf."""
+    return NEG_INF if not top else INF if top == math.inf else Degree.of(top - 1)
 
 
 def _forward_differences(
@@ -719,7 +839,7 @@ def series_coefficients(f: FiniteMap) -> dict[tuple[int, ...], tuple[int, ...]]:
         )
     (comp,) = plan
     tables = _component_tables(f.values, comp)
-    tops = _top_orders(comp, tables, 1)
+    tops = _top_orders(comp, tables, 1, comp.slot_bytes)
     if tops[0] > comp.cap + 1:
         _raise_past_cap(f.domain, f.codomain, plan, [tops], [f.values])
     points = itertools.product(*(range(w) for w in comp.widths))

@@ -26,7 +26,7 @@ from .bounds import (
 from .calculus import FiniteMap, functional_degree, zero_count
 from .errors import ConsistencyError, ResourceLimitError
 from .groups import AbelianShape, PGroupShape, enumeration_limit, max_functional_degree
-from .intmath import check_prime, power_exceeds
+from .intmath import check_prime, check_printable, too_long
 from .oracle import PolySystem, poly_zero_count, verify_bound, zero_count_trace
 from .partitions import Partition, conjugate, make_partition
 
@@ -59,17 +59,16 @@ def _parse_target_pairs(text: str, p: int) -> list[tuple[int, int]]:
     check_prime(p)
     for beta, _ in pairs:
         # Every output prints p^beta or B >= p^(beta - 1).
-        _check_printable(p, beta, "target exponent")
+        check_printable(p, beta, "target exponent")
     return pairs
 
 
 def _parse_printable_partition(text: str, p: int) -> Partition:
     """A partition whose largest part e leaves the output printable: bound,
-    scan and delta print an integer >= p^(e - 1), and verify with no sample
-    computes the bound."""
+    scan and delta print an integer >= p^(e - 1)."""
     alpha = _parse_partition(text)
     check_prime(p)
-    _check_printable(p, alpha.width, "part")
+    check_printable(p, alpha.width, "part")
     return alpha
 
 
@@ -83,22 +82,6 @@ def _check_columns(partition: Partition) -> Partition:
             f"largest part {partition.width} exceeds the enumeration limit {limit}"
         )
     return partition
-
-
-def _check_printable(p: int, exponent: int, what: str) -> None:
-    """Reject an exponent e with p^(e - 1) past 10^(limit + 1), where limit
-    is Python's digit limit for printing integers; no such power is formed.
-    The margin of one digit keeps every printable output."""
-    limit = sys.get_int_max_str_digits()
-    if limit and power_exceeds(p, exponent - 1, 10 ** (limit + 1)):
-        raise ValueError(f"{what} {exponent}: {_too_long(limit)}")
-
-
-def _too_long(limit: int) -> str:
-    return (
-        f"the result holds an integer of more than {limit} digits, Python's limit"
-        " for printing integers (PYTHONINTMAXSTRDIGITS=0 lifts it)"
-    )
 
 
 def _parse_budget(text: str) -> int | float:
@@ -169,7 +152,7 @@ def _printable(render):
     except ValueError as exc:
         limit = sys.get_int_max_str_digits()
         if limit and "integer string conversion" in str(exc):
-            raise ValueError(_too_long(limit)) from exc
+            raise ValueError(too_long(limit)) from exc
         raise
 
 
@@ -227,13 +210,7 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.mode == "sampled" and args.samples == 0:
-        # No sample means no table, so neither the table cap nor the
-        # enumeration limit bounds the run: only the bound is computed, so it
-        # takes the bound's digit check.
-        alpha = _parse_printable_partition(args.alpha, args.p)
-    else:
-        alpha = _parse_partition(args.alpha)
+    alpha = _parse_partition(args.alpha)  # verify_bound applies the digit check it needs
     shaped = _shaped_targets(args.p, args)
     if args.mode == "sampled" and args.seed is None:
         raise ValueError("sampled mode requires --seed for reproducibility")

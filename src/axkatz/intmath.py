@@ -242,6 +242,23 @@ def power_text(base: int, exponent: int) -> str:
     return str(base**exponent)
 
 
+def check_printable(p: int, exponent: int, what: str) -> None:
+    """Reject an exponent e with p^(e - 1) past 10^(limit + 1), where limit
+    is Python's digit limit for printing integers; no such power is formed.
+    The margin of one digit keeps every printable output."""
+    limit = sys.get_int_max_str_digits()
+    if limit and power_exceeds(p, exponent - 1, 10 ** (limit + 1)):
+        raise ValueError(f"{what} {exponent}: {too_long(limit)}")
+
+
+def too_long(limit: int) -> str:
+    """The message for an integer past Python's digit limit for printing."""
+    return (
+        f"the result holds an integer of more than {limit} digits, Python's limit"
+        " for printing integers (PYTHONINTMAXSTRDIGITS=0 lifts it)"
+    )
+
+
 def ceil_div(a: int, b: int) -> int:
     """Ceiling of a / b for positive b, exact for negative a as well."""
     if b <= 0:

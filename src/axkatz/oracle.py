@@ -16,23 +16,26 @@ their exact count |B| (K - 1).  Either mode checks its number of systems
 against MAX_SYSTEMS before it builds any table: the product of the targets'
 |B| (K - 1) (exhaustive) or the sample count (sampled).  The
 oracle stays independent of what it checks: it never consults the
-closed-form bound, and one ``functional_degrees`` call per target checks
+closed-form bound, and one ``calculus._degree_tops`` call per target checks
 every table (exhaustive: every enumerated table; sampled: every draw, once
 all of them are drawn) and computes its degree again from its values, not
-from the generators (``_rechecked_degrees``).  A degree above d (sampled:
+from the generators (``_rechecked_tops``).  A degree above d (sampled:
 outside (0, d]) raises ConsistencyError, and the test suite compares the
 enumeration, and the sampler's support, with the brute-force bucketing of
 every table.
 
-Zeros are counted on bit masks.  A map's zero set is one int whose bit k is
-set when table entry k is the zero element (``calculus.zero_mask``); a
-system's zero set is the AND of its maps' masks and its size the bit count,
-so each candidate is read once and each system costs r - 1 ANDs.  The masks
-come from the value tables themselves, never from series coefficients or a
+The tables of a target are one ``calculus.TableSet``: one slot per entry,
+tables side by side in one blob, generated, rechecked and zero-counted in
+that layout, with a FiniteMap built only for a table read out.  Zeros are
+counted slot-wise: per domain position, one int flags the candidates that
+vanish there, one slot each, and summing those ints over the positions
+gives every candidate's zero count at once.  With several targets the sum
+runs over the zeros of each system of the other targets.  The flags come
+from the value tables themselves, never from series coefficients or a
 closed form, so the counts stay an independent check of the bound.
-Polynomial systems get the same masks from value tables built one axis at a
-time from tabulated powers.  The test suite compares both counts with a
-count written from the definition.
+Polynomial systems count zeros on bit masks (``calculus.zero_mask``) of
+value tables built one axis at a time from tabulated powers.  The test
+suite compares both counts with a count written from the definition.
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ import itertools
 import math
 import operator
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .bounds import (
     TargetSpec,
@@ -56,19 +60,24 @@ from .bounds import (
 from .calculus import (
     BinomialSeries,
     FiniteMap,
-    Table,
-    _checked_maps,
+    TableSet,
     _count_valuation,
+    _degree,
+    _degree_tops,
+    _entries,
+    _forward_differences,
+    _slot_ones,
     _slot_reduction,
+    _slot_size,
+    _unpack,
     coefficient_table,
     degree_generators,
     functional_degree,  # not called here; perfbench's tracer test reads oracle.functional_degree
-    functional_degrees,
     proper_lift,
     zero_count,
     zero_mask,
 )
-from .degrees import INF, NEG_INF, Degree
+from .degrees import INF, Degree
 from .errors import ConsistencyError, ResourceLimitError
 from .groups import (
     AbelianShape,
@@ -80,7 +89,8 @@ from .groups import (
     one_variable_cap,
     pure_prime,
 )
-from .intmath import ceil_div, check_prime, factorize, multiplicity, power_exceeds, power_text
+from .intmath import ceil_div, check_prime, check_printable, factorize, multiplicity
+from .intmath import power_exceeds, power_text
 from .partitions import Partition, make_partition
 
 DIRECT_SUM_CAP = 1024
@@ -162,7 +172,7 @@ def functions_by_degree(
     codomain: AbelianShape,
     cap: int = 2**20,
     max_degree: int | None = None,
-) -> dict[Degree, list[FiniteMap]]:
+) -> dict[Degree, TableSet]:
     """Bucket maps from domain to codomain by exact functional degree.
 
     With max_degree=None every table is bucketed.  With max_degree=d (a
@@ -171,42 +181,47 @@ def functions_by_degree(
     without building the others.  Tables arrive in itertools.product order,
     and buckets keep the order in which each degree first appears.  Every
     table is checked, and its degree computed again from its values, in one
-    batch (``_rechecked_degrees``), then wrapped in a FiniteMap.
+    batch (``_rechecked_tops``).  A bucket is a sequence of FiniteMaps held
+    as one TableSet, which builds a FiniteMap only for a table read out.
     """
     _check_table_cap(codomain.order, domain.order, 1, cap)
-    tables = list(_tables(domain, codomain, max_degree))
-    degrees = _rechecked_degrees(domain, codomain, tables, NEG_INF, max_degree)
-    buckets: dict[Degree, list[FiniteMap]] = {}
-    for f, degree in zip(_checked_maps(domain, codomain, tables), degrees):
-        buckets.setdefault(degree, []).append(f)
-    return buckets
+    tables = _tables(domain, codomain, max_degree)
+    tops = _rechecked_tops(domain, codomain, tables, 0, max_degree)
+    # A stable sort by top puts each bucket in one run, in product order.
+    ranked, ordered = tables.select(sorted(range(len(tops)), key=tops.__getitem__)), sorted(tops)
+    return {
+        _degree(top): ranked.select(range(bisect_left(ordered, top), bisect_right(ordered, top)))
+        for top in dict.fromkeys(tops)
+    }
 
 
-def _rechecked_degrees(
+def _rechecked_tops(
     domain: AbelianShape,
     codomain: AbelianShape,
-    tables: list[Table],
-    least: Degree,
+    tables: TableSet,
+    least: int,
     max_degree: int | None,
-) -> list[Degree]:
-    """Degrees of generated or drawn tables, again from their values by one
-    ``functional_degrees`` call; the first outside [least, max_degree] raises."""
-    degrees = functional_degrees(domain, codomain, tables)
-    top = INF if max_degree is None else max_degree
-    # Distinct degrees, in the order of their first tables.
-    outside = [degree for degree in dict.fromkeys(degrees) if not least <= degree <= top]
+) -> list:
+    """One plus the degree of each generated or drawn table (0 for -inf),
+    again from its values by one ``_degree_tops`` call; the first outside
+    [least, max_degree + 1] raises."""
+    tops = _degree_tops(domain, codomain, tables)
+    high = math.inf if max_degree is None else max_degree + 1
+    # Distinct tops, in the order of their first tables.
+    outside = [top for top in dict.fromkeys(tops) if not least <= top <= high]
     if outside:
         raise ConsistencyError(
-            f"a generated table has degree {outside[0]} outside [{least}, {top}]",
+            f"a generated table has degree {_degree(outside[0])}"
+            f" outside [{_degree(least)}, {_degree(high)}]",
             instance={
                 "domain": domain.factors,
                 "codomain": codomain.factors,
                 "max_degree": max_degree,
-                "order": outside[0].to_json(),
-                "values": tables[degrees.index(outside[0])],
+                "order": _degree(outside[0]).to_json(),
+                "values": tables.table(tops.index(outside[0])),
             },
         )
-    return degrees
+    return tops
 
 
 def _check_table_cap(q: int, p: int, size: int, cap: int) -> None:
@@ -227,7 +242,7 @@ def _check_table_cap(q: int, p: int, size: int, cap: int) -> None:
 
 def _tables(
     domain: AbelianShape, codomain: AbelianShape, max_degree: int | None
-) -> Iterable[Table]:
+) -> TableSet:
     """Value tables in itertools.product order; with max_degree set, only
     those of degree <= max_degree.
 
@@ -237,11 +252,13 @@ def _tables(
     with the first position on top, so int order is product order.  The
     multiples of each generator are added slot by slot, and the slots are
     reduced mod q (``calculus._slot_reduction``) before they could overflow.
+    The sorted ints, written big-endian, are the TableSet's blob.
     """
     targets = enumerate_elements(codomain)
     n, r = domain.order, len(codomain.factors)
     if max_degree is None or _bounded_map_count(domain, codomain, max_degree) == len(targets) ** n:
-        return itertools.product(targets, repeat=n)
+        tables = itertools.product(targets, repeat=n)
+        return TableSet.of(domain, codomain, tables, len(targets) ** n)
     width, factors = _packed_generators(domain, codomain, max_degree)
     ones = sum(1 << width * k for k in range(n * r))
     packed = [0]
@@ -257,27 +274,11 @@ def _tables(
             top += q - 1
         packed = [a + d for d in map(reduction, digits) for a in packed]
     packed.sort()
-    # Each table is read as two halves, and each distinct half once: sorted
-    # tables with one upper half come in a run.
-    low = width * r * (n - n // 2)
-    mask = (1 << low) - 1
-    step = width // 8
-
-    def read(half: int, size: int) -> Table:
-        data = half.to_bytes(size * r * step, "big")
-        if step > 1:
-            data = [int.from_bytes(data[i : i + step], "big") for i in range(0, len(data), step)]
-        return tuple(zip(*[iter(data)] * r))
-
-    lower = {h: read(h, n - n // 2) for h in {x & mask for x in packed}}
-    known = lower if n % 2 == 0 else {}  # halves of one size read alike
-    tables, upper = [], None
-    for x in packed:
-        if x >> low != upper:
-            upper = x >> low
-            head = known.get(upper) or read(upper, n // 2)
-        tables.append(head + lower[x & mask])
-    return tables
+    size, repeat = width // 8, itertools.repeat
+    data = b"".join(map(int.to_bytes, packed, repeat(n * r * size), repeat("big")))
+    if size > 1:  # each slot was written big-endian
+        data = b"".join(data[o : o + size][::-1] for o in range(0, len(data), size))
+    return TableSet(domain, codomain, len(packed), data, size)
 
 
 def _bounded_map_count(domain: AbelianShape, codomain: AbelianShape, max_degree: int) -> int:
@@ -297,7 +298,7 @@ def _packed_generators(
     constant 1, when max_degree >= 0, and of each generator)) for ``_tables``.
     Every q stays below 2^(width - 1)."""
     n, r = domain.order, len(codomain.factors)
-    width = 8 * max(((q.bit_length() + 8) // 8) for q in codomain.factors)
+    width = 8 * _slot_size(domain, codomain)
     factors = []
     for j, (q, generators) in enumerate(
         zip(codomain.factors, degree_generators(domain, codomain, max_degree))
@@ -319,8 +320,8 @@ def brute_max_degree(domain: AbelianShape, codomain: AbelianShape, cap: int = 2*
     p = pure_prime(domain)
     if p is None or pure_prime(codomain) != p:
         raise ValueError("both shapes must be p-groups of one common prime")
-    tables = list(_tables(domain, codomain, None))
-    best = max(_rechecked_degrees(domain, codomain, tables, NEG_INF, None))
+    tops = _rechecked_tops(domain, codomain, _tables(domain, codomain, None), 0, None)
+    best = _degree(max(tops))
     exponents = make_partition(multiplicity(p, m) for m in domain.factors)
     beta = max(multiplicity(p, m) for m in codomain.factors)
     expected = max_functional_degree(PGroupShape(p, exponents), beta)
@@ -375,15 +376,18 @@ def sample_bounded_map(
 
 def sample_bounded_maps(
     domain: AbelianShape, codomain: AbelianShape, cap: int, rng: random.Random, count: int
-) -> list[FiniteMap]:
-    """count independent uniform random maps among those of degree in (0, cap].
+) -> TableSet:
+    """count independent uniform random maps among those of degree in (0, cap],
+    as a sequence of FiniteMaps held as one TableSet.
 
     One draw from the rng per map picks a constant and a nonzero combination
     of the generators of ``degree_generators`` (the maps of degree <= cap
-    that vanish at 0, a direct sum of cyclic groups), decoded digit by digit;
-    each codomain column is then one inverse transform.  Once all count maps
-    are drawn, ``_rechecked_degrees`` computes their degrees again, and the
-    first one outside (0, cap] raises ConsistencyError with its table.
+    that vanish at 0, a direct sum of cyclic groups), decoded digit by digit
+    into binomial coefficients.  Per codomain factor, the coefficients of
+    all draws are packed side by side, one slot per draw, and one slot-wise
+    inverse transform turns them into values.  Once all count maps are
+    drawn, ``_rechecked_tops`` computes their degrees again, and the first
+    one outside (0, cap] raises ConsistencyError with its table.
     """
     p = pure_prime(domain)
     if p is None or pure_prime(codomain) != p:
@@ -393,21 +397,27 @@ def sample_bounded_maps(
     check_enumerable(domain.order)
     nonconstant = _bounded_map_count(domain, codomain, cap) - codomain.order
     generators = degree_generators(domain, codomain, cap)
-    tables = []
-    for _ in range(count):
+    size = _slot_size(domain, codomain)
+    columns = [[0] * domain.order for _ in codomain.factors]
+    for i in range(count):
         constants, combination = divmod(rng.randrange(nonconstant), nonconstant // codomain.order)
         combination += 1
-        columns = []
-        for q, factor in zip(codomain.factors, generators):
+        for q, factor, column in zip(codomain.factors, generators, columns):
             constants, constant = divmod(constants, q)
-            terms = [(0, constant)]
+            cells = {0: constant}
             for generator, order in factor:
                 combination, t = divmod(combination, order)
-                terms += [(cell, t * c) for cell, c in generator]
-            columns.append(coefficient_table(domain, q, terms))
-        tables.append(tuple(zip(*columns)))
-    _rechecked_degrees(domain, codomain, tables, Degree.of(1), cap)
-    return _checked_maps(domain, codomain, tables)
+                for cell, c in generator:
+                    cells[cell] = (cells.get(cell, 0) + t * c) % q
+            for cell, c in cells.items():
+                column[cell] |= c << 8 * size * i
+    ones = _slot_ones(count, size)
+    for q, column in zip(codomain.factors, columns):
+        reduction = _slot_reduction(q, 8 * size, ones)  # a sum of two slots stays below 2q
+        _forward_differences(column, domain.factors, None, lambda a, b: reduction(a + b))
+    tables = TableSet(domain, codomain, count, _unpack(columns, count, size), size)
+    _rechecked_tops(domain, codomain, tables, 2, cap)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -473,6 +483,10 @@ def verify_bound(
             _check_table_cap(shape.order, p, alpha.size, cap)
     elif samples > 0:
         check_enumerable(p, alpha.size)
+    else:
+        # No sample builds no table, so no cap bounds the run: only the bound
+        # is computed, and it takes the bound's digit check.
+        check_printable(p, alpha.width, "part")
     domain = PGroupShape(p, alpha).shape()
     if mode == "exhaustive":
         systems = math.prod(
@@ -495,9 +509,13 @@ def verify_bound(
     }
 
     if mode == "exhaustive":
-        # Rechecked degrees lie in [-inf, d], so those above 0 qualify.
+        # Rechecked degrees lie in [-inf, d], so those above 0 qualify; a
+        # bucket that is a plain list of FiniteMaps is packed once.
         buckets = [functions_by_degree(domain, shape, cap, d) for shape, d in shaped]
-        candidate_lists = [[f for k, fs in b.items() if k > 0 for f in fs] for b in buckets]
+        candidate_lists = [
+            TableSet.join(domain, shape, [fs for k, fs in b.items() if k > 0])
+            for (shape, _), b in zip(shaped, buckets)
+        ]
         combine = itertools.product
     else:
         # Drawing no sample builds no table, so the domain is never enumerated.
@@ -527,39 +545,53 @@ def verify_bound(
 
 def _scan_systems(
     p: int,
-    candidate_lists: list[list[FiniteMap]],
+    candidate_lists: list[TableSet],
     combine: Callable,
     claimed: Degree,
 ) -> tuple[Degree | None, tuple | None, int, bool]:
     """(min ord_p of the zero counts, its first witness, systems tested,
     whether every system met the claimed bound) over combine(*lists).
 
-    Each candidate's zero set is one bit mask, so a system's zero count is
-    the bit count of the AND of its maps' masks (a system has one map per
-    target, and at least one target); with no system, no mask of |A| bits
-    is formed.  Systems are compared once per distinct count:
-    a later system with a count already seen has the same valuation, so it
-    can neither fail where the first did not nor become the witness.
+    Zeros are counted slot-wise.  With itertools.product, the systems come
+    in runs: one per prefix system of all targets but the last, in product
+    order, each with every candidate of the last target.  A run's zero
+    counts are one sum, over the zeros of its prefix (the AND of the
+    prefix's zero masks), of the last target's ``zero_flags``: one slot per
+    candidate.  With zip, the one run's counts are the bit counts of the
+    ANDed zero masks.  Each run compares its distinct counts only, and only
+    the witness, the first system of least valuation, is decoded.
     """
-    masks = [[zero_mask(f.values, f.codomain.zero()) for f in lst] for lst in candidate_lists]
-    seen: set[int] = set()
-    min_ord: Degree | None = None
-    witness = None
-    tested = 0
-    passed = True
-    for system_masks, maps in zip(combine(*masks), combine(*candidate_lists)):
-        count = reduce(operator.and_, system_masks).bit_count()
-        tested += 1
-        if count in seen:
-            continue
-        seen.add(count)
-        observed = _count_valuation(p, count)
-        if observed < claimed:
-            passed = False
-        if min_ord is None or observed < min_ord:
-            min_ord = observed
-            witness = tuple(f.values for f in maps)
-    return min_ord, witness, tested, passed
+    if not all(map(len, candidate_lists)):
+        return None, None, 0, True
+    if combine is zip:
+        masks = [tables.zero_masks() for tables in candidate_lists]
+        runs = [((), [reduce(operator.and_, system).bit_count() for system in zip(*masks)])]
+    else:
+        *head, last = candidate_lists
+        flags, masks, order = last.zero_flags(), [t.zero_masks() for t in head], last.domain.order
+        runs = (
+            (prefix, _entries(total.to_bytes(len(last) * last.size, "little"), last.size))
+            for prefix in itertools.product(*(range(len(t)) for t in head))
+            for zeros in [reduce(operator.and_, map(list.__getitem__, masks, prefix), ~0)]
+            for total in [sum(flags[k] for k in range(order) if zeros >> k & 1)]
+        )
+    ords: dict[int, int | float] = {}  # ord_p of each count seen, math.inf for 0
+    low, witness, tested, passed = math.inf, None, 0, True
+    for prefix, counts in runs:
+        tested += len(counts)
+        distinct = dict.fromkeys(counts)
+        for count in distinct:
+            if count not in ords:
+                ords[count] = multiplicity(p, count) if count else math.inf
+        least = min(map(ords.__getitem__, distinct))
+        passed = passed and least >= claimed.value
+        if witness is None or least < low:
+            low = least
+            witness = (*prefix, next(k for k, c in enumerate(counts) if ords[c] == low))
+    if combine is zip:
+        witness = (witness[-1],) * len(candidate_lists)
+    systems = tuple(map(TableSet.table, candidate_lists, witness))
+    return INF if low == math.inf else Degree.of(low), systems, tested, passed
 
 
 @dataclass(frozen=True)

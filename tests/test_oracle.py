@@ -29,6 +29,7 @@ from axkatz import (
     brute_objective_minimum,
     enumerate_elements,
     functional_degree,
+    functional_degrees,
     functions_by_degree,
     make_partition,
     make_targets,
@@ -141,7 +142,27 @@ def test_wide_slots_match_brute_force_bucketing():
         )
 
 
-# The criterion-7 instances and the tiny exhaustive shapes of the benchmark.
+@pytest.mark.parametrize("dom, cod", JOIN_PAIRS)
+def test_table_set_buckets_match_the_reference_table_for_table(dom, cod):
+    # Both ways of building tables (generators combined, and every table at
+    # once) against the brute-force bucketing, and the degrees of the
+    # decoded tuples against their buckets.
+    domain, codomain = AbelianShape(dom), AbelianShape(cod)
+    top = max(degree for degree in _all_buckets(domain, codomain) if degree.is_finite).value
+    for d in (1, top - 1, None):
+        got = functions_by_degree(domain, codomain, max_degree=d)
+        expected = _reference_buckets(domain, codomain, d)
+        assert list(got) == list(expected), d
+        for degree, tables in got.items():
+            assert isinstance(tables, calculus.TableSet)
+            decoded = [tables.table(i) for i in range(len(tables))]
+            assert decoded == [f.values for f in expected[degree]], (d, degree)
+            assert functional_degrees(domain, codomain, decoded) == [degree] * len(decoded)
+
+
+# The criterion-7 instances, the tiny exhaustive shapes of the benchmark, and
+# the slot cases of the packed tables: two-byte value slots (Z/2 -> Z/128,
+# 896 systems) and two codomain slots ((Z/2)^2 -> Z/2 + Z/4, 2040 systems).
 VERIFY_INSTANCES = [
     (2, [2, 1], [((2,), 1)]),
     (2, [1, 1, 1], [((2,), 2)]),
@@ -159,6 +180,8 @@ VERIFY_INSTANCES = [
     (5, [1], [((5,), 2)]),
     (5, [1], [((5,), 3)]),
     (5, [1], [((5,), 4)]),
+    (2, [1], [((128,), 3)]),
+    (2, [1, 1], [((2, 4), 2)]),
 ]
 
 
@@ -235,12 +258,13 @@ def test_generated_table_past_a_patched_cap_raises(monkeypatch):
 
 def test_join_degree_cross_check_replays(monkeypatch):
     # A degree oracle that reads one more than the truth makes the join's
-    # cross-check fire; its instance rebuilds the same call.
-    real = oracle.functional_degrees
+    # cross-check fire; its instance rebuilds the same call.  The recheck
+    # reads degrees as integer tops, one plus the degree.
+    real = oracle._degree_tops
     monkeypatch.setattr(
         oracle,
-        "functional_degrees",
-        lambda domain, codomain, tables: [d + 1 for d in real(domain, codomain, tables)],
+        "_degree_tops",
+        lambda domain, codomain, tables: [t + 1 for t in real(domain, codomain, tables)],
     )
     # The first generated table of true degree 2 is the first read as 3.
     first = _reference_buckets(Z42, Z2, 2)[Degree.of(2)][0].values
@@ -358,13 +382,13 @@ def test_batch_sampling_draws_as_single_draws_and_rechecks_every_table(monkeypat
         assert rng.getstate() == ref.getstate()
     # A recheck that reads the third and fifth draws as constants names the third.
     expected = oracle.sample_bounded_maps(Z42, Z4, 2, random.Random(9), 7)[2]
-    real = oracle.functional_degrees
+    # Top 1 is degree 0.
+    real = oracle._degree_tops
     monkeypatch.setattr(
         oracle,
-        "functional_degrees",
+        "_degree_tops",
         lambda domain, codomain, tables: [
-            Degree.of(0) if k in (2, 4) else d
-            for k, d in enumerate(real(domain, codomain, tables))
+            1 if k in (2, 4) else t for k, t in enumerate(real(domain, codomain, tables))
         ],
     )
     with pytest.raises(ConsistencyError) as info:
@@ -493,7 +517,8 @@ def _per_system_reference(p, candidate_lists, combine, claimed):
     return min_ord, witness, tested, passed
 
 
-# The benchmark's sampled shapes (two targets in the last but one), two seeds each.
+# The benchmark's sampled shapes (two targets in the last but one), two seeds
+# each, then a domain of 512 elements, whose zero counts need slots of two bytes.
 SAMPLED_INSTANCES = [
     (2, [2, 2], [((2,), 2)]),
     (2, [1, 1, 1, 1], [((2,), 3)]),
@@ -501,6 +526,7 @@ SAMPLED_INSTANCES = [
     (3, [1, 1], [((9,), 3)]),
     (2, [2, 2], [((2,), 3), ((2,), 2)]),
     (2, [2, 1, 1], [((4,), 3)]),
+    (2, [1] * 9, [((2,), 2)]),
 ]
 
 
@@ -590,6 +616,26 @@ def test_verify_checks_its_caps_before_any_power_of_a_part():
         functions_by_degree(Z42, Z4, cap=100)
     assert str(small.value) == str(direct.value)
     assert str(direct.value) == "65536 tables exceed the exhaustive cap 100; use sampled mode"
+
+
+def test_verify_with_no_sample_on_a_huge_part_raises_at_once():
+    # The digit check of the CLI, inside verify_bound; a fresh process with a
+    # timeout, so a regression fails instead of hanging the suite.
+    code = (
+        "from axkatz import AbelianShape, make_partition, verify_bound; "
+        "verify_bound(7, make_partition([10**9]), [(AbelianShape((7,)), 1)], "
+        "mode='sampled', seed=1, samples=0)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(oracle.__file__))}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 1
+    assert run.stderr.splitlines()[-1] == (
+        "ValueError: part 1000000000: the result holds an integer of more than "
+        f"{sys.get_int_max_str_digits()} digits, Python's limit for printing integers "
+        "(PYTHONINTMAXSTRDIGITS=0 lifts it)"
+    )
 
 
 def test_verify_checks_its_system_count_before_building_any_table(monkeypatch):

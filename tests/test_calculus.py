@@ -223,6 +223,25 @@ def test_finite_map_accepts(codomain, values):
     assert FiniteMap(Z2, codomain, values).values == values
 
 
+@pytest.mark.parametrize("bad", [((0, 0), (2, 0), (1, 3), (0, 1)), ((0, 0), (1, 4), (0, 0), (0, 0))])
+def test_table_sets_are_range_checked_slot_by_slot(bad):
+    # A table set's blob can hold any byte: each codomain slot is checked
+    # against its own modulus (2 is fine in Z/4, not in Z/2), and the error
+    # names the first bad entry as a FiniteMap would.
+    domain, codomain = AbelianShape((2, 2)), AbelianShape((2, 4))
+    good = ((0, 0), (1, 3), (0, 2), (1, 1))
+    with pytest.raises(ValueError) as expected:
+        FiniteMap(domain, codomain, bad)
+    tables = calculus.TableSet.of(domain, codomain, [good, bad, good], 3)
+    with pytest.raises(ValueError) as info:
+        functional_degrees(domain, codomain, tables)
+    assert str(info.value) == str(expected.value)
+    valid = calculus.TableSet.of(domain, codomain, [good, good], 2)
+    assert functional_degrees(domain, codomain, valid) == functional_degrees(
+        domain, codomain, [good, good]
+    )
+
+
 @pytest.mark.parametrize(
     "domain, codomain, values, message",
     [

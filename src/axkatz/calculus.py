@@ -20,16 +20,16 @@ difference of order w_i = cap_i + 1 along that axis vanishes.  The iterated
 differences at the origin over the support box prod [0, w_i) are therefore
 all the binomial-basis coefficients of the periodic pullback, and
 Delta^m f(x) = sum_n c_n C(x, n - m) makes the degree the largest total
-order of a nonzero coefficient.  One in-place forward-difference transform
-per axis (Yates) computes the whole box from the values on it, one integer
-column per codomain factor.  ``functional_degrees`` runs it once for a whole
-batch of tables: each cell of a column packs the batch into one int, one
-slot of whole bytes per table, and the transform's step works slot by slot.
-The box has prod w_i cells, which can dwarf the table (3^16 cells for a map
-(Z/2)^16 -> Z/4), so a box past the enumeration limit raises
-ResourceLimitError before it is built.  A nonzero
-coefficient beyond the component's degree cap would contradict the closed
-form and raises ConsistencyError.  ``difference`` and
+order of a nonzero coefficient.  One forward-difference transform per axis
+(Yates) computes the whole box from the values on it, each step slot-wise
+on packed ints.  One table holds its box in one int, a slot per cell, and
+an axis is stepped inside it; a batch (``functional_degrees``) holds one
+int per cell, a slot per table, and is stepped across the cells, as exact
+integers are.  The box has prod w_i cells, which can dwarf the table (3^16
+cells for a map (Z/2)^16 -> Z/4), so a box past the enumeration limit
+raises ResourceLimitError before it is built.  A nonzero coefficient beyond
+the component's degree cap would contradict the closed form and raises
+ConsistencyError.  ``difference`` and
 ``iterated_difference`` are the definition-level operators, both read
 through one index map per translation; the test suite checks the transform
 against them.  ``reconstruct`` evaluates a coefficient table point by point
@@ -442,32 +442,42 @@ def _slot_difference(q: int, width: int, ones: int) -> Callable[[int, int], int]
     return lambda a, b: reduction(a + offset - b)
 
 
+def _slot_sum(q: int, width: int, ones: int) -> Callable[[int, int], int]:
+    """Slot-wise a + b mod q on packed ints of reduced slots (below 2q)."""
+    reduction = _slot_reduction(q, width, ones)
+    return lambda a, b: reduction(a + b)
+
+
 def _top_orders(comp: _Component, columns: list[list[int]], count: int, size: int) -> list[int]:
     """In place, each column becomes its coefficient column over the support
     box; returns, per table, one plus its top order, the largest total order
     of a nonzero cell (0 when all vanish).
 
-    A column holds ``count`` tables packed by ``_pack`` in slots of ``size``
-    bytes, at least ``comp.slot_bytes`` (one table: its plain values,
-    transformed mod q), and one transform with the slot-wise step
-    ``_slot_difference`` serves all of them.  A table's top order is the
-    largest order whose cells, ORed over the codomain slots, leave its slot
-    nonzero; slot + 2^(w - 1) - 1 sets the slot's top bit exactly then,
-    since every slot stays below 2^(w - 1).
+    A batch holds ``count`` tables packed by ``_pack`` in slots of ``size``
+    bytes, at least ``comp.slot_bytes``, one int per cell, and one transform
+    with the slot-wise step ``_slot_difference`` serves all of them.  A
+    table's top order is the largest order whose cells, ORed over the
+    codomain slots, leave its slot nonzero; slot + 2^(w - 1) - 1 sets the
+    slot's top bit exactly then, since every slot stays below 2^(w - 1).
+    One table (count 1, size ``comp.slot_bytes``) is one int whose top order
+    is the highest order level meeting it, unless its box has no masks.
     """
     gather, orders, levels = comp.box
-    width, ones = 8 * size, _slot_ones(count, size)
-    top = -1
+    masks = _box_masks(comp.widths, size) if count == 1 else None
+    width, ones, top = 8 * size, masks[0] if masks else _slot_ones(count, size), -1
     for j, (_, _, q) in enumerate(comp.slots):
         if gather is not None:
             columns[j] = list(map(columns[j].__getitem__, gather))
-        if count == 1:
-            _forward_differences(columns[j], comp.widths, q)
-        else:
-            _forward_differences(columns[j], comp.widths, None, _slot_difference(q, width, ones))
-        top = max(top, max(itertools.compress(orders, columns[j]), default=-1))
-    if count == 1:
-        return [top + 1]
+        if masks:  # one table: its whole box in one int
+            columns[j] = [int.from_bytes(_blob(columns[j], size), "little")]
+        step = _slot_difference(q, width, ones)
+        _forward_differences(columns[j], comp.widths, step, masks[1] if masks else None)
+        if not masks:
+            top = max(top, max(itertools.compress(orders, columns[j]), default=-1))
+    if masks:
+        nonzero = reduce(operator.or_, map(operator.itemgetter(0), columns))
+        hits = (o + 1 for o in range(len(levels) - 1, -1, -1) if nonzero & masks[2][o])
+        return [next(hits, 0)]
     chain = itertools.chain.from_iterable
     pending = ones << width - 1
     fill, tops = pending - ones, 0
@@ -579,8 +589,8 @@ def functional_degrees(
     largest total order of a nonzero series coefficient (see the module
     docstring).  The degree is the maximum over the components.  The tables
     are packed side by side (``_pack``), so one transform per codomain slot
-    serves them all (``_top_orders``); a single table is transformed as its
-    plain values mod q.
+    serves them all (``_top_orders``); a single table is transformed in one
+    int holding its whole box.
     """
     return list(map(_degree, _degree_tops(domain, codomain, tables)))
 
@@ -638,41 +648,76 @@ def _degree(top: int) -> Degree:
     return NEG_INF if not top else INF if top == math.inf else Degree.of(top - 1)
 
 
-def _forward_differences(
-    column: list[int], widths: Sequence[int], mod: int | None, step=operator.sub
-) -> None:
-    """In place over a row-major box: cell n becomes the n-th iterated forward
-    difference of the original array at the origin, mod ``mod`` (None keeps
-    exact integers).
+def _forward_differences(column: list[int], widths: Sequence[int], step, rows=None) -> None:
+    """In place over a row-major box: cell n becomes the n-th iterated
+    forward difference of the original array at the origin, by the
+    slot-wise step(a, b) (``_slot_difference``; ``operator.sub`` keeps plain
+    ints exact; ``_slot_sum`` undoes the transform).
 
-    One pass per axis (Yates): with the axis outermost, rows k..w-1 are
-    differenced against their predecessors for k = 1..w-1, then the axis is
-    rotated to the end so the next one comes outermost; after every axis
-    the layout is the original one again.  With step=operator.add the same
-    passes undo the transform (``_inverse_differences``).
+    Per axis, for k = 1..w-1 the rows k..w-1 are stepped against their
+    predecessors.  Across entries (entry n cell n): one step per entry, the
+    axis outermost, then rotated to the end.  Inside one entry, given the
+    box's ``rows`` (``_box_masks``, column[0] holding cell n in its slot n):
+    one step against the int shifted one row up the axis, masked to the rows
+    k..w-1.
     """
-    size = len(column)
-    if not size:  # a zero width leaves an empty box
+    if rows is not None:
+        (packed,) = column
+        for shift, masks in rows:
+            for mask in masks:
+                packed = step(packed, packed << shift & mask)
+        column[0] = packed
+        return
+    cells = len(column)
+    if not cells:  # a zero width leaves an empty box
         return
     for w in widths:
-        rest = size // w
+        rest = cells // w
         for k in range(1, w):
             lo = k * rest
-            column[lo:] = map(step, column[lo:], column[lo - rest : size - rest])
-        rotated = (
-            column  # the axis is the whole box: rotating it changes nothing
-            if rest == 1
-            else itertools.chain.from_iterable(
-                zip(*(column[j * rest : (j + 1) * rest] for j in range(w)))
-            )
+            column[lo:] = map(step, column[lo:], column[lo - rest : cells - rest])
+        if rest > 1:  # else the axis is the whole box: rotating it changes nothing
+            slices = (column[j * rest : (j + 1) * rest] for j in range(w))
+            column[:] = itertools.chain.from_iterable(zip(*slices))
+
+
+_MASK_BYTES = 1 << 25  # past this a table's box is stepped one int per cell
+
+
+def _box_masks(widths: tuple[int, ...], size: int) -> tuple[int, tuple, tuple[int, ...]] | None:
+    """(ones, rows, levels) for a box held in one int, cell n in slot n of
+    size bytes (None past _MASK_BYTES): a 1 in each slot's lowest bit; per
+    axis (shift, masks), a shift moving each cell one row up the axis and
+    masks[k - 1] its rows k..w-1; per total order, its cells.  The last 64
+    sets of at most 1 MB are kept, and the last 2 larger ones."""
+    total = math.prod(widths) * size * (2 * (sum(widths) - len(widths)) + 1)
+    if total > _MASK_BYTES:
+        return None
+    return (_small_masks if total <= 1 << 20 else _large_masks)(widths, size)
+
+
+def _masks(widths: tuple[int, ...], size: int) -> tuple[int, tuple, tuple[int, ...]]:
+    """``_box_masks``, built afresh."""
+    volume, full = math.prod(widths), b"\xff" * size
+    rows, rest = [], volume
+    for w in widths:
+        rest //= w
+        blocks = volume // (w * rest)
+        masks = (
+            int.from_bytes((bytes(k * rest * size) + full * ((w - k) * rest)) * blocks, "little")
+            for k in range(1, w)
         )
-        column[:] = rotated if mod is None else [v % mod for v in rotated]
+        rows.append((8 * size * rest, tuple(masks)))
+    levels, span = [(1 << 8 * size) - 1], 1  # no axis: one cell, of order 0
+    for w in reversed(widths):  # cell k span + n, n in the box of the later axes
+        grown = [0] * (len(levels) + w - 1)
+        for k, (o, level) in itertools.product(range(w), enumerate(levels)):
+            grown[o + k] |= level << 8 * size * span * k
+        levels, span = grown, span * w
+    return _slot_ones(volume, size), tuple(rows), tuple(levels)
 
 
-def _inverse_differences(column: list[int], widths: Sequence[int], mod: int | None) -> None:
-    """In place, the inverse of ``_forward_differences``: cell x becomes
-    sum_n C(x, n) column[n] over the box (Newton interpolation), mod ``mod``."""
-    _forward_differences(column, widths, mod, operator.add)
+_small_masks, _large_masks = lru_cache(maxsize=64)(_masks), lru_cache(maxsize=2)(_masks)
 
 
 @lru_cache(maxsize=None)
@@ -728,14 +773,14 @@ def _outside_forms(
     """
     if q == p:  # b = 1: the support box is the domain box
         return []
-    b = multiplicity(p, q)
+    b, step = multiplicity(p, q), _slot_difference(q, q.bit_length() + 1, 1)
     partial: list = [(0, False, ((0, 0, 1),))]  # (order of k, k outside?, (cell, order, c) terms)
     for m in factors:
         width = one_variable_cap(p, multiplicity(p, m), b) + 1
         columns = []
         for n in range(m):
-            column = [binomial(x % m, n) for x in range(width)]
-            _forward_differences(column, (width,), q)
+            column = [binomial(x % m, n) % q for x in range(width)]
+            _forward_differences(column, (width,), step)
             columns.append(column)
         options = [
             (k, k >= m, [(n, column[k]) for n, column in enumerate(columns) if column[k]])
@@ -819,7 +864,8 @@ def coefficient_table(
     column = [0] * domain.order
     for cell, c in terms:
         column[cell] += c
-    _inverse_differences(column, domain.factors, q)
+    column = [c % q for c in column]
+    _forward_differences(column, domain.factors, _slot_sum(q, q.bit_length() + 1, 1))
     return column
 
 
@@ -838,12 +884,16 @@ def series_coefficients(f: FiniteMap) -> dict[tuple[int, ...], tuple[int, ...]]:
             "series expansion needs domain and codomain p-groups of one common prime"
         )
     (comp,) = plan
-    tables = _component_tables(f.values, comp)
-    tops = _top_orders(comp, tables, 1, comp.slot_bytes)
+    tables, size = _component_tables(f.values, comp), comp.slot_bytes
+    tops = _top_orders(comp, tables, 1, size)
     if tops[0] > comp.cap + 1:
         _raise_past_cap(f.domain, f.codomain, plan, [tops], [f.values])
-    points = itertools.product(*(range(w) for w in comp.widths))
-    return {point: c for point, c in zip(points, zip(*tables)) if any(c)}
+    volume, cells = len(comp.box[1]), tables
+    if len(tables[0]) < volume:  # the box in one int, not one int per cell
+        cells = [_entries(c[0].to_bytes(volume * size, "little"), size) for c in tables]
+    nonzero = list(reduce(lambda a, b: map(operator.or_, a, b), cells))
+    points = itertools.compress(itertools.product(*map(range, comp.widths)), nonzero)
+    return dict(zip(points, zip(*(itertools.compress(c, nonzero) for c in cells))))
 
 
 def reconstruct(
@@ -881,11 +931,19 @@ class BinomialSeries:
     coeffs: Mapping[tuple[int, ...], int]
 
     def __post_init__(self):
-        for nvec, c in self.coeffs.items():
-            if len(nvec) != self.arity or any(n < 0 for n in nvec):
-                raise ValueError(f"bad support point {nvec} for arity {self.arity}")
-            if not isinstance(c, int):
-                raise ValueError(f"coefficients must be integers, got {c!r}")
+        chain, nvecs = itertools.chain.from_iterable, self.coeffs.keys()
+        if not (  # bulk checks at C speed, passing only what the loop passes
+            set(map(type, nvecs)) <= {tuple}
+            and set(map(type, chain(nvecs))) <= {int}
+            and set(map(len, nvecs)) <= {self.arity}
+            and min(chain(nvecs), default=0) >= 0
+            and set(map(type, self.coeffs.values())) <= {int, bool}
+        ):
+            for nvec, c in self.coeffs.items():
+                if len(nvec) != self.arity or any(n < 0 for n in nvec):
+                    raise ValueError(f"bad support point {nvec} for arity {self.arity}")
+                if not isinstance(c, int):
+                    raise ValueError(f"coefficients must be integers, got {c!r}")
 
     def evaluate(self, point: Sequence[int]) -> int:
         if len(point) != self.arity:
@@ -916,7 +974,8 @@ def proper_lift(f: FiniteMap) -> BinomialSeries:
     """
     if len(f.codomain.factors) != 1 or len(factorize(f.codomain.factors[0])) != 1:
         raise ValueError("proper lifts need a cyclic codomain of prime-power order")
-    coeffs = {nvec: c[0] for nvec, c in series_coefficients(f).items() if c[0]}
+    coeffs = series_coefficients(f)  # one codomain slot: each value (c,) with c nonzero
+    coeffs = dict(zip(coeffs, map(operator.itemgetter(0), coeffs.values())))
     return BinomialSeries(len(f.domain.factors), coeffs)
 
 
@@ -945,7 +1004,7 @@ def lift_difference_box(
     vector inside the cube [0, width)^arity, via one exact transform."""
     points = list(itertools.product(range(width), repeat=series.arity))
     values = [series.evaluate(point) for point in points]
-    _forward_differences(values, (width,) * series.arity, None)
+    _forward_differences(values, (width,) * series.arity, operator.sub)
     return dict(zip(points, values))
 
 

@@ -69,6 +69,7 @@ from .calculus import (
     _slot_ones,
     _slot_reduction,
     _slot_size,
+    _slot_sum,
     _unpack,
     coefficient_table,
     degree_generators,
@@ -413,8 +414,7 @@ def sample_bounded_maps(
                 column[cell] |= c << 8 * size * i
     ones = _slot_ones(count, size)
     for q, column in zip(codomain.factors, columns):
-        reduction = _slot_reduction(q, 8 * size, ones)  # a sum of two slots stays below 2q
-        _forward_differences(column, domain.factors, None, lambda a, b: reduction(a + b))
+        _forward_differences(column, domain.factors, _slot_sum(q, 8 * size, ones))
     tables = TableSet(domain, codomain, count, _unpack(columns, count, size), size)
     _rechecked_tops(domain, codomain, tables, 2, cap)
     return tables

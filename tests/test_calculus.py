@@ -187,7 +187,8 @@ def test_coefficient_past_the_degree_cap_raises(monkeypatch):
 def test_inverse_differences_match_reconstruct():
     # Cell x of the inverse transform is sum_n C(x, n) c_n, the value of the
     # map with binomial coefficients c_n on the domain box; the forward
-    # transform gives the coefficients back.
+    # transform gives the coefficients back.  Both ways of stepping an axis
+    # do it: inside one int holding the box, and across one int per cell.
     rng = random.Random(5)
     for domain, codomain in [(Z42, Z2), (Z2, AbelianShape((2, 4))), (Z9, Z3), (Z2, Z8)]:
         cells = list(itertools.product(*map(range, domain.factors)))
@@ -195,12 +196,28 @@ def test_inverse_differences_match_reconstruct():
         expected = reconstruct(domain, codomain, coeffs, INF)
         for j, q in enumerate(codomain.factors):
             column = [coeffs[n][j] for n in cells]
-            assert calculus.coefficient_table(domain, q, enumerate(column)) == [
-                v[j] for v in expected.values
-            ]
-            calculus._inverse_differences(column, domain.factors, q)
-            calculus._forward_differences(column, domain.factors, q)
-            assert column == [coeffs[n][j] for n in cells]
+            values = [v[j] for v in expected.values]
+            assert calculus.coefficient_table(domain, q, enumerate(column)) == values
+            # Repeated cells add up, past q too: twice each c_n, and q at the origin.
+            twice = [*enumerate(column), *enumerate(column), (0, q)]
+            assert calculus.coefficient_table(domain, q, twice) == [2 * v % q for v in values]
+            ones, rows, _ = calculus._box_masks(domain.factors, 1)
+            packed = [int.from_bytes(bytes(column), "little")]
+            calculus._forward_differences(
+                packed, domain.factors, calculus._slot_sum(q, 8, ones), rows
+            )
+            assert list(packed[0].to_bytes(domain.order, "little")) == values
+            calculus._forward_differences(
+                packed, domain.factors, calculus._slot_difference(q, 8, ones), rows
+            )
+            assert list(packed[0].to_bytes(domain.order, "little")) == column
+            per_cell = list(column)
+            calculus._forward_differences(per_cell, domain.factors, calculus._slot_sum(q, 8, 1))
+            assert per_cell == values
+            calculus._forward_differences(
+                per_cell, domain.factors, calculus._slot_difference(q, 8, 1)
+            )
+            assert per_cell == column
     with pytest.raises(UnsupportedMapError):
         calculus.degree_generators(AbelianShape((6,)), Z2, 1)
 
@@ -661,30 +678,47 @@ def axis_widths(domain, codomain):
 
 
 def degree_from_definition(f):
-    """Largest |n| with iterated_difference(f, n) nonzero, after checking
-    that the order-w_i difference vanishes on each axis (so no n outside
-    the box can have a nonzero difference)."""
+    """(degree, differences) from iterated_difference alone: differences[n]
+    is the order-n difference table over the box of axis_widths, each one
+    generator difference of an earlier one; the degree is +inf when the
+    order-w_i difference along some axis is nonzero (so some n outside the
+    box has a nonzero difference), else the largest |n| of a nonzero table."""
     widths = axis_widths(f.domain, f.codomain)
-    naxes = len(widths)
-    for axis, width in enumerate(widths):
-        orders = [width if i == axis else 0 for i in range(naxes)]
-        assert iterated_difference(f, orders).is_zero
-    best = NEG_INF
-    for n in itertools.product(*(range(w) for w in widths)):
-        if not iterated_difference(f, n).is_zero:
+    units = [tuple(int(i == axis) for i in range(len(widths))) for axis in range(len(widths))]
+    differences, best = {}, NEG_INF
+    for n in itertools.product(*map(range, widths)):
+        axis = max((i for i, k in enumerate(n) if k), default=None)
+        if axis is None:
+            differences[n] = f
+        else:
+            before = tuple(k - (i == axis) for i, k in enumerate(n))
+            differences[n] = iterated_difference(differences[before], units[axis])
+        if not differences[n].is_zero:
             best = max(best, Degree.of(sum(n)))
-    return best
+    for axis, w in enumerate(widths):
+        corner = tuple((w - 1) * u for u in units[axis])
+        if not iterated_difference(differences[corner], units[axis]).is_zero:
+            return INF, differences
+    return best, differences
 
 
-def assert_matches_definition(f, series=True):
-    assert functional_degree(f) == degree_from_definition(f)
+def assert_matches_definition(f, monkeypatch, series=True):
+    """The degree, and the series when asked, match the definition: one
+    table held in one int, again with one int per cell (no box masks), and
+    in a batch of two.  Returns the degree."""
+    degree, differences = degree_from_definition(f)
+    assert functional_degree(f) == degree
+    assert functional_degrees(f.domain, f.codomain, [f.values] * 2) == [degree] * 2
     if series:
-        coeffs = series_coefficients(f)
-        widths = axis_widths(f.domain, f.codomain)
-        for n in itertools.product(*(range(w) for w in widths)):
-            expected = iterated_difference(f, n).values[0]
-            assert coeffs.get(n, f.codomain.zero()) == expected
-        assert all(any(c) for c in coeffs.values())
+        zero = f.codomain.zero()
+        expected = {n: d.values[0] for n, d in differences.items() if d.values[0] != zero}
+        assert series_coefficients(f) == expected
+    with monkeypatch.context() as m:
+        m.setattr(calculus, "_box_masks", lambda widths, size: None)
+        assert functional_degree(f) == degree
+        if series:
+            assert series_coefficients(f) == expected
+    return degree
 
 
 @pytest.mark.parametrize(
@@ -697,10 +731,10 @@ def assert_matches_definition(f, series=True):
         (Z4, AbelianShape((2, 2))),
     ],
 )
-def test_transform_matches_definition_exhaustive(domain, codomain):
+def test_transform_matches_definition_exhaustive(domain, codomain, monkeypatch):
     targets = enumerate_elements(codomain)
     for values in itertools.product(targets, repeat=domain.order):
-        assert_matches_definition(FiniteMap(domain, codomain, values))
+        assert_matches_definition(FiniteMap(domain, codomain, values), monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -710,13 +744,13 @@ def test_transform_matches_definition_exhaustive(domain, codomain):
         (AbelianShape((3, 3)), Z9, 6),
     ],
 )
-def test_transform_matches_definition_random(domain, codomain, count):
+def test_transform_matches_definition_random(domain, codomain, count, monkeypatch):
     rng = random.Random(41)
     for _ in range(count):
-        assert_matches_definition(random_map(domain, codomain, rng))
+        assert_matches_definition(random_map(domain, codomain, rng), monkeypatch)
 
 
-def test_transform_matches_definition_mixed_order_split():
+def test_transform_matches_definition_mixed_order_split(monkeypatch):
     rng = random.Random(43)
     domain = AbelianShape((6, 4))
     codomain = AbelianShape((12,))
@@ -724,4 +758,104 @@ def test_transform_matches_definition_mixed_order_split():
         comp2 = random_map(AbelianShape((2, 4)), Z4, rng)
         comp3 = random_map(Z3, Z3, rng)
         f = primary_assemble(domain, codomain, {2: comp2, 3: comp3})
-        assert_matches_definition(f, series=False)
+        assert_matches_definition(f, monkeypatch, series=False)
+
+
+@pytest.mark.parametrize(
+    "domain, codomain",
+    [
+        ((9,), (3,)),  # odd q
+        ((3, 3), (9,)),
+        ((4, 4), (4,)),  # q = 2^k
+        ((2,), (128,)),  # two-byte slots in the one-table box
+        ((16, 16), (2,)),  # two-byte slots in the batch (|A| = 256)
+        ((6,), (6,)),  # mixed orders: two Sylow components
+    ],
+)
+def test_single_table_batch_and_definition_agree(domain, codomain, monkeypatch):
+    # One table is stepped inside one int holding its box (or, when the
+    # masks do not fit, across one int per cell); a batch across one int per
+    # cell with a slot per table.  Both agree with the definition, on
+    # random, low-degree, constant and zero tables.
+    domain, codomain = AbelianShape(domain), AbelianShape(codomain)
+    rng = random.Random(sum(domain.factors) + sum(codomain.factors))
+    tables = [random_map(domain, codomain, rng).values for _ in range(2)]
+    one = tuple(1 for _ in codomain.factors)
+    tables += (codomain.zero(),) * domain.order, (one,) * domain.order
+    one_prime = len(calculus._sylow_plan(domain, codomain)) == 1
+    if one_prime:
+        cells = list(itertools.product(*map(range, domain.factors)))
+        for top in (1, 2, 3):
+            coeffs = {
+                n: tuple(rng.randrange(q) for q in codomain.factors)
+                for n in cells
+                if sum(n) <= top
+            }
+            tables.append(reconstruct(domain, codomain, coeffs, INF).values)
+    else:
+        for _ in range(3):
+            parts = {2: random_map(Z2, Z2, rng), 3: random_map(Z3, Z3, rng)}
+            tables.append(primary_assemble(domain, codomain, parts).values)
+    degrees = [
+        assert_matches_definition(FiniteMap(domain, codomain, values), monkeypatch, one_prime)
+        for values in tables
+    ]
+    assert len(set(degrees)) >= 3
+    assert functional_degrees(domain, codomain, tables) == degrees
+    packed = calculus.TableSet.of(domain, codomain, tables, len(tables))
+    assert functional_degrees(domain, codomain, packed) == degrees
+
+
+def test_one_table_makes_one_slot_wise_step_per_axis_step(monkeypatch):
+    # (Z/8)^3 -> Z/2 has axis widths 8, 8, 8: held in one int, one table's
+    # transform is sum(w_i - 1) = 21 slot-wise steps, not one per cell.
+    f = random_map(AbelianShape((8, 8, 8)), Z2, random.Random(12))
+    degree = functional_degree(f)
+    steps = 0
+    real = calculus._slot_difference
+
+    def counted(*args):
+        step = real(*args)
+
+        def count(a, b):
+            nonlocal steps
+            steps += 1
+            return step(a, b)
+
+        return count
+
+    monkeypatch.setattr(calculus, "_slot_difference", counted)
+    assert functional_degree(f) == degree
+    assert steps == 21
+
+
+def test_exact_difference_box_stays_exact():
+    # The exact transform keeps one plain int per cell: signs and sizes
+    # survive, no slot or modulus cuts them.
+    series = BinomialSeries(2, {(1, 0): -3, (0, 2): 5, (2, 2): -7})
+    box = lift_difference_box(series, 3)
+    assert box == {
+        n: {(0, 2): 5, (1, 0): -3, (2, 2): -7}.get(n, 0)
+        for n in itertools.product(range(3), repeat=2)
+    }
+    assert lift_difference_box(BinomialSeries(1, {(0,): 10**30}), 2) == {(0,): 10**30, (1,): 0}
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({(0, 1, 2): 1}, "bad support point (0, 1, 2) for arity 2"),
+        ({(0, -1): 1}, "bad support point (0, -1) for arity 2"),
+        ({(9, 9): 1.5}, "coefficients must be integers, got 1.5"),
+    ],
+)
+def test_binomial_series_checks_every_term(bad, message):
+    # The bulk check passes only what the per-term loop passes; anything
+    # else goes to the loop, which names the first bad term.
+    valid = {n: sum(n) - 3 for n in itertools.product(range(4), repeat=2)}
+    for coeffs in (bad, {**valid, **bad}, {**bad, **valid}):
+        with pytest.raises(ValueError) as info:
+            BinomialSeries(2, coeffs)
+        assert str(info.value) == message
+    accepted = {**valid, (1, 1): True, (2, 2): _Small.ONE, (3, 3): 10**40}
+    assert BinomialSeries(2, accepted).coeffs == accepted

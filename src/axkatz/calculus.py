@@ -459,25 +459,25 @@ def _top_orders(comp: _Component, columns: list[list[int]], count: int, size: in
     table's top order is the largest order whose cells, ORed over the
     codomain slots, leave its slot nonzero; slot + 2^(w - 1) - 1 sets the
     slot's top bit exactly then, since every slot stays below 2^(w - 1).
-    One table (count 1, size ``comp.slot_bytes``) is one int whose top order
-    is the highest order level meeting it, unless its box has no masks.
+    One table (count 1, size ``comp.slot_bytes``) is transformed in one int
+    holding its whole box (``_box_rows``) and left one entry per cell; its
+    top order is the largest order of a nonzero cell.
     """
     gather, orders, levels = comp.box
-    masks = _box_masks(comp.widths, size) if count == 1 else None
-    width, ones, top = 8 * size, masks[0] if masks else _slot_ones(count, size), -1
+    width, ones, top = 8 * size, _slot_ones(len(orders) if count == 1 else count, size), -1
     for j, (_, _, q) in enumerate(comp.slots):
         if gather is not None:
             columns[j] = list(map(columns[j].__getitem__, gather))
-        if masks:  # one table: its whole box in one int
-            columns[j] = [int.from_bytes(_blob(columns[j], size), "little")]
         step = _slot_difference(q, width, ones)
-        _forward_differences(columns[j], comp.widths, step, masks[1] if masks else None)
-        if not masks:
-            top = max(top, max(itertools.compress(orders, columns[j]), default=-1))
-    if masks:
-        nonzero = reduce(operator.or_, map(operator.itemgetter(0), columns))
-        hits = (o + 1 for o in range(len(levels) - 1, -1, -1) if nonzero & masks[2][o])
-        return [next(hits, 0)]
+        if count == 1:  # its whole box in one int
+            packed = [int.from_bytes(_blob(columns[j], size), "little")]
+            _forward_differences(packed, comp.widths, step, _box_rows(comp.widths, size))
+            columns[j] = _entries(packed[0].to_bytes(len(orders) * size, "little"), size)
+        else:
+            _forward_differences(columns[j], comp.widths, step)
+        top = max(top, max(itertools.compress(orders, columns[j]), default=-1))
+    if count == 1:
+        return [top + 1]
     chain = itertools.chain.from_iterable
     pending = ones << width - 1
     fill, tops = pending - ones, 0
@@ -657,15 +657,14 @@ def _forward_differences(column: list[int], widths: Sequence[int], step, rows=No
     Per axis, for k = 1..w-1 the rows k..w-1 are stepped against their
     predecessors.  Across entries (entry n cell n): one step per entry, the
     axis outermost, then rotated to the end.  Inside one entry, given the
-    box's ``rows`` (``_box_masks``, column[0] holding cell n in its slot n):
+    box's ``rows`` (``_box_rows``, column[0] holding cell n in its slot n):
     one step against the int shifted one row up the axis, masked to the rows
     k..w-1.
     """
     if rows is not None:
         (packed,) = column
-        for shift, masks in rows:
-            for mask in masks:
-                packed = step(packed, packed << shift & mask)
+        for shift, mask in rows:
+            packed = step(packed, packed << shift & mask)
         column[0] = packed
         return
     cells = len(column)
@@ -681,43 +680,30 @@ def _forward_differences(column: list[int], widths: Sequence[int], step, rows=No
             column[:] = itertools.chain.from_iterable(zip(*slices))
 
 
-_MASK_BYTES = 1 << 25  # past this a table's box is stepped one int per cell
+_MASK_BYTES = 1 << 20  # the row masks of a box up to this size are cached
 
 
-def _box_masks(widths: tuple[int, ...], size: int) -> tuple[int, tuple, tuple[int, ...]] | None:
-    """(ones, rows, levels) for a box held in one int, cell n in slot n of
-    size bytes (None past _MASK_BYTES): a 1 in each slot's lowest bit; per
-    axis (shift, masks), a shift moving each cell one row up the axis and
-    masks[k - 1] its rows k..w-1; per total order, its cells.  The last 64
-    sets of at most 1 MB are kept, and the last 2 larger ones."""
-    total = math.prod(widths) * size * (2 * (sum(widths) - len(widths)) + 1)
-    if total > _MASK_BYTES:
-        return None
-    return (_small_masks if total <= 1 << 20 else _large_masks)(widths, size)
+def _box_rows(widths: tuple[int, ...], size: int) -> Iterable[tuple[int, int]]:
+    """Per axis, for k = 1..w-1, (shift, mask) for a box held in one int,
+    cell n in slot n of size bytes: the shift moves each cell one row up the
+    axis and the mask holds the rows k..w-1.  A box with more than
+    _MASK_BYTES of masks gets each one built as it is read."""
+    if math.prod(widths) * size * (sum(widths) - len(widths)) > _MASK_BYTES:
+        return _rows(widths, size)
+    return _cached_rows(widths, size)
 
 
-def _masks(widths: tuple[int, ...], size: int) -> tuple[int, tuple, tuple[int, ...]]:
-    """``_box_masks``, built afresh."""
-    volume, full = math.prod(widths), b"\xff" * size
-    rows, rest = [], volume
+def _rows(widths: tuple[int, ...], size: int) -> Iterable[tuple[int, int]]:
+    """``_box_rows``, one at a time."""
+    rest = volume = math.prod(widths)
     for w in widths:
         rest //= w
-        blocks = volume // (w * rest)
-        masks = (
-            int.from_bytes((bytes(k * rest * size) + full * ((w - k) * rest)) * blocks, "little")
-            for k in range(1, w)
-        )
-        rows.append((8 * size * rest, tuple(masks)))
-    levels, span = [(1 << 8 * size) - 1], 1  # no axis: one cell, of order 0
-    for w in reversed(widths):  # cell k span + n, n in the box of the later axes
-        grown = [0] * (len(levels) + w - 1)
-        for k, (o, level) in itertools.product(range(w), enumerate(levels)):
-            grown[o + k] |= level << 8 * size * span * k
-        levels, span = grown, span * w
-    return _slot_ones(volume, size), tuple(rows), tuple(levels)
+        for k in range(1, w):
+            rows = bytes(k * rest * size) + b"\xff" * ((w - k) * rest * size)
+            yield 8 * size * rest, int.from_bytes(rows * (volume // (w * rest)), "little")
 
 
-_small_masks, _large_masks = lru_cache(maxsize=64)(_masks), lru_cache(maxsize=2)(_masks)
+_cached_rows = lru_cache(maxsize=64)(lambda widths, size: tuple(_rows(widths, size)))
 
 
 @lru_cache(maxsize=None)
@@ -884,16 +870,13 @@ def series_coefficients(f: FiniteMap) -> dict[tuple[int, ...], tuple[int, ...]]:
             "series expansion needs domain and codomain p-groups of one common prime"
         )
     (comp,) = plan
-    tables, size = _component_tables(f.values, comp), comp.slot_bytes
-    tops = _top_orders(comp, tables, 1, size)
+    tables = _component_tables(f.values, comp)
+    tops = _top_orders(comp, tables, 1, comp.slot_bytes)
     if tops[0] > comp.cap + 1:
         _raise_past_cap(f.domain, f.codomain, plan, [tops], [f.values])
-    volume, cells = len(comp.box[1]), tables
-    if len(tables[0]) < volume:  # the box in one int, not one int per cell
-        cells = [_entries(c[0].to_bytes(volume * size, "little"), size) for c in tables]
-    nonzero = list(reduce(lambda a, b: map(operator.or_, a, b), cells))
+    nonzero = list(reduce(lambda a, b: map(operator.or_, a, b), tables))
     points = itertools.compress(itertools.product(*map(range, comp.widths)), nonzero)
-    return dict(zip(points, zip(*(itertools.compress(c, nonzero) for c in cells))))
+    return dict(zip(points, zip(*(itertools.compress(c, nonzero) for c in tables))))
 
 
 def reconstruct(

@@ -188,7 +188,8 @@ def test_inverse_differences_match_reconstruct():
     # Cell x of the inverse transform is sum_n C(x, n) c_n, the value of the
     # map with binomial coefficients c_n on the domain box; the forward
     # transform gives the coefficients back.  Both ways of stepping an axis
-    # do it: inside one int holding the box, and across one int per cell.
+    # do it: inside one int holding the box, with its row masks kept or
+    # built as they are read, and across one int per cell.
     rng = random.Random(5)
     for domain, codomain in [(Z42, Z2), (Z2, AbelianShape((2, 4))), (Z9, Z3), (Z2, Z8)]:
         cells = list(itertools.product(*map(range, domain.factors)))
@@ -201,14 +202,17 @@ def test_inverse_differences_match_reconstruct():
             # Repeated cells add up, past q too: twice each c_n, and q at the origin.
             twice = [*enumerate(column), *enumerate(column), (0, q)]
             assert calculus.coefficient_table(domain, q, twice) == [2 * v % q for v in values]
-            ones, rows, _ = calculus._box_masks(domain.factors, 1)
+            ones, kept = calculus._slot_ones(domain.order, 1), calculus._box_rows(domain.factors, 1)
+            assert kept == tuple(calculus._rows(domain.factors, 1))
             packed = [int.from_bytes(bytes(column), "little")]
-            calculus._forward_differences(
-                packed, domain.factors, calculus._slot_sum(q, 8, ones), rows
-            )
+            step = calculus._slot_sum(q, 8, ones)
+            calculus._forward_differences(packed, domain.factors, step, kept)
             assert list(packed[0].to_bytes(domain.order, "little")) == values
             calculus._forward_differences(
-                packed, domain.factors, calculus._slot_difference(q, 8, ones), rows
+                packed,
+                domain.factors,
+                calculus._slot_difference(q, 8, ones),
+                calculus._rows(domain.factors, 1),
             )
             assert list(packed[0].to_bytes(domain.order, "little")) == column
             per_cell = list(column)
@@ -704,8 +708,8 @@ def degree_from_definition(f):
 
 def assert_matches_definition(f, monkeypatch, series=True):
     """The degree, and the series when asked, match the definition: one
-    table held in one int, again with one int per cell (no box masks), and
-    in a batch of two.  Returns the degree."""
+    table held in one int, again with its row masks built as they are read
+    (none cached), and in a batch of two.  Returns the degree."""
     degree, differences = degree_from_definition(f)
     assert functional_degree(f) == degree
     assert functional_degrees(f.domain, f.codomain, [f.values] * 2) == [degree] * 2
@@ -714,7 +718,7 @@ def assert_matches_definition(f, monkeypatch, series=True):
         expected = {n: d.values[0] for n, d in differences.items() if d.values[0] != zero}
         assert series_coefficients(f) == expected
     with monkeypatch.context() as m:
-        m.setattr(calculus, "_box_masks", lambda widths, size: None)
+        m.setattr(calculus, "_MASK_BYTES", 0)
         assert functional_degree(f) == degree
         if series:
             assert series_coefficients(f) == expected
@@ -773,10 +777,9 @@ def test_transform_matches_definition_mixed_order_split(monkeypatch):
     ],
 )
 def test_single_table_batch_and_definition_agree(domain, codomain, monkeypatch):
-    # One table is stepped inside one int holding its box (or, when the
-    # masks do not fit, across one int per cell); a batch across one int per
-    # cell with a slot per table.  Both agree with the definition, on
-    # random, low-degree, constant and zero tables.
+    # One table is stepped inside one int holding its box; a batch across
+    # one int per cell with a slot per table.  Both agree with the
+    # definition, on random, low-degree, constant and zero tables.
     domain, codomain = AbelianShape(domain), AbelianShape(codomain)
     rng = random.Random(sum(domain.factors) + sum(codomain.factors))
     tables = [random_map(domain, codomain, rng).values for _ in range(2)]

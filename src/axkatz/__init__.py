@@ -5,7 +5,13 @@ ord_p(#Z(f_1, ..., f_r)) for maps between finite commutative p-groups from
 the invariant factors and functional-degree caps, implements the underlying
 finite-difference calculus and conjugate-partition optimization, and ships
 brute-force oracles that verify every closed form at desk scale.
+
+The closed-form layer is imported with the package.  The calculus and oracle
+modules are imported together on first use of any of their names, so a
+process that only evaluates closed forms never compiles them.
 """
+
+import importlib
 
 from .bounds import (
     BoundReport,
@@ -27,27 +33,6 @@ from .bounds import (
     vp_value,
     zero_count_bound,
 )
-from .calculus import (
-    BinomialSeries,
-    FiniteMap,
-    coefficient_table,
-    degree_generators,
-    difference,
-    functional_degree,
-    functional_degrees,
-    integral,
-    iterated_difference,
-    lift_difference_at_zero,
-    lift_difference_box,
-    primary_assemble,
-    primary_split,
-    proper_lift,
-    reconstruct,
-    series_coefficients,
-    tensor_product,
-    zero_count,
-    zero_mask,
-)
 from .degrees import INF, NEG_INF, Degree
 from .errors import ConsistencyError, ResourceLimitError, UnsupportedMapError
 from .groups import (
@@ -58,22 +43,6 @@ from .groups import (
     index_of,
     max_functional_degree,
     primary_decomposition,
-)
-from .oracle import (
-    PolySystem,
-    TraceReport,
-    VerifyReport,
-    binomial_column_sums,
-    brute_max_degree,
-    brute_min_valuation,
-    brute_objective_minimum,
-    functions_by_degree,
-    objective_box,
-    poly_zero_count,
-    sample_bounded_map,
-    sample_bounded_maps,
-    verify_bound,
-    zero_count_trace,
 )
 from .partitions import (
     Partition,
@@ -160,3 +129,25 @@ __all__ = [
     "zero_count_trace",
     "zero_mask",
 ]
+
+_DEFERRED = ("calculus", "oracle")
+
+
+def __getattr__(name: str):
+    """Import calculus and oracle together and bind their public names.
+
+    Both load on the first access to either, so code that patches the
+    loaded modules after that access (as a tracer does) finds both there.
+    """
+    if name not in _DEFERRED and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    namespace = globals()
+    for module in [importlib.import_module(f"{__name__}.{m}") for m in _DEFERRED]:
+        for public in __all__:
+            if public not in namespace and hasattr(module, public):
+                namespace[public] = getattr(module, public)
+    return namespace[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

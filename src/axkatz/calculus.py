@@ -1061,9 +1061,11 @@ def zero_count(
     """Count simultaneous zeros and report ord_q per prime q dividing |A|.
 
     An empty system has every point as a zero; a zero count of 0 reports
-    infinite valuation at every prime.
+    infinite valuation at every prime.  A given domain must be the maps'.
     """
     if maps:
+        if domain is not None and domain != maps[0].domain:
+            raise ValueError(f"domain {domain.factors} is not the maps' {maps[0].domain.factors}")
         domain = maps[0].domain
         if any(f.domain != domain for f in maps):
             raise ValueError("all maps in a system must share one domain")

@@ -3,13 +3,12 @@
 All results go to stdout as JSON (or CSV for scans); diagnostics go to
 stderr.  Exit codes: 0 success, 1 verification failure, internal
 inconsistency or a reader that closed stdout early, 2 usage or validation
-errors.
+errors.  Handlers import calculus and oracle themselves, only when they run.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -20,14 +19,13 @@ from .bounds import (
     expand_targets,
     make_targets,
     min_valuation,
+    polynomial_system_bound,
     product_valuation,
     zero_count_bound,
 )
-from .calculus import FiniteMap, functional_degree, zero_count
 from .errors import ConsistencyError, ResourceLimitError
 from .groups import AbelianShape, PGroupShape, enumeration_limit, max_functional_degree
 from .intmath import check_prime, check_printable, too_long
-from .oracle import PolySystem, poly_zero_count, verify_bound, zero_count_trace
 from .partitions import Partition, conjugate, make_partition
 
 
@@ -112,9 +110,10 @@ def _parse_target_shapes(args) -> list[tuple[AbelianShape, int]]:
     for entry in args.target_shape or []:
         try:
             factors_text, d_text = entry.split(":")
+            d = int(d_text)
         except ValueError as exc:
             raise ValueError(f"target shapes must look like '4,2:3', got {entry!r}") from exc
-        shaped.append((AbelianShape(tuple(_parse_ints(factors_text, "shape"))), int(d_text)))
+        shaped.append((AbelianShape(tuple(_parse_ints(factors_text, "shape"))), d))
     return shaped
 
 
@@ -141,7 +140,9 @@ def _read_json(path: str):
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_map(path: str) -> FiniteMap:
+def _load_map(path: str):
+    from .calculus import FiniteMap
+
     return FiniteMap.from_json_dict(_read_json(path))
 
 
@@ -188,6 +189,8 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_fdeg(args) -> int:
+    from .calculus import functional_degree
+
     f = _load_map(args.map)
     _emit({"fdeg": functional_degree(f).to_json()})
     return 0
@@ -200,6 +203,8 @@ def _cmd_conjugate(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
+    from .calculus import zero_count
+
     maps = [_load_map(path) for path in args.maps.split(",") if path]
     domain = None
     if args.domain:
@@ -210,6 +215,8 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import verify_bound
+
     alpha = _parse_partition(args.alpha)  # verify_bound applies the digit check it needs
     shaped = _shaped_targets(args.p, args)
     if args.mode == "sampled" and args.seed is None:
@@ -228,6 +235,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .oracle import zero_count_trace
+
     maps = [_load_map(path) for path in args.maps.split(",") if path]
     report = zero_count_trace(maps, args.beta)
     _emit(report.to_json_dict())
@@ -263,6 +272,8 @@ def _cmd_scan(args) -> int:
     if args.format == "json":
         _emit(rows)
     else:
+        import csv
+
         buffer = io.StringIO()
         writer = csv.DictWriter(
             buffer, fieldnames=["p", "alpha", "targets", "A", "B", "Abreve", "case", "bound"]
@@ -274,12 +285,12 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_polybound(args) -> int:
-    from .bounds import polynomial_system_bound
-
     degrees = _parse_ints(args.degrees, "degrees")
     reports = polynomial_system_bound(args.m, args.n, degrees)
     out = {"bounds": {str(q): r.to_json_dict() for q, r in sorted(reports.items())}}
     if args.system:
+        from .oracle import PolySystem, poly_zero_count
+
         count, ords = poly_zero_count(PolySystem.from_json_dict(_read_json(args.system)))
         out["count"] = count
         out["ord"] = {str(q): o.to_json() for q, o in sorted(ords.items())}
@@ -287,87 +298,81 @@ def _cmd_polybound(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(flag: str, help_text: str | None = None, **options) -> tuple[str, dict]:
+    return flag, {"help": help_text, **options}
+
+
+_PA = (_arg("--p", "prime", type=int, required=True),
+       _arg("--alpha", "exponent partition, e.g. 2,1", required=True))
+_TARGETS = (_arg("--targets", "cyclic targets beta:d[,beta:d...]"),
+            _arg("--target-shape", "p-group target '4,2:3'", action="append"))
+_MAPS = _arg("--maps", "comma-separated JSON files", required=True)
+
+# Each command's help, handler and arguments, as (flag, add_argument keywords).
+COMMANDS = {
+    "bound": ("two-case lower bound with all intermediates", _cmd_bound, (*_PA, *_TARGETS)),
+    "vp": ("minimum binomial-sum valuation with witness", _cmd_vp,
+           (*_PA, _arg("--D", "budget, integer or 'inf'", required=True))),
+    "nu": ("valuation of a binomial-sum product", _cmd_nu,
+           (*_PA, _arg("--n", "point, e.g. 1,0", required=True))),
+    "delta": ("maximal finite functional degree", _cmd_delta,
+              (*_PA, _arg("--beta", "codomain exponent exponent", type=int, required=True))),
+    "fdeg": ("functional degree of a tabulated map", _cmd_fdeg,
+             (_arg("--map", "function-table JSON file", required=True),)),
+    "conjugate": ("conjugate partition", _cmd_conjugate,
+                  (_arg("--parts", "partition, e.g. 3,2,2,1", required=True),)),
+    "zeros": ("count simultaneous zeros of tabulated maps", _cmd_zeros,
+              (_MAPS, _arg("--domain", "domain factors when the map list is empty"))),
+    "verify": ("check the bound against actual zero counts", _cmd_verify, (
+        *_PA,
+        *_TARGETS,
+        _arg("--mode", choices=["exhaustive", "sampled"], default="exhaustive"),
+        _arg("--seed", "seed for sampled mode", type=int),
+        _arg("--samples", type=int, default=25),
+        _arg("--cap", "exhaustive table cap", type=int, default=2**20),
+    )),
+    "trace": ("recount zeros through lifted indicator series", _cmd_trace,
+              (_MAPS, _arg("--beta", "lift exponent, defaults to ord + 1", type=int))),
+    "scan": ("bound over a grid of parameters", _cmd_scan, (
+        _arg("--p", "comma-separated primes", required=True),
+        _arg("--alphas", "semicolon-separated partitions", required=True),
+        _arg("--targets", "semicolon-separated target lists", required=True),
+        _arg("--format", choices=["json", "csv"], default="json"),
+        _arg("--limit", "grid size cap", type=int, default=10000),
+    )),
+    "polybound": ("per-prime bounds for systems over Z/mZ", _cmd_polybound, (
+        _arg("--m", "modulus", type=int, required=True),
+        _arg("--n", "variable count", type=int, required=True),
+        _arg("--degrees", "comma-separated degree caps", required=True),
+        _arg("--system", "optional polynomial-system JSON to count"),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, with only the subparser of ``command`` built when it names
+    one; usage, help and error text are the same either way."""
     parser = argparse.ArgumentParser(
         prog="axkatz",
         description="p-adic lower bounds for zero counts on finite commutative groups",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_pa(cmd):
-        cmd.add_argument("--p", type=int, required=True, help="prime")
-        cmd.add_argument("--alpha", required=True, help="exponent partition, e.g. 2,1")
-
-    cmd = sub.add_parser("bound", help="two-case lower bound with all intermediates")
-    add_pa(cmd)
-    cmd.add_argument("--targets", help="cyclic targets beta:d[,beta:d...]")
-    cmd.add_argument("--target-shape", action="append", help="p-group target '4,2:3'")
-    cmd.set_defaults(fn=_cmd_bound)
-
-    cmd = sub.add_parser("vp", help="minimum binomial-sum valuation with witness")
-    add_pa(cmd)
-    cmd.add_argument("--D", required=True, help="budget, integer or 'inf'")
-    cmd.set_defaults(fn=_cmd_vp)
-
-    cmd = sub.add_parser("nu", help="valuation of a binomial-sum product")
-    add_pa(cmd)
-    cmd.add_argument("--n", required=True, help="point, e.g. 1,0")
-    cmd.set_defaults(fn=_cmd_nu)
-
-    cmd = sub.add_parser("delta", help="maximal finite functional degree")
-    add_pa(cmd)
-    cmd.add_argument("--beta", type=int, required=True, help="codomain exponent exponent")
-    cmd.set_defaults(fn=_cmd_delta)
-
-    cmd = sub.add_parser("fdeg", help="functional degree of a tabulated map")
-    cmd.add_argument("--map", required=True, help="function-table JSON file")
-    cmd.set_defaults(fn=_cmd_fdeg)
-
-    cmd = sub.add_parser("conjugate", help="conjugate partition")
-    cmd.add_argument("--parts", required=True, help="partition, e.g. 3,2,2,1")
-    cmd.set_defaults(fn=_cmd_conjugate)
-
-    cmd = sub.add_parser("zeros", help="count simultaneous zeros of tabulated maps")
-    cmd.add_argument("--maps", required=True, help="comma-separated JSON files")
-    cmd.add_argument("--domain", help="domain factors when the map list is empty")
-    cmd.set_defaults(fn=_cmd_zeros)
-
-    cmd = sub.add_parser("verify", help="check the bound against actual zero counts")
-    add_pa(cmd)
-    cmd.add_argument("--targets", help="cyclic targets beta:d[,beta:d...]")
-    cmd.add_argument("--target-shape", action="append", help="p-group target '4,2:3'")
-    cmd.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    cmd.add_argument("--seed", type=int, help="seed for sampled mode")
-    cmd.add_argument("--samples", type=int, default=25)
-    cmd.add_argument("--cap", type=int, default=2**20, help="exhaustive table cap")
-    cmd.set_defaults(fn=_cmd_verify)
-
-    cmd = sub.add_parser("trace", help="recount zeros through lifted indicator series")
-    cmd.add_argument("--maps", required=True, help="comma-separated JSON files")
-    cmd.add_argument("--beta", type=int, help="lift exponent, defaults to ord + 1")
-    cmd.set_defaults(fn=_cmd_trace)
-
-    cmd = sub.add_parser("scan", help="bound over a grid of parameters")
-    cmd.add_argument("--p", required=True, help="comma-separated primes")
-    cmd.add_argument("--alphas", required=True, help="semicolon-separated partitions")
-    cmd.add_argument("--targets", required=True, help="semicolon-separated target lists")
-    cmd.add_argument("--format", choices=["json", "csv"], default="json")
-    cmd.add_argument("--limit", type=int, default=10000, help="grid size cap")
-    cmd.set_defaults(fn=_cmd_scan)
-
-    cmd = sub.add_parser("polybound", help="per-prime bounds for systems over Z/mZ")
-    cmd.add_argument("--m", type=int, required=True, help="modulus")
-    cmd.add_argument("--n", type=int, required=True, help="variable count")
-    cmd.add_argument("--degrees", required=True, help="comma-separated degree caps")
-    cmd.add_argument("--system", help="optional polynomial-system JSON to count")
-    cmd.set_defaults(fn=_cmd_polybound)
-
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # A metavar would rename the argument in the full parser's invalid-choice error.
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, fn, arguments = COMMANDS[name]
+        cmd = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            cmd.add_argument(flag, **options)
+        cmd.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()

@@ -476,6 +476,11 @@ def test_zero_count_fixtures():
         zero_count([])
     with pytest.raises(ValueError):
         zero_count([parity, FiniteMap(Z2, Z2, ((0,), (1,)))])
+    # An explicit domain must be the maps' own, not just a group of the same order.
+    assert zero_count([parity], Z4) == zero_count([parity])
+    for other in (Z2, Z22, AbelianShape((3,))):
+        with pytest.raises(ValueError, match="domain"):
+            zero_count([parity], other)
 
 
 def _definition_count(maps, domain):

@@ -15,13 +15,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import axkatz
-from axkatz.cli import main
+from axkatz.cli import COMMANDS, build_parser, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_exit(capsys, *argv):
+    """run_cli for argv that argparse ends with SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
 
 
 def test_conjugate(capsys):
@@ -86,6 +94,13 @@ def test_fdeg_zeros_trace(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["count"] == 2 and data["ord"]["2"] == 1
+
+    # --domain is for an empty map list; one that is not the maps' domain is an error.
+    code, out, _ = run_cli(capsys, "zeros", "--maps", str(path), "--domain", "4")
+    assert code == 0 and json.loads(out) == data
+    for domain in ("3", "2,2"):
+        code, out, err = run_cli(capsys, "zeros", "--maps", str(path), "--domain", domain)
+        assert code == 2 and out == "" and "domain" in err
 
     code, out, _ = run_cli(capsys, "trace", "--maps", str(path))
     assert code == 0
@@ -247,6 +262,9 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bound", "--p", "2", "--alpha", "2,1")
     assert code == 2 and "target" in err
 
+    code, _, err = run_cli(capsys, "bound", "--p", "2", "--alpha", "2,2", "--target-shape", "4,2:x")
+    assert code == 2 and err == "error: target shapes must look like '4,2:3', got '4,2:x'\n"
+
     code, _, err = run_cli(capsys, "vp", "--p", "4", "--alpha", "2,1", "--D", "3")
     assert code == 2 and "prime" in err
 
@@ -272,15 +290,145 @@ def test_outputs_are_deterministic(capsys):
     assert first == second
 
 
-def _cli_process(*argv):
-    """Run the CLI in a fresh interpreter, failing the test past 10 s."""
+def _python(*args):
+    """Run a fresh interpreter on this package, failing the test past 10 s."""
     src = str(Path(axkatz.__file__).resolve().parent.parent)
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     return subprocess.run(
-        [sys.executable, "-m", "axkatz.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=10,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=10
     )
+
+
+def _cli_process(*argv):
+    """Run the CLI in a fresh interpreter, failing the test past 10 s."""
+    return _python("-m", "axkatz.cli", *argv)
+
+
+CALCULUS, ORACLE = "axkatz.calculus", "axkatz.oracle"
+# Valid calls of every command, each with the modules past the closed-form
+# layer that it loads; {map} and {system} name files that _written writes.
+COMMAND_CALLS = [
+    (["bound", "--p", "2", "--alpha", "2,1", "--targets", "1:1", "--target-shape", "4,2:3"], set()),
+    (["vp", "--p", "2", "--alpha", "6,5,3,1", "--D", "18"], set()),
+    (["nu", "--p", "2", "--alpha", "2,1", "--n", "1,0"], set()),
+    (["delta", "--p", "2", "--alpha", "2,1", "--beta", "2"], set()),
+    (["conjugate", "--parts", "3,2,2,1"], set()),
+    (["scan", "--p", "2,3", "--alphas", "2,1;1,1,1", "--targets", "1:1;1:2"], set()),
+    (["scan", "--p", "2", "--alphas", "2,1", "--targets", "1:1", "--format", "csv"], set()),
+    (["polybound", "--m", "4", "--n", "10", "--degrees", "2"], set()),
+    (["fdeg", "--map", "{map}"], {CALCULUS}),
+    (["zeros", "--maps", "{map},{map}"], {CALCULUS}),
+    (["trace", "--maps", "{map}"], {CALCULUS, ORACLE}),
+    (["verify", "--p", "2", "--alpha", "2,1", "--targets", "1:1"], {CALCULUS, ORACLE}),
+    (["polybound", "--m", "2", "--n", "3", "--degrees", "2", "--system", "{system}"],
+     {CALCULUS, ORACLE}),
+]
+
+
+def _written(argv, tmp_path):
+    """argv with {map} and {system} replaced by files written under tmp_path."""
+    files = {"map": tmp_path / "f.json", "system": tmp_path / "system.json"}
+    table = {"domain": [4, 2], "codomain": [2], "values": [[0], [1]] * 4}
+    system = {"modulus": 2, "nvars": 3, "polys": [[[1, [1, 1, 0]], [1, [0, 0, 1]]]],
+              "degrees": [2]}
+    files["map"].write_text(json.dumps(table))
+    files["system"].write_text(json.dumps(system))
+    return [arg.format(**files) for arg in argv]
+
+
+_LOADED_AFTER_MAIN = """
+import contextlib, io, json, sys
+from axkatz.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("axkatz"))]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads", COMMAND_CALLS, ids=[" ".join(argv) for argv, _ in COMMAND_CALLS]
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, loads, tmp_path):
+    done = _python("-c", _LOADED_AFTER_MAIN, *_written(argv, tmp_path))
+    code, modules = json.loads(done.stdout)
+    assert code == 0, done.stderr
+    assert "axkatz.bounds" in modules
+    assert {CALCULUS, ORACLE} & set(modules) == loads
+
+
+def test_the_package_defers_calculus_and_oracle_to_first_use():
+    names = "json.dumps(sorted(name for name in sys.modules if name.startswith('axkatz')))"
+    done = _python("-c", f"import json, sys, axkatz; print({names})")
+    assert CALCULUS not in done.stdout and ORACLE not in done.stdout, done.stderr
+
+    # Any deferred name loads both modules, so a tracer installed after it finds both.
+    for first_use in ("axkatz.FiniteMap", "axkatz.oracle.MAX_SYSTEMS"):
+        done = _python("-c", f"import json, sys, axkatz; {first_use}; print({names})")
+        assert CALCULUS in done.stdout and ORACLE in done.stdout, (first_use, done.stderr)
+
+    check = """
+import sys
+from axkatz import *
+import axkatz
+missing = [name for name in axkatz.__all__ if name not in globals()]
+assert not missing, missing
+for name in axkatz.__all__:
+    obj = globals()[name]
+    assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert getattr(axkatz, name) is obj, name
+try:
+    axkatz.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("no AttributeError")
+assert set(axkatz.__all__) | {"calculus", "oracle"} <= set(dir(axkatz))
+assert axkatz.oracle.MAX_SYSTEMS == 200000
+print("ok")
+"""
+    done = _python("-c", check)
+    assert done.stdout == "ok\n", done.stderr
+
+    done = _python("-c", "import axkatz; print(set(axkatz.__all__) <= set(dir(axkatz)))")
+    assert done.stdout == "True\n", done.stderr
+
+
+def _parse_outcome(parser, argv, capsys):
+    """(exit code or parsed options, stdout, stderr) of parsing argv."""
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+def test_the_one_command_parser_speaks_as_the_full_parser(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    first_calls = {argv[0]: argv for argv, _ in reversed(COMMAND_CALLS)}
+    assert sorted(first_calls) == sorted(COMMANDS)
+    for command, argv in first_calls.items():
+        argv = _written(argv, tmp_path)
+        for case in ([command, "--help"], [command], argv, [*argv, "extra"], [*argv, "-x"]):
+            one = _parse_outcome(build_parser(command), case, capsys)
+            assert one == _parse_outcome(build_parser(), case, capsys), case
+            assert one[0] != 0 or one[1], case
+
+    usage = "usage: axkatz [-h]\n              {" + ",".join(COMMANDS) + "}\n              ...\n"
+    code, out, err = run_cli_exit(capsys, "--help")
+    assert code == 0 and out.startswith(usage) and err == ""
+    for name, (help_text, _, _) in COMMANDS.items():
+        assert f"    {name} " in out and help_text in out
+    code, out, err = run_cli_exit(capsys)
+    assert (code, out) == (2, "")
+    assert err == usage + "axkatz: error: the following arguments are required: command\n"
+    code, out, err = run_cli_exit(capsys, "boun")
+    assert (code, out) == (2, "")
+    assert err.startswith(usage + "axkatz: error: argument command: invalid choice: 'boun'")
+    code, out, err = run_cli_exit(capsys, "bound", "--p", "2", "--alpha", "1", "extra")
+    assert (code, out) == (2, "")
+    assert err == usage + "axkatz: error: unrecognized arguments: extra\n"
 
 
 def test_polybound_with_a_mersenne_prime_modulus_finishes():

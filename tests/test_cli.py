@@ -384,7 +384,6 @@ except AttributeError as exc:
 else:
     raise AssertionError("no AttributeError")
 assert set(axkatz.__all__) | {"calculus", "oracle"} <= set(dir(axkatz))
-assert axkatz.oracle.MAX_SYSTEMS == 200000
 print("ok")
 """
     done = _python("-c", check)

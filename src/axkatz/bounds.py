@@ -33,7 +33,7 @@ from .degrees import INF, Degree
 from .errors import ConsistencyError, ResourceLimitError
 from .groups import AbelianShape, enumeration_limit, primary_decomposition
 from .intmath import ceil_div, check_prime, factorize, ilog, multiplicity
-from .partitions import Partition, geometric_sum, make_partition, truncate
+from .partitions import Partition, _unchecked, make_partition, truncate
 
 Budget = int | float  # nonnegative int, or math.inf for an unbounded budget
 
@@ -353,15 +353,15 @@ def bound_objective(alpha: Partition, targets: TargetSpec, point: Sequence[int])
 
 
 def _case_split(alpha: Partition, targets: TargetSpec) -> dict:
-    p = targets.p
-    a_measure = geometric_sum(alpha, p)
+    p, columns = targets.p, alpha.columns
+    a_measure = _dot_prefix_weight(columns, p, alpha.size)
     b_measure = targets.measure
     level = targets.level
     truncated = truncate(alpha, level)
-    truncated_measure = geometric_sum(truncated, p)
+    truncated_measure = _dot_prefix_weight(columns, p, sum(columns[:level]))
     s0 = max(ceil_div(truncated_measure - b_measure, targets.d1 * p ** (targets.beta1 - 1)), 0)
     # B >= 1 buys the first dot, so t_star >= 1.
-    t_star, _, _ = _column_walk(alpha.columns, p, 1, b_measure)
+    t_star, _, _ = _column_walk(columns, p, 1, b_measure)
     return {
         "a_measure": a_measure,
         "b_measure": b_measure,
@@ -612,7 +612,7 @@ def polynomial_system_bound(
         raise ResourceLimitError(f"{nvars} variables exceed the enumeration limit {limit}")
     out: dict[int, BoundReport] = {}
     for prime, e in sorted(factorize(modulus).items()):
-        alpha = make_partition([e] * nvars)
+        alpha = _unchecked(Partition, parts=(e,) * nvars)
         targets = make_targets(prime, [(e, d) for d in degrees])
         out[prime] = zero_count_bound(alpha, targets)
     return out

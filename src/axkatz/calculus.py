@@ -60,7 +60,7 @@ from .groups import (
     pure_prime,
 )
 from .intmath import binomial, factorize, multiplicity
-from .partitions import make_partition
+from .partitions import _unchecked, make_partition
 
 Table = tuple[tuple[int, ...], ...]  # the values of a map, in enumeration order
 
@@ -190,10 +190,8 @@ class TableSet(Sequence):
     def __getitem__(self, i: int) -> FiniteMap:
         if not -self.length <= i < self.length:
             raise IndexError("table index out of range")
-        f = object.__new__(FiniteMap)  # checked with the set, not again
-        values = self.table(i % self.length)
-        vars(f).update(domain=self.domain, codomain=self.codomain, values=values)
-        return f
+        values = self.table(i % self.length)  # checked with the set, not again
+        return _unchecked(FiniteMap, domain=self.domain, codomain=self.codomain, values=values)
 
     def select(self, indices: Iterable[int]) -> "TableSet":
         """The set of the tables at indices, in that order."""
@@ -914,19 +912,11 @@ class BinomialSeries:
     coeffs: Mapping[tuple[int, ...], int]
 
     def __post_init__(self):
-        chain, nvecs = itertools.chain.from_iterable, self.coeffs.keys()
-        if not (  # bulk checks at C speed, passing only what the loop passes
-            set(map(type, nvecs)) <= {tuple}
-            and set(map(type, chain(nvecs))) <= {int}
-            and set(map(len, nvecs)) <= {self.arity}
-            and min(chain(nvecs), default=0) >= 0
-            and set(map(type, self.coeffs.values())) <= {int, bool}
-        ):
-            for nvec, c in self.coeffs.items():
-                if len(nvec) != self.arity or any(n < 0 for n in nvec):
-                    raise ValueError(f"bad support point {nvec} for arity {self.arity}")
-                if not isinstance(c, int):
-                    raise ValueError(f"coefficients must be integers, got {c!r}")
+        for nvec, c in self.coeffs.items():
+            if len(nvec) != self.arity or any(n < 0 for n in nvec):
+                raise ValueError(f"bad support point {nvec} for arity {self.arity}")
+            if not isinstance(c, int):
+                raise ValueError(f"coefficients must be integers, got {c!r}")
 
     def evaluate(self, point: Sequence[int]) -> int:
         if len(point) != self.arity:
@@ -959,7 +949,7 @@ def proper_lift(f: FiniteMap) -> BinomialSeries:
         raise ValueError("proper lifts need a cyclic codomain of prime-power order")
     coeffs = series_coefficients(f)  # one codomain slot: each value (c,) with c nonzero
     coeffs = dict(zip(coeffs, map(operator.itemgetter(0), coeffs.values())))
-    return BinomialSeries(len(f.domain.factors), coeffs)
+    return _unchecked(BinomialSeries, arity=len(f.domain.factors), coeffs=coeffs)
 
 
 def lift_difference_at_zero(series: BinomialSeries, orders: Sequence[int]) -> int:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import ResourceLimitError
 from .intmath import check_prime, factorize, multiplicity, power_exceeds, power_text
-from .partitions import Partition, make_partition
+from .partitions import Partition, _unchecked
 
 DEFAULT_ENUM_LIMIT = 10**6
 ENUM_LIMIT_ENV = "AXKATZ_ENUM_LIMIT"
@@ -125,10 +125,11 @@ def primary_decomposition(shape: AbelianShape) -> dict[int, PGroupShape]:
     for m, copies in Counter(shape.factors).items():
         for prime, e in factorize(m).items():
             exponents.setdefault(prime, []).extend([e] * copies)
-    return {
-        prime: PGroupShape(prime, make_partition(exps))
-        for prime, exps in sorted(exponents.items())
-    }
+    sylow = {}  # primes and exponents come from factorize, so nothing to check
+    for prime, exps in sorted(exponents.items()):
+        alpha = _unchecked(Partition, parts=tuple(sorted(exps, reverse=True)))
+        sylow[prime] = _unchecked(PGroupShape, p=prime, exponents=alpha)
+    return sylow
 
 
 def component_of(shape: AbelianShape, prime: int) -> AbelianShape:

@@ -277,8 +277,11 @@ def _tables(
     packed.sort()
     size, repeat = width // 8, itertools.repeat
     data = b"".join(map(int.to_bytes, packed, repeat(n * r * size), repeat("big")))
-    if size > 1:  # each slot was written big-endian
-        data = b"".join(data[o : o + size][::-1] for o in range(0, len(data), size))
+    if size > 1:  # each slot was written big-endian: flip its byte planes
+        flipped = bytearray(len(data))
+        for b in range(size):
+            flipped[b::size] = data[size - 1 - b :: size]
+        data = bytes(flipped)
     return TableSet(domain, codomain, len(packed), data, size)
 
 
@@ -384,11 +387,12 @@ def sample_bounded_maps(
     One draw from the rng per map picks a constant and a nonzero combination
     of the generators of ``degree_generators`` (the maps of degree <= cap
     that vanish at 0, a direct sum of cyclic groups), decoded digit by digit
-    into binomial coefficients.  Per codomain factor, the coefficients of
-    all draws are packed side by side, one slot per draw, and one slot-wise
-    inverse transform turns them into values.  Once all count maps are
-    drawn, ``_rechecked_tops`` computes their degrees again, and the first
-    one outside (0, cap] raises ConsistencyError with its table.
+    into binomial coefficients.  Per codomain factor, each coefficient is
+    written once into its slot of a blob, one slot per cell and draw; after
+    the last draw each cell's slots are read as one int, side by side, and
+    one slot-wise inverse transform turns them into values.  Once all count
+    maps are drawn, ``_rechecked_tops`` computes their degrees again, and
+    the first one outside (0, cap] raises ConsistencyError with its table.
     """
     p = pure_prime(domain)
     if p is None or pure_prime(codomain) != p:
@@ -398,12 +402,13 @@ def sample_bounded_maps(
     check_enumerable(domain.order)
     nonconstant = _bounded_map_count(domain, codomain, cap) - codomain.order
     generators = degree_generators(domain, codomain, cap)
-    size = _slot_size(domain, codomain)
-    columns = [[0] * domain.order for _ in codomain.factors]
+    size, combinations = _slot_size(domain, codomain), nonconstant // codomain.order
+    stride = count * size  # the slot of cell k and draw i starts at k stride + i size
+    blobs = [bytearray(domain.order * stride) for _ in codomain.factors]
     for i in range(count):
-        constants, combination = divmod(rng.randrange(nonconstant), nonconstant // codomain.order)
+        constants, combination = divmod(rng.randrange(nonconstant), combinations)
         combination += 1
-        for q, factor, column in zip(codomain.factors, generators, columns):
+        for q, factor, blob in zip(codomain.factors, generators, blobs):
             constants, constant = divmod(constants, q)
             cells = {0: constant}
             for generator, order in factor:
@@ -411,7 +416,15 @@ def sample_bounded_maps(
                 for cell, c in generator:
                     cells[cell] = (cells.get(cell, 0) + t * c) % q
             for cell, c in cells.items():
-                column[cell] |= c << 8 * size * i
+                start = cell * stride + i * size
+                if size == 1:  # an item is written several times faster than a slice
+                    blob[start] = c
+                else:
+                    blob[start : start + size] = c.to_bytes(size, "little")
+    columns = [
+        [int.from_bytes(blob[k * stride : (k + 1) * stride], "little") for k in range(domain.order)]
+        for blob in blobs
+    ]
     ones = _slot_ones(count, size)
     for q, column in zip(codomain.factors, columns):
         _forward_differences(column, domain.factors, _slot_sum(q, 8 * size, ones))

@@ -83,17 +83,21 @@ class Partition:
         return list(self.parts)
 
 
+def _unchecked(cls, **fields):
+    """The dataclass cls holding fields, unchecked: for values derived from checked ones."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 def make_partition(parts: Iterable[int]) -> Partition:
     """Build a partition, sorting the entries into weakly decreasing order."""
-    entries = list(parts)
-    if not entries:
-        raise ValueError("a partition needs at least one part")
-    return Partition(tuple(sorted(entries, reverse=True)))
+    return Partition(tuple(sorted(parts, reverse=True)))
 
 
 def conjugate(partition: Partition) -> Partition:
     """Column dot counts: result[j-1] = #{i : parts[i] >= j}."""
-    return Partition(partition.columns)
+    return _unchecked(Partition, parts=partition.columns)
 
 
 def truncate(partition: Partition, level: int) -> Partition:
@@ -103,7 +107,9 @@ def truncate(partition: Partition, level: int) -> Partition:
     if level >= partition.width:
         return partition
     capped = partition.columns[level - 1]
-    return Partition((level,) * capped + partition.parts[capped:])
+    if not isinstance(level, int) or isinstance(level, bool):  # the level becomes a part
+        raise ValueError(f"parts must be positive integers, got {level!r}")
+    return _unchecked(Partition, parts=(level,) * capped + partition.parts[capped:])
 
 
 def geometric_sum(partition: Partition, p: int) -> int:

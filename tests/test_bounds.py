@@ -37,7 +37,7 @@ from axkatz import (
 )
 from axkatz import bounds
 from axkatz.cli import main
-from axkatz.intmath import ceil_div
+from axkatz.intmath import ceil_div, multiplicity
 
 
 def test_binomial_sum_valuation_fixtures():
@@ -250,6 +250,23 @@ def test_positive_bound_iff_source_exceeds_targets():
             assert report.bound == 0
 
 
+def test_measures_match_geometric_sums():
+    # zero_count_bound reads A and Abreve off the columns of alpha, and
+    # builds the truncation without the checks of Partition.
+    rng = random.Random(14)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 101])
+        alpha = make_partition([rng.randint(1, 9) for _ in range(rng.randint(1, 12))])
+        targets = make_targets(
+            p, [(rng.randint(1, 9), rng.randint(1, 200)) for _ in range(rng.randint(1, 3))]
+        )
+        report = zero_count_bound(alpha, targets)
+        truncated = make_partition(min(a, report.level) for a in alpha)
+        assert report.truncated == truncated
+        assert report.a_measure == geometric_sum(alpha, p)
+        assert report.truncated_measure == geometric_sum(truncated, p)
+
+
 def test_flat_exponent_recovery():
     # All-ones partitions recover the prime-field style ceiling formula.
     rng = random.Random(23)
@@ -324,6 +341,22 @@ def test_polynomial_system_bound_fixtures():
         polynomial_system_bound(1, 3, [1])
     with pytest.raises(ValueError):
         polynomial_system_bound(4, 3, [])
+
+
+def test_polynomial_system_partitions_match_the_checked_constructor():
+    # The n copies of each prime's exponent are built without the checks of
+    # Partition; rebuilt through make_partition, each must pass and be equal.
+    rng = random.Random(14)
+    for _ in range(40):
+        picked = rng.sample([2, 3, 5, 7, 999983, 10**9 + 7], rng.randint(1, 3))
+        modulus = math.prod(q ** rng.randint(1, 3 if q < 10 else 1) for q in picked)
+        n, degrees = rng.randint(1, 300), [rng.randint(1, 5) for _ in range(rng.randint(1, 3))]
+        reports = polynomial_system_bound(modulus, n, degrees)
+        assert list(reports) == sorted(picked)
+        for q, report in reports.items():
+            e = multiplicity(q, modulus)
+            assert report.alpha == make_partition([e] * n)
+            assert set(map(type, report.alpha)) == {int}
 
 
 def test_polynomial_system_bound_asymptotic_growth():

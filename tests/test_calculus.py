@@ -263,6 +263,20 @@ def test_table_sets_are_range_checked_slot_by_slot(bad):
     )
 
 
+def test_table_set_reads_match_the_checked_constructor():
+    # A table read out of a set is built without the checks of FiniteMap;
+    # rebuilt through it, every table must pass and be equal.
+    rng = random.Random(14)
+    for domain, codomain in [(Z42, Z4), (Z22, AbelianShape((2, 4))), (Z2, AbelianShape((128,)))]:
+        tables = [random_map(domain, codomain, rng).values for _ in range(6)]
+        packed = calculus.TableSet.of(domain, codomain, tables, len(tables))
+        for i, values in enumerate(tables):
+            for read in (packed[i], packed[i - len(tables)]):
+                assert read == FiniteMap(domain, codomain, values)
+                assert {type(v) for value in read.values for v in value} == {int}
+        assert list(packed) == [FiniteMap(domain, codomain, values) for values in tables]
+
+
 @pytest.mark.parametrize(
     "domain, codomain, values, message",
     [
@@ -381,6 +395,19 @@ def test_proper_lift_reduces_to_the_map():
             shifted = (x[0] + 4, x[1] + 2)
             assert lift.evaluate(shifted) % 4 == f.at(x)[0]
         assert lift.degree() == functional_degree(f)
+
+
+def test_proper_lift_matches_the_checked_constructor():
+    # proper_lift builds its series without the checks of BinomialSeries;
+    # rebuilt through it from its coefficients, each must pass and be equal.
+    rng = random.Random(14)
+    for domain, codomain in [(Z42, Z4), (Z9, Z3), (Z22, Z2), (AbelianShape((3,)), Z9), (Z8, Z8)]:
+        for _ in range(10):
+            lift = proper_lift(random_map(domain, codomain, rng))
+            rebuilt = BinomialSeries(len(domain.factors), dict(lift.coeffs))
+            assert lift == rebuilt and lift.degree() == rebuilt.degree()
+            assert {type(c) for c in lift.coeffs.values()} <= {int}
+            assert {type(n) for nvec in lift.coeffs for n in nvec} <= {int}
 
 
 def test_lift_difference_fixtures():
@@ -858,8 +885,7 @@ def test_exact_difference_box_stays_exact():
     ],
 )
 def test_binomial_series_checks_every_term(bad, message):
-    # The bulk check passes only what the per-term loop passes; anything
-    # else goes to the loop, which names the first bad term.
+    # The per-term loop names the first bad term, wherever it stands.
     valid = {n: sum(n) - 3 for n in itertools.product(range(4), repeat=2)}
     for coeffs in (bad, {**valid, **bad}, {**bad, **valid}):
         with pytest.raises(ValueError) as info:

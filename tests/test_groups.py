@@ -1,5 +1,8 @@
 """Group shapes, enumeration order, Sylow splitting, degree caps."""
 
+import math
+import random
+
 import pytest
 
 from axkatz import (
@@ -15,6 +18,7 @@ from axkatz import (
 )
 from axkatz import calculus
 from axkatz.groups import check_enumerable, component_of, one_variable_cap
+from axkatz.intmath import factorize, multiplicity
 
 
 def test_shape_validation():
@@ -43,6 +47,26 @@ def test_primary_decomposition_preserves_order():
     for component in primary_decomposition(shape).values():
         total *= component.order
     assert total == shape.order
+
+
+def test_primary_decomposition_matches_the_checked_constructors():
+    # The components are built without the checks of PGroupShape and
+    # Partition; rebuilt through both, each must pass and be equal.
+    rng = random.Random(14)
+    primes = [2, 3, 5, 7, 999983, 10**9 + 7]
+    for _ in range(60):
+        factors = []
+        for _ in range(rng.randint(1, 8)):
+            picked = rng.sample(primes, rng.randint(1, 3))  # a large prime to the first power only
+            m = math.prod(q ** rng.randint(1, 3 if q < 10 else 1) for q in picked)
+            factors += [m] * rng.randint(1, 3)  # repeated factors
+        components = primary_decomposition(AbelianShape(tuple(factors)))
+        assert list(components) == sorted({q for m in factors for q in factorize(m)})
+        for q, component in components.items():
+            exponents = [multiplicity(q, m) for m in factors if m % q == 0]
+            rebuilt = PGroupShape(q, make_partition(exponents))
+            assert component == rebuilt and component.shape() == rebuilt.shape()
+            assert {type(q), *map(type, component.exponents)} == {int}
 
 
 def test_enumeration_order():

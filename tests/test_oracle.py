@@ -160,6 +160,31 @@ def test_table_set_buckets_match_the_reference_table_for_table(dom, cod):
             assert functional_degrees(domain, codomain, decoded) == [degree] * len(decoded)
 
 
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+def test_first_order_reed_muller_words_from_the_literature(m):
+    # RM(1, m): the maps (Z/2)^m -> Z/2 of degree <= 1 are the zero map, the
+    # constant 1 and 2^(m+1) - 2 affine words, each with 2^(m-1) zeros.  At
+    # m = 8 the 256 zero counts need two-byte slots.
+    domain = AbelianShape((2,) * m)
+    buckets = functions_by_degree(domain, Z2, cap=2 ** 2**m, max_degree=1)
+    assert {degree: len(tables) for degree, tables in buckets.items()} == {
+        NEG_INF: 1, Degree.of(1): 2 ** (m + 1) - 2, Degree.of(0): 1
+    }
+    assert buckets[Degree.of(1)].size == (2 if m == 8 else 1)
+    zeros = [mask.bit_count() for mask in buckets[Degree.of(1)].zero_masks()]
+    assert zeros == [2 ** (m - 1)] * (2 ** (m + 1) - 2)
+
+
+def test_second_order_reed_muller_weights_from_the_literature():
+    # RM(2, 5): the zero counts 32 - weight of its 65,536 words follow the
+    # weight distribution of Sloane and Berlekamp (IEEE Trans. IT, 1970).
+    buckets = functions_by_degree(AbelianShape((2,) * 5), Z2, cap=2**32, max_degree=2)
+    zeros = collections.Counter(
+        mask.bit_count() for tables in buckets.values() for mask in tables.zero_masks()
+    )
+    assert zeros == {0: 1, 8: 620, 12: 13888, 16: 36518, 20: 13888, 24: 620, 32: 1}
+
+
 # The criterion-7 instances, the tiny exhaustive shapes of the benchmark, and
 # the slot cases of the packed tables: two-byte value slots (Z/2 -> Z/128,
 # 896 systems) and two codomain slots ((Z/2)^2 -> Z/2 + Z/4, 2040 systems).
@@ -551,30 +576,54 @@ def test_masked_systems_loop_matches_per_system_zero_count(monkeypatch):
     assert run() == masked
 
 
+def _replica_draw(domain, codomain, generators, ref):
+    """The table of the next draw, decoded by hand from a replica rng: a
+    constant per codomain factor, then a nonzero digit vector over the
+    generators; the table is the constant plus sum t_i g_i, evaluated point
+    by point by reconstruct."""
+    nonzero = math.prod(order for gens in generators for _, order in gens) - 1
+    cells = list(itertools.product(*map(range, domain.factors)))
+    constants, combination = divmod(ref.randrange(codomain.order * nonzero), nonzero)
+    combination += 1
+    coeffs = {n: [0] * len(codomain.factors) for n in cells}
+    for j, (q, gens) in enumerate(zip(codomain.factors, generators)):
+        constants, coeffs[cells[0]][j] = divmod(constants, q)
+        for terms, order in gens:
+            combination, t = divmod(combination, order)
+            for cell, c in terms:
+                coeffs[cells[cell]][j] = (coeffs[cells[cell]][j] + t * c) % q
+    coeffs = {n: tuple(c) for n, c in coeffs.items()}
+    return reconstruct(domain, codomain, coeffs, INF)
+
+
+SAMPLED_PAIRS = [((4, 2), (4,), 2), ((9,), (3,), 3), ((2, 2), (2, 4), 2), ((3,), (9,), 3)]
+
+
 def test_sampled_table_matches_the_per_point_formula():
-    # A replica rng decodes the one draw by hand: a constant per codomain
-    # factor, then a nonzero digit vector over the generators; the table is
-    # the constant plus sum t_i g_i, evaluated point by point by reconstruct.
-    for dom, cod, cap in [((4, 2), (4,), 2), ((9,), (3,), 3), ((2, 2), (2, 4), 2), ((3,), (9,), 3)]:
+    for dom, cod, cap in SAMPLED_PAIRS:
         domain, codomain = AbelianShape(dom), AbelianShape(cod)
         generators = calculus.degree_generators(domain, codomain, cap)
-        orders = [order for gens in generators for _, order in gens]
-        cells = list(itertools.product(*map(range, dom)))
         for seed in range(5):
             rng, ref = random.Random(seed), random.Random(seed)
             table = sample_bounded_map(domain, codomain, cap, rng)
-            nonzero = math.prod(orders) - 1
-            constants, combination = divmod(ref.randrange(codomain.order * nonzero), nonzero)
-            combination += 1
-            coeffs = {n: [0] * len(cod) for n in cells}
-            for j, (q, gens) in enumerate(zip(cod, generators)):
-                constants, coeffs[cells[0]][j] = divmod(constants, q)
-                for terms, order in gens:
-                    combination, t = divmod(combination, order)
-                    for cell, c in terms:
-                        coeffs[cells[cell]][j] = (coeffs[cells[cell]][j] + t * c) % q
-            coeffs = {n: tuple(c) for n, c in coeffs.items()}
-            assert table == reconstruct(domain, codomain, coeffs, INF)
+            assert table == _replica_draw(domain, codomain, generators, ref)
+            assert rng.getstate() == ref.getstate()
+
+
+def test_sampled_batch_matches_the_per_point_formula():
+    # Each draw of a batch has its own slot in the batch's blobs, so every
+    # draw, not just the first, must be the table its digits give.  Z/2 ->
+    # Z/128 has two-byte slots.
+    for dom, cod, cap in SAMPLED_PAIRS + [((2,), (128,), 1)]:
+        domain, codomain = AbelianShape(dom), AbelianShape(cod)
+        generators = calculus.degree_generators(domain, codomain, cap)
+        for seed in range(3):
+            rng, ref = random.Random(seed), random.Random(seed)
+            tables = oracle.sample_bounded_maps(domain, codomain, cap, rng, 7)
+            assert tables.size == (2 if cod == (128,) else 1)
+            assert list(tables) == [
+                _replica_draw(domain, codomain, generators, ref) for _ in range(7)
+            ]
             assert rng.getstate() == ref.getstate()
 
 

@@ -1,5 +1,6 @@
 """Partition arithmetic: conjugation, truncation, weights, tail identities."""
 
+import random
 from enum import IntEnum
 
 import pytest
@@ -72,6 +73,39 @@ def test_columns_count_parts_at_least_j(partition):
 @given(small_partitions, st.integers(1, 7))
 def test_truncate_caps_every_part(partition, level):
     assert truncate(partition, level).parts == tuple(min(a, level) for a in partition.parts)
+
+
+def _rebuilt(derived, parts):
+    """Check that a partition the package derived unchecked is the one the
+    checked constructor builds from parts, part type for part type."""
+    rebuilt = Partition(tuple(parts))
+    assert derived == rebuilt and list(map(type, derived)) == list(map(type, rebuilt))
+    assert derived.columns == rebuilt.columns
+
+
+def test_derived_partitions_match_the_checked_constructor():
+    # conjugate and truncate build their results without the checks of
+    # Partition; rebuilt through it, every result must pass and be equal.
+    rng = random.Random(14)
+    for _ in range(300):
+        alpha = make_partition(rng.randint(1, 9) for _ in range(rng.randint(1, 12)))
+        _rebuilt(conjugate(alpha), alpha.columns)
+        width = alpha.width
+        for level in {1, max(width - 1, 1), width, width + 1, rng.randint(1, 12)}:
+            _rebuilt(truncate(alpha, level), (min(a, level) for a in alpha))
+
+
+def test_truncate_holds_its_level_to_the_checks_of_a_part():
+    # Below the width the level becomes a part, so it passes or fails as a part would.
+    class Level(IntEnum):
+        TWO = 2
+
+    alpha = make_partition([3, 3, 1])
+    _rebuilt(truncate(alpha, Level.TWO), (Level.TWO, Level.TWO, 1))
+    with pytest.raises(ValueError) as info:
+        truncate(alpha, True)
+    assert str(info.value) == "parts must be positive integers, got True"
+    assert truncate(make_partition([1, 1]), True) == make_partition([1, 1])
 
 
 def test_conjugate_fixtures():

@@ -125,11 +125,10 @@ def primary_decomposition(shape: AbelianShape) -> dict[int, PGroupShape]:
     for m, copies in Counter(shape.factors).items():
         for prime, e in factorize(m).items():
             exponents.setdefault(prime, []).extend([e] * copies)
-    sylow = {}  # primes and exponents come from factorize, so nothing to check
-    for prime, exps in sorted(exponents.items()):
-        alpha = _unchecked(Partition, parts=tuple(sorted(exps, reverse=True)))
-        sylow[prime] = _unchecked(PGroupShape, p=prime, exponents=alpha)
-    return sylow
+    return {  # primes and exponents come from factorize, so nothing to check
+        prime: _unchecked(PGroupShape, p=prime, exponents=_unchecked(Partition, parts=exps))
+        for prime, exps in sorted((q, tuple(sorted(e, reverse=True))) for q, e in exponents.items())
+    }
 
 
 def component_of(shape: AbelianShape, prime: int) -> AbelianShape:

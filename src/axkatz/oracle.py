@@ -417,14 +417,13 @@ def sample_bounded_maps(
                     cells[cell] = (cells.get(cell, 0) + t * c) % q
             for cell, c in cells.items():
                 start = cell * stride + i * size
-                if size == 1:  # an item is written several times faster than a slice
-                    blob[start] = c
-                else:
-                    blob[start : start + size] = c.to_bytes(size, "little")
-    columns = [
-        [int.from_bytes(blob[k * stride : (k + 1) * stride], "little") for k in range(domain.order)]
-        for blob in blobs
-    ]
+                blob[start : start + size] = c.to_bytes(size, "little")
+    columns = []
+    while blobs:  # free each blob once its column ints are read
+        blob = blobs.pop(0)
+        rows = (blob[k * stride : (k + 1) * stride] for k in range(domain.order))
+        columns.append([int.from_bytes(row, "little") for row in rows])
+    del blob
     ones = _slot_ones(count, size)
     for q, column in zip(codomain.factors, columns):
         _forward_differences(column, domain.factors, _slot_sum(q, 8 * size, ones))

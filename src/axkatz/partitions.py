@@ -40,17 +40,7 @@ class Partition:
             or min(parts) < 1
             or not all(map(operator.ge, parts, islice(parts, 1, None)))
         ):
-            self._raise_first_violation()
-
-    def _raise_first_violation(self):
-        """Name the first part, in order, that breaks a check of __post_init__."""
-        prev = None
-        for part in self.parts:
-            if not isinstance(part, int) or isinstance(part, bool) or part < 1:
-                raise ValueError(f"parts must be positive integers, got {part!r}")
-            if prev is not None and part > prev:
-                raise ValueError(f"parts must be weakly decreasing, got {self.parts}")
-            prev = part
+            _raise_first_violation(parts)
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -83,6 +73,17 @@ class Partition:
         return list(self.parts)
 
 
+def _raise_first_violation(parts: tuple) -> None:
+    """Name the first part, in order, that breaks a check of Partition.__post_init__."""
+    prev = None
+    for part in parts:
+        if not isinstance(part, int) or isinstance(part, bool) or part < 1:
+            raise ValueError(f"parts must be positive integers, got {part!r}")
+        if prev is not None and part > prev:
+            raise ValueError(f"parts must be weakly decreasing, got {parts}")
+        prev = part
+
+
 def _unchecked(cls, **fields):
     """The dataclass cls holding fields, unchecked: for values derived from checked ones."""
     obj = object.__new__(cls)
@@ -107,8 +108,7 @@ def truncate(partition: Partition, level: int) -> Partition:
     if level >= partition.width:
         return partition
     capped = partition.columns[level - 1]
-    if not isinstance(level, int) or isinstance(level, bool):  # the level becomes a part
-        raise ValueError(f"parts must be positive integers, got {level!r}")
+    _raise_first_violation((level,))  # the level becomes a part
     return _unchecked(Partition, parts=(level,) * capped + partition.parts[capped:])
 
 

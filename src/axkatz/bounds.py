@@ -33,7 +33,7 @@ from .degrees import INF, Degree
 from .errors import ConsistencyError, ResourceLimitError
 from .groups import AbelianShape, enumeration_limit, primary_decomposition
 from .intmath import ceil_div, check_prime, factorize, ilog, multiplicity
-from .partitions import Partition, _unchecked, make_partition, truncate
+from .partitions import Partition, _dot_prefix_weight, _unchecked, make_partition, truncate
 
 Budget = int | float  # nonnegative int, or math.inf for an unbounded budget
 
@@ -93,19 +93,6 @@ def _column_walk(
     return t, len(columns), 0
 
 
-def _dot_prefix_weight(columns: Sequence[int], p: int, t: int) -> int:
-    """Weight W(t) of the first t dots in column order, for 0 <= t <= size."""
-    total = 0
-    weight = 1
-    for count in columns:
-        if t <= count:
-            return total + t * weight
-        total += count * weight
-        t -= count
-        weight *= p
-    return total
-
-
 def _instance(p: int, alpha: Partition, **inputs) -> dict:
     """A failing call's inputs, the partition given by its column counts."""
     return {"p": p, "columns": list(alpha.columns), **inputs}
@@ -121,8 +108,9 @@ def vp_value(p: int, alpha: Partition, budget: Budget) -> int:
     check_prime(p)
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    t, _, _ = _column_walk(alpha.columns, p, p - 1, budget)
-    return alpha.size - t
+    columns = alpha.columns
+    t, _, _ = _column_walk(columns, p, p - 1, budget)
+    return sum(columns) - t
 
 
 @dataclass(frozen=True)
@@ -159,20 +147,14 @@ def min_valuation(p: int, alpha: Partition, budget: Budget) -> ValuationMinimum:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     parts = alpha.parts
     columns = alpha.columns
-    size = alpha.size
-    width = alpha.width
+    size = sum(columns)
+    width = len(columns)
+    # counts[j] dots in column j, with counts[0] = N rows and counts[width + 1] = 0.
+    counts = (len(parts), *columns, 0)
     instance = _instance(p, alpha, budget=budget)
 
-    def conj_at(j: int) -> int:
-        # Column counts extended by conj_at(0) = N and conj_at(width + 1) = 0.
-        if j < 1:
-            return len(parts)
-        if j > width:
-            return 0
-        return columns[j - 1]
-
     t, full, extra = _column_walk(columns, p, p - 1, budget)
-    if full < width and extra >= conj_at(full + 1):
+    if full < width and extra >= counts[full + 1]:
         raise ConsistencyError(
             "a full next column contradicts column maximality", instance=instance
         )
@@ -186,7 +168,7 @@ def min_valuation(p: int, alpha: Partition, budget: Budget) -> ValuationMinimum:
 
     # Rows 1..extra take full + 1 dots, the rest of the rows reaching column
     # full + 1 take full, and the shorter rows are taken whole.
-    reach = conj_at(full + 1)
+    reach = counts[full + 1]
     mu = (full + 1,) * extra + (full,) * (reach - extra) + parts[reach:]
     minus_one = {m: p**m - 1 for m in set(mu)}
     point = tuple(map(minus_one.__getitem__, mu))
@@ -194,7 +176,7 @@ def min_valuation(p: int, alpha: Partition, budget: Budget) -> ValuationMinimum:
 
     forms = (
         sum(map(operator.sub, parts, mu)),
-        sum(parts[: conj_at(full)]) - conj_at(full) * full - extra,
+        sum(parts[: counts[full]]) - counts[full] * full - extra,
         sum(parts[:reach]) - reach * full - extra,
         sum(columns[full:]) - extra,
     )
@@ -352,42 +334,6 @@ def bound_objective(alpha: Partition, targets: TargetSpec, point: Sequence[int])
     return floors + vp_value(p, alpha, budget)
 
 
-def _case_split(alpha: Partition, targets: TargetSpec) -> dict:
-    p, columns = targets.p, alpha.columns
-    a_measure = _dot_prefix_weight(columns, p, alpha.size)
-    b_measure = targets.measure
-    level = targets.level
-    truncated = truncate(alpha, level)
-    truncated_measure = _dot_prefix_weight(columns, p, sum(columns[:level]))
-    s0 = max(ceil_div(truncated_measure - b_measure, targets.d1 * p ** (targets.beta1 - 1)), 0)
-    # B >= 1 buys the first dot, so t_star >= 1.
-    t_star, _, _ = _column_walk(columns, p, 1, b_measure)
-    return {
-        "a_measure": a_measure,
-        "b_measure": b_measure,
-        "level": level,
-        "truncated": truncated,
-        "truncated_measure": truncated_measure,
-        "s0": s0,
-        "t_star": t_star,
-        "first_case": truncated_measure > b_measure,
-    }
-
-
-def bound_objective_minimum(alpha: Partition, targets: TargetSpec, beta: int) -> int:
-    """Closed-form minimum of the objective over the full coefficient box.
-
-    Valid for every integer beta exceeding the step count s0; the value does
-    not depend on beta.
-    """
-    data = _case_split(alpha, targets)
-    if beta <= data["s0"]:
-        raise ValueError(f"beta must exceed s0 = {data['s0']}, got {beta}")
-    if data["first_case"]:
-        return data["s0"] + alpha.size - data["truncated"].size
-    return alpha.size - data["t_star"]
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Every intermediate of the two-case bound, so the split can be audited."""
@@ -441,40 +387,60 @@ def zero_count_bound(alpha: Partition, targets: TargetSpec) -> BoundReport:
     ceiling step count plus the truncation loss.  Deficit case: rows minus
     the longest affordable weight prefix.  The public bound is clamped at 0.
     """
-    p = targets.p
-    data = _case_split(alpha, targets)
-    if data["first_case"]:
-        raw = data["s0"] + alpha.size - data["truncated"].size
-        case, s0, t_star = "first", data["s0"], None
+    p, columns = targets.p, alpha.columns
+    size = sum(columns)
+    a_measure = _dot_prefix_weight(columns, p, size)
+    b_measure = targets.measure
+    level = targets.level
+    truncated = truncate(alpha, level)
+    truncated_size = sum(columns[:level])
+    truncated_measure = _dot_prefix_weight(columns, p, truncated_size)
+    if truncated_measure > b_measure:
+        case, t_star = "first", None
+        s0 = ceil_div(truncated_measure - b_measure, targets.d1 * p ** (targets.beta1 - 1))
+        raw = s0 + size - truncated_size
     else:
-        raw = alpha.size - data["t_star"]
-        case, s0, t_star = "second", None, data["t_star"]
+        # B >= 1 buys the first dot, so t_star >= 1.
+        case, s0 = "second", None
+        t_star, _, _ = _column_walk(columns, p, 1, b_measure)
+        raw = size - t_star
     bound = max(raw, 0)
-    if data["a_measure"] > data["b_measure"] and bound < 1:
+    if (a_measure > b_measure) != (bound > 0):
         raise ConsistencyError(
-            "source measure above target measure forces a positive bound",
-            instance=_instance(p, alpha, targets=targets.to_json()),
-        )
-    if data["a_measure"] <= data["b_measure"] and bound != 0:
-        raise ConsistencyError(
-            "source measure at most target measure forces a zero bound",
+            "source measure above target measure forces a positive bound"
+            if a_measure > b_measure
+            else "source measure at most target measure forces a zero bound",
             instance=_instance(p, alpha, targets=targets.to_json()),
         )
     return BoundReport(
         p=p,
         alpha=alpha,
         targets=targets,
-        a_measure=data["a_measure"],
-        b_measure=data["b_measure"],
-        level=data["level"],
-        truncated=data["truncated"],
-        truncated_measure=data["truncated_measure"],
+        a_measure=a_measure,
+        b_measure=b_measure,
+        level=level,
+        truncated=truncated,
+        truncated_measure=truncated_measure,
         case=case,
         s0=s0,
         t_star=t_star,
         raw_bound=raw,
         bound=bound,
     )
+
+
+def bound_objective_minimum(alpha: Partition, targets: TargetSpec, beta: int) -> int:
+    """Closed-form minimum of the objective over the full coefficient box:
+    the raw bound of `zero_count_bound`.
+
+    Valid for every integer beta exceeding the step count s0; the value does
+    not depend on beta.
+    """
+    report = zero_count_bound(alpha, targets)
+    s0 = report.s0 or 0
+    if beta <= s0:
+        raise ValueError(f"beta must exceed s0 = {s0}, got {beta}")
+    return report.raw_bound
 
 
 def equal_exponent_bound(p: int, copies: int, exponent: int, targets: TargetSpec) -> int:

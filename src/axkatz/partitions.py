@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .intmath import check_prime
 
@@ -119,10 +119,19 @@ def geometric_sum(partition: Partition, p: int) -> int:
     counts weighted by powers of p: sum_j columns[j-1] * p^(j-1).
     """
     check_prime(p)
+    columns = partition.columns
+    return _dot_prefix_weight(columns, p, sum(columns))
+
+
+def _dot_prefix_weight(columns: Sequence[int], p: int, t: int) -> int:
+    """Weight W(t) of the first t dots in column order, for 0 <= t <= size."""
     total = 0
     weight = 1
-    for count in partition.columns:
+    for count in columns:
+        if t <= count:
+            return total + t * weight
         total += count * weight
+        t -= count
         weight *= p
     return total
 

@@ -5,11 +5,18 @@ Everything here is exact integer arithmetic.  Rational comparisons such as
 logarithms are computed by repeated multiplication, never through floats.
 
 Every closed form reads the partition through its Ferrers column counts
-(`Partition.columns`), so its cost grows with the partition's width, not its
-row count.  One column walk (`_column_walk`) finds the longest column-ordered
-dot prefix whose weight fits a budget: it gives `vp_value`, the deficit
-case's t_star and the full and extra columns of the `min_valuation` witness.
-The per-dot weight sequence of `partitions` stays off these paths; the tests
+(`Partition.columns`).  Every measure is a column-weight sum
+(`partitions._dot_prefix_weight`) and every size a sum of column counts
+(|alpha| = sum(columns), |alpha_breve| = sum(columns[:L])), so both cost
+O(width), not one step per row.  One column walk (`_column_walk`) finds the
+longest column-ordered dot prefix whose weight fits a budget: it gives
+`vp_value`, the deficit case's t_star and the full and extra columns of the
+`min_valuation` witness.  One step per row is still spent on what the
+outputs hold row by row, the truncated partition of a `BoundReport` and the
+witness point of `min_valuation`, and on `min_valuation`'s rearrangement and
+witness-valuation checks.  `zero_count_bound` is the one place that derives
+the two-case bound; `bound_objective_minimum` returns its raw value.  The
+per-dot weight sequence of `partitions` stays off these paths; the tests
 compare against it.
 
 Runtime checks: `min_valuation` re-derives its dot count from the bracket

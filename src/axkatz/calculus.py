@@ -206,10 +206,11 @@ class TableSet(Sequence):
 
     def zero_flags(self) -> list[int]:
         """Per domain position, a 1 in the lowest bit of the slot of each table
-        that vanishes there, read off the top bits as in ``_top_orders``."""
+        that vanishes there, read off the top bits as in ``_top_orders``.  A
+        trivial codomain packs no slot: one zero column stands for it."""
         width, ones = 8 * self.size, _slot_ones(self.length, self.size)
         fill, r = ones * ((1 << width - 1) - 1), len(self.codomain.factors)
-        columns = _pack(self.data, self.domain.order, r, self.size)
+        columns = _pack(self.data, self.domain.order, r, self.size) or [[0] * self.domain.order]
         nonzero = (reduce(operator.or_, cells) for cells in zip(*columns))
         return [ones ^ ((n + fill) >> width - 1 & ones) for n in nonzero]
 
@@ -271,7 +272,7 @@ def difference(f: FiniteMap, a: tuple[int, ...]) -> FiniteMap:
         tuple((u - v) % m for u, v, m in zip(values[k], x, mods))
         for k, x in zip(_translation(f.domain, a), values)
     )
-    return FiniteMap(f.domain, f.codomain, values)
+    return _unchecked(FiniteMap, domain=f.domain, codomain=f.codomain, values=values)
 
 
 def iterated_difference(f: FiniteMap, orders: Sequence[int]) -> FiniteMap:
@@ -533,12 +534,12 @@ def primary_split(f: FiniteMap) -> dict[int, FiniteMap] | None:
     for prime in sorted(set(f.domain.primes()) | set(f.codomain.primes())):
         domain, codomain = component_of(f.domain, prime), component_of(f.codomain, prime)
         if prime not in plan:  # the codomain component is trivial
-            out[prime] = FiniteMap(domain, codomain, ((),) * domain.order)
-            continue
-        tables = _component_tables(f.values, plan[prime])
-        if tables is None:
+            values = ((),) * domain.order
+        elif (tables := _component_tables(f.values, plan[prime])) is None:
             return None
-        out[prime] = FiniteMap(domain, codomain, tuple(zip(*tables)))
+        else:
+            values = tuple(zip(*tables))
+        out[prime] = _unchecked(FiniteMap, domain=domain, codomain=codomain, values=values)
     return out
 
 
@@ -565,7 +566,7 @@ def primary_assemble(
             columns[pos] = [a + cofactor * u for a, u in zip(columns[pos], table)]
     columns = [[a % m for a in column] for column, m in zip(columns, codomain.factors)]
     values = tuple(zip(*columns)) if columns else ((),) * domain.order
-    return FiniteMap(domain, codomain, values)
+    return _unchecked(FiniteMap, domain=domain, codomain=codomain, values=values)
 
 
 def functional_degree(f: FiniteMap) -> Degree:
@@ -1004,7 +1005,7 @@ def tensor_product(factors: Sequence[FiniteMap | BinomialSeries]):
             for v in combo:
                 prod = (prod * v[0]) % q
             values.append((prod,))
-        return FiniteMap(domain, codomain, tuple(values))
+        return _unchecked(FiniteMap, domain=domain, codomain=codomain, values=tuple(values))
     if all(isinstance(g, BinomialSeries) for g in factors):
         arity = sum(g.arity for g in factors)
         coeffs: dict[tuple[int, ...], int] = {}
@@ -1015,7 +1016,7 @@ def tensor_product(factors: Sequence[FiniteMap | BinomialSeries]):
                 c *= ci
             if c:
                 coeffs[nvec] = c
-        return BinomialSeries(arity, coeffs)
+        return _unchecked(BinomialSeries, arity=arity, coeffs=coeffs)
     raise ValueError("tensor factors must be all maps or all series")
 
 

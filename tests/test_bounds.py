@@ -31,6 +31,7 @@ from axkatz import (
     polynomial_system_bound,
     product_valuation,
     step_cost_minimum,
+    truncate,
     vp_value,
     weight_sequence,
     zero_count_bound,
@@ -191,6 +192,14 @@ def test_bound_objective_minimum_fixtures():
     assert bound_objective_minimum(make_partition([3]), make_targets(2, [(1, 1)]), 3) == 2
     with pytest.raises(ValueError):
         bound_objective_minimum(make_partition([2, 1]), make_targets(2, [(1, 1)]), 1)
+    # The surplus case names its step count, the deficit case s0 = 0.
+    for parts, beta, message in [
+        ([2, 1], 1, "beta must exceed s0 = 1, got 1"),
+        ([3], 0, "beta must exceed s0 = 0, got 0"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            bound_objective_minimum(make_partition(parts), make_targets(2, [(1, 1)]), beta)
+        assert str(info.value) == message
 
 
 def test_target_spec_ordering_and_measures():
@@ -233,6 +242,39 @@ def test_zero_count_bound_matches_objective_minimum():
         report = zero_count_bound(alpha, targets)
         beta = (report.s0 or 0) + rng.randint(1, 2)
         assert report.bound == bound_objective_minimum(alpha, targets, beta)
+
+
+def test_bounds_read_sizes_off_the_columns(monkeypatch):
+    # |alpha| and |alpha_breve| are sums of column counts: with Partition.size
+    # failing, every closed form returns what it returned before.
+    rng = random.Random(16)
+    cases = []
+    for _ in range(80):
+        p = rng.choice([2, 3, 5])
+        parts = [rng.randint(1, 6) for _ in range(rng.randint(1, 30))]
+        pairs = [(rng.randint(1, 3), rng.randint(1, 60)) for _ in range(rng.randint(1, 3))]
+        budget = rng.randint(0, 2 * (p - 1) * geometric_sum(make_partition(parts), p))
+        cases.append((p, parts, pairs, budget))
+
+    def run(p, parts, pairs, budget):
+        alpha, targets = make_partition(parts), make_targets(p, pairs)
+        report = zero_count_bound(alpha, targets)
+        beta = (report.s0 or 0) + 1
+        return (
+            report,
+            vp_value(p, alpha, budget),
+            min_valuation(p, alpha, budget),
+            bound_objective_minimum(alpha, targets, beta),
+        )
+
+    expected = list(map(run, *zip(*cases)))
+    assert {report.case for report, *_ in expected} == {"first", "second"}
+
+    def fail(self):
+        raise AssertionError("Partition.size was read")
+
+    monkeypatch.setattr(Partition, "size", property(fail))
+    assert list(map(run, *zip(*cases))) == expected
 
 
 def test_positive_bound_iff_source_exceeds_targets():
@@ -427,6 +469,13 @@ def test_column_route_matches_weight_sequence(case):
         t_star = reference_prefix_count(p, alpha, targets.measure, 1)
         assert report.t_star == t_star
         assert report.raw_bound == alpha.size - t_star
+    else:
+        truncated = truncate(alpha, report.level)
+        surplus = geometric_sum(truncated, p) - targets.measure
+        s0 = ceil_div(surplus, targets.d1 * p ** (targets.beta1 - 1))
+        assert surplus > 0 and report.s0 == s0
+        assert report.raw_bound == s0 + alpha.size - sum(truncated.parts)
+        assert report.truncated.size == sum(truncated.parts)
 
 
 def test_bounds_keep_no_per_partition_state():

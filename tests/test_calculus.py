@@ -278,6 +278,63 @@ def test_table_set_reads_match_the_checked_constructor():
 
 
 @pytest.mark.parametrize(
+    "domain, codomain",
+    [(Z2, AbelianShape(())), (Z42, AbelianShape(())), (Z42, Z4), (Z22, AbelianShape((2, 4)))],
+)
+def test_table_set_zero_masks_match_zero_mask(domain, codomain):
+    # Every domain position gets its zero flags, also when the codomain is
+    # trivial and a table holds no slot: the empty map vanishes everywhere.
+    rng = random.Random(15)
+    zero = codomain.zero()
+    tables = [random_map(domain, codomain, rng).values for _ in range(6)]
+    tables.append((zero,) * domain.order)
+    packed = calculus.TableSet.of(domain, codomain, tables, len(tables))
+    assert packed.zero_masks() == [zero_mask(values, zero) for values in tables]
+
+
+def assert_matches_the_checked_constructor(g):
+    """g, built unchecked, rebuilt through its checked constructor: equal, ints only."""
+    if isinstance(g, BinomialSeries):
+        assert BinomialSeries(g.arity, dict(g.coeffs)) == g
+        assert {type(c) for c in g.coeffs.values()} <= {int}
+    else:
+        assert FiniteMap(g.domain, g.codomain, g.values) == g
+        assert {type(v) for value in g.values for v in value} <= {int}
+
+
+@pytest.mark.parametrize(
+    "domain, codomain",
+    [(Z42, Z4), (Z6, Z2), (Z6, Z6), (AbelianShape((12, 10)), AbelianShape((6, 4)))],
+)
+def test_derived_maps_match_the_checked_constructor(domain, codomain):
+    # Differences, Sylow components and their assembly are built without the
+    # checks of FiniteMap; rebuilt through it, each must pass and be equal.
+    rng = random.Random(17)
+    primes = sorted(set(domain.primes()) | set(codomain.primes()))
+    components = {
+        q: random_map(component_of(domain, q), component_of(codomain, q), rng) for q in primes
+    }
+    f = primary_assemble(domain, codomain, components)
+    assert_matches_the_checked_constructor(f)
+    assert primary_split(f) == components
+    for g in primary_split(f).values():
+        assert_matches_the_checked_constructor(g)
+    for a in rng.sample(enumerate_elements(domain), 4):
+        assert_matches_the_checked_constructor(difference(f, a))
+    assert_matches_the_checked_constructor(iterated_difference(f, [1] * len(domain.factors)))
+
+
+def test_tensor_products_match_the_checked_constructors():
+    rng = random.Random(18)
+    maps = [random_map(Z2, Z4, rng), random_map(Z42, Z4, rng), random_map(Z3, Z4, rng)]
+    assert_matches_the_checked_constructor(tensor_product(maps))
+    lifts = [proper_lift(random_map(Z4, Z2, rng)), proper_lift(random_map(Z22, Z8, rng))]
+    assert_matches_the_checked_constructor(tensor_product(lifts))
+    series = [BinomialSeries(1, {(0,): 3, (2,): -5}), BinomialSeries(2, {(1, 1): 10**30})]
+    assert_matches_the_checked_constructor(tensor_product(series))
+
+
+@pytest.mark.parametrize(
     "domain, codomain, values, message",
     [
         (Z2, Z2, ((0,),), "table has 1 entries, domain has 2"),

@@ -108,6 +108,13 @@ def test_truncate_holds_its_level_to_the_checks_of_a_part():
     assert truncate(make_partition([1, 1]), True) == make_partition([1, 1])
 
 
+def test_size_sums_the_parts_without_building_columns():
+    # One column per unit of the largest part would never finish here.
+    alpha = make_partition([10**18])
+    assert alpha.size == 10**18
+    assert "columns" not in vars(alpha)
+
+
 def test_conjugate_fixtures():
     assert conjugate(make_partition([3, 2, 2, 1])).parts == (4, 3, 1)
     assert conjugate(make_partition([6, 5, 3, 1])).parts == (4, 3, 3, 2, 2, 1)

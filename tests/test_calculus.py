@@ -316,8 +316,9 @@ def test_derived_maps_match_the_checked_constructor(domain, codomain):
     }
     f = primary_assemble(domain, codomain, components)
     assert_matches_the_checked_constructor(f)
-    assert primary_split(f) == components
-    for g in primary_split(f).values():
+    split = primary_split(f)
+    assert split == components
+    for g in split.values():
         assert_matches_the_checked_constructor(g)
     for a in rng.sample(enumerate_elements(domain), 4):
         assert_matches_the_checked_constructor(difference(f, a))

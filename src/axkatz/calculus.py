@@ -128,6 +128,8 @@ def _check_tables(domain: AbelianShape, codomain: AbelianShape, tables: Sequence
     rows = list(itertools.chain.from_iterable(tables))
     # Bulk checks at C speed accept only what the per-table loop accepts; once
     # the rows are tuples of ints, their distinct values stand for them all.
+    # The type tests are exact, so bools (an int subclass) take the loop,
+    # which rejects them.
     if not (
         set(map(len, tables)) <= {order}
         and set(map(type, rows)) <= {tuple}
@@ -166,14 +168,6 @@ class TableSet(Sequence):
         size, chain = _slot_size(domain, codomain), itertools.chain.from_iterable
         return cls(domain, codomain, length, _blob(chain(chain(tables)), size), size)
 
-    @classmethod
-    def join(cls, domain: AbelianShape, codomain: AbelianShape, parts: Iterable):
-        """The tables of parts in order; a plain sequence of FiniteMaps is packed once."""
-        sets = [t if isinstance(t, cls) else [f.values for f in t] for t in parts]
-        sets = [t if isinstance(t, cls) else cls.of(domain, codomain, t, len(t)) for t in sets]
-        data, size = b"".join(s.data for s in sets), _slot_size(domain, codomain)
-        return cls(domain, codomain, sum(map(len, sets)), data, size)
-
     def __len__(self) -> int:
         return self.length
 
@@ -206,13 +200,13 @@ class TableSet(Sequence):
 
     def zero_flags(self) -> list[int]:
         """Per domain position, a 1 in the lowest bit of the slot of each table
-        that vanishes there, read off the top bits as in ``_top_orders``.  A
-        trivial codomain packs no slot: one zero column stands for it."""
-        width, ones = 8 * self.size, _slot_ones(self.length, self.size)
-        fill, r = ones * ((1 << width - 1) - 1), len(self.codomain.factors)
+        that vanishes there (``_slot_nonzero``).  A trivial codomain packs no
+        slot: one zero column stands for it."""
+        width, r = 8 * self.size, len(self.codomain.factors)
+        ones = _slot_ones(self.length, self.size)
+        nonzero = _slot_nonzero(width, ones)
         columns = _pack(self.data, self.domain.order, r, self.size) or [[0] * self.domain.order]
-        nonzero = (reduce(operator.or_, cells) for cells in zip(*columns))
-        return [ones ^ ((n + fill) >> width - 1 & ones) for n in nonzero]
+        return [ones ^ nonzero(reduce(operator.or_, cells)) for cells in zip(*columns)]
 
     def zero_masks(self) -> list[int]:
         """Per table, its zero set as one int (``zero_mask``), from ``zero_flags``."""
@@ -436,15 +430,52 @@ def _slot_reduction(q: int, width: int, ones: int) -> Callable[[int], int]:
 
 def _slot_difference(q: int, width: int, ones: int) -> Callable[[int, int], int]:
     """Slot-wise a - b mod q on packed ints of reduced slots: a + q - b
-    stays below 2q, so ``_slot_reduction`` reduces it."""
+    stays below 2q, so ``_slot_reduction`` reduces it.  One-bit slots hold
+    Z/2, where a - b is a XOR b."""
+    if width == 1:
+        return operator.xor
     offset, reduction = q * ones, _slot_reduction(q, width, ones)
     return lambda a, b: reduction(a + offset - b)
 
 
 def _slot_sum(q: int, width: int, ones: int) -> Callable[[int, int], int]:
-    """Slot-wise a + b mod q on packed ints of reduced slots (below 2q)."""
+    """Slot-wise a + b mod q on packed ints of reduced slots (below 2q);
+    XOR on one-bit slots."""
+    if width == 1:
+        return operator.xor
     reduction = _slot_reduction(q, width, ones)
     return lambda a, b: reduction(a + b)
+
+
+def _slot_nonzero(width: int, ones: int) -> Callable[[int], int]:
+    """A 1 in the lowest bit of each nonzero width-bit slot of a packed int
+    whose slots stay below 2^(width - 1): slot + 2^(width - 1) - 1 sets the
+    slot's top bit exactly then.  One-bit slots are their own flags."""
+    if width == 1:
+        return ones.__and__
+    fill, shift = ones * ((1 << width - 1) - 1), width - 1
+    return lambda packed: (packed + fill) >> shift & ones
+
+
+def _level_flags(comp: _Component, columns: list[list[int]], width: int, ones: int) -> list[int]:
+    """In place, each column becomes its coefficient column over the support
+    box; returns, per total order o, the flags (``_slot_nonzero``) of the
+    entries with a nonzero coefficient of order o.
+
+    A column holds one codomain slot of the component, one int per domain
+    cell with the entries side by side in slots of width bits, ``ones`` a 1
+    in the lowest bit of each; one transform with the slot-wise step
+    ``_slot_difference`` serves every entry.
+    """
+    gather, _, levels = comp.box
+    nonzero = [0] * len(levels)
+    for j, (_, _, q) in enumerate(comp.slots):
+        if gather is not None:
+            columns[j] = list(map(columns[j].__getitem__, gather))
+        _forward_differences(columns[j], comp.widths, _slot_difference(q, width, ones))
+        for order, cells in enumerate(levels):
+            nonzero[order] |= reduce(operator.or_, map(columns[j].__getitem__, cells))
+    return list(map(_slot_nonzero(width, ones), nonzero))
 
 
 def _top_orders(comp: _Component, columns: list[list[int]], count: int, size: int) -> list[int]:
@@ -453,43 +484,33 @@ def _top_orders(comp: _Component, columns: list[list[int]], count: int, size: in
     of a nonzero cell (0 when all vanish).
 
     A batch holds ``count`` tables packed by ``_pack`` in slots of ``size``
-    bytes, at least ``comp.slot_bytes``, one int per cell, and one transform
-    with the slot-wise step ``_slot_difference`` serves all of them.  A
-    table's top order is the largest order whose cells, ORed over the
-    codomain slots, leave its slot nonzero; slot + 2^(w - 1) - 1 sets the
-    slot's top bit exactly then, since every slot stays below 2^(w - 1).
+    bytes, at least ``comp.slot_bytes``, one int per cell, and its level
+    flags (``_level_flags``) give every table's top order, highest first.
     One table (count 1, size ``comp.slot_bytes``) is transformed in one int
     holding its whole box (``_box_rows``) and left one entry per cell; its
     top order is the largest order of a nonzero cell.
     """
-    gather, orders, levels = comp.box
-    width, ones, top = 8 * size, _slot_ones(len(orders) if count == 1 else count, size), -1
+    width = 8 * size
+    if count > 1:
+        pending, tops = _slot_ones(count, size), 0
+        levels = _level_flags(comp, columns, width, pending)
+        for order in range(len(levels) - 1, -1, -1):
+            hit = levels[order] & pending
+            if hit:
+                tops |= hit * (order + 1)
+                pending ^= hit
+        return list(_entries(tops.to_bytes(count * size, "little"), size))
+    gather, orders, _ = comp.box
+    ones, top = _slot_ones(len(orders), size), -1
     for j, (_, _, q) in enumerate(comp.slots):
         if gather is not None:
             columns[j] = list(map(columns[j].__getitem__, gather))
+        packed = [int.from_bytes(_blob(columns[j], size), "little")]
         step = _slot_difference(q, width, ones)
-        if count == 1:  # its whole box in one int
-            packed = [int.from_bytes(_blob(columns[j], size), "little")]
-            _forward_differences(packed, comp.widths, step, _box_rows(comp.widths, size))
-            columns[j] = _entries(packed[0].to_bytes(len(orders) * size, "little"), size)
-        else:
-            _forward_differences(columns[j], comp.widths, step)
+        _forward_differences(packed, comp.widths, step, _box_rows(comp.widths, size))
+        columns[j] = _entries(packed[0].to_bytes(len(orders) * size, "little"), size)
         top = max(top, max(itertools.compress(orders, columns[j]), default=-1))
-    if count == 1:
-        return [top + 1]
-    chain = itertools.chain.from_iterable
-    pending = ones << width - 1
-    fill, tops = pending - ones, 0
-    for order in range(top, -1, -1):
-        cells = levels[order]
-        nonzero = reduce(operator.or_, chain(map(c.__getitem__, cells) for c in columns), 0)
-        hit = nonzero + fill & pending
-        if hit:
-            tops |= (hit >> width - 1) * (order + 1)
-            pending ^= hit
-            if not pending:
-                break
-    return list(_entries(tops.to_bytes(count * size, "little"), size))
+    return [top + 1]
 
 
 def _raise_past_cap(
@@ -914,8 +935,12 @@ class BinomialSeries:
 
     def __post_init__(self):
         for nvec, c in self.coeffs.items():
-            if len(nvec) != self.arity or any(n < 0 for n in nvec):
-                raise ValueError(f"bad support point {nvec} for arity {self.arity}")
+            if (
+                not isinstance(nvec, tuple)
+                or len(nvec) != self.arity
+                or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in nvec)
+            ):
+                raise ValueError(f"bad support point {nvec!r} for arity {self.arity}")
             if not isinstance(c, int):
                 raise ValueError(f"coefficients must be integers, got {c!r}")
 

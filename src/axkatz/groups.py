@@ -78,7 +78,10 @@ class AbelianShape:
         return (
             isinstance(x, tuple)
             and len(x) == len(self.factors)
-            and all(isinstance(a, int) and 0 <= a < m for a, m in zip(x, self.factors))
+            and all(
+                isinstance(a, int) and not isinstance(a, bool) and 0 <= a < m
+                for a, m in zip(x, self.factors)
+            )
         )
 
     def to_json(self) -> list[int]:

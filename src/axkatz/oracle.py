@@ -8,34 +8,49 @@ Both modes of verification take their maps from one set, the maps of degree
 <= d of a one-prime pair.  ``calculus.degree_generators`` gives it as the
 constants plus a direct sum of cyclic groups, one generator list per codomain
 factor, so the maps number |B| K, K the product of the generator orders
-(``_bounded_map_count``).  Exhaustive mode builds every combination and
-sorts the tables into ``itertools.product`` order, so its reports are those
-of a full enumeration with the other tables left out.  Sampled mode draws a
-constant and a nonzero combination uniformly, with one ``randrange`` over
-their exact count |B| (K - 1).  Either mode checks its number of systems
-against MAX_SYSTEMS before it builds any table: the product of the targets'
-|B| (K - 1) (exhaustive) or the sample count (sampled).  The
-oracle stays independent of what it checks: it never consults the
-closed-form bound, and one ``calculus._degree_tops`` call per target checks
-every table (exhaustive: every enumerated table; sampled: every draw, once
-all of them are drawn) and computes its degree again from its values, not
-from the generators (``_rechecked_tops``).  A degree above d (sampled:
-outside (0, d]) raises ConsistencyError, and the test suite compares the
-enumeration, and the sampler's support, with the brute-force bucketing of
-every table.
+(``_bounded_map_count``).  Sampled mode draws a constant and a nonzero
+combination uniformly, with one ``randrange`` over their exact count
+|B| (K - 1).  Either mode checks its number of systems against MAX_SYSTEMS
+before it builds any table: the product of the targets' |B| (K - 1)
+(exhaustive) or the sample count (sampled).  The oracle stays independent
+of what it checks: it never consults the closed-form bound, and every
+generated or drawn table has its degree computed again from its values, not
+from the generators.  A degree above d (or below 1 for a qualifying map)
+raises ConsistencyError naming the first such table, and the test suite
+compares the enumeration, and the sampler's support, with the brute-force
+bucketing of every table.
 
-The tables of a target are one ``calculus.TableSet``: one slot per entry,
-tables side by side in one blob, generated, rechecked and zero-counted in
-that layout, with a FiniteMap built only for a table read out.  Zeros are
-counted slot-wise: per domain position, one int flags the candidates that
-vanish there, one slot each, and summing those ints over the positions
-gives every candidate's zero count at once.  With several targets the sum
-runs over the zeros of each system of the other targets.  The flags come
-from the value tables themselves, never from series coefficients or a
-closed form, so the counts stay an independent check of the bound.
-Polynomial systems count zeros on bit masks (``calculus.zero_mask``) of
+Exhaustive mode holds each target on per-position planes
+(``_generated_planes``): for each codomain slot j and domain position k one
+int holds entry j at k of every qualifying table, table i in bits
+[i w, (i + 1) w).  The slot width w is one bit when every codomain factor
+is Z/2, where adding is XOR, and ``calculus._slot_size`` bytes otherwise.
+The planes are built by doubling, one generator at a time, and are cached
+per (domain, codomain, d); every call rechecks them with one difference
+transform per codomain slot on copies of the planes, whose order levels,
+ORed, give each table's degree as flags (``_Target``).  Zero counts come
+from the planes too, never from series coefficients or a closed form: per
+position, a flag for each table that vanishes there.  With one-bit slots the
+|A| flag planes go through a ripple-carry counter, whose planes hold the
+bits of every count, and ord_2 of a count is its lowest set bit; wider
+slots add the flags slot-wise.  With r >= 2 targets the systems are laid out
+in product order of the targets' table indices, the last target's flags
+tiled and the earlier ones' spread, and ANDed per position, so one count
+serves every system (``_scan_planes``).  The witness is the first system of
+least ord in the order a full enumeration reports: per target, the degree
+buckets in the order in which each degree first appears in
+``itertools.product`` order, product order within a bucket, and systems in
+product order over the targets.  A bit-sliced argmin over the value planes
+finds it one target at a time, and only that system is decoded.
+
+The degree-capped tables of ``functions_by_degree`` come from the same
+generator: decoded from the planes and sorted into product order as one
+``calculus.TableSet`` (one slot per entry, tables side by side in one
+blob), then rechecked by ``calculus.functional_degrees``, as every table of
+``brute_max_degree`` is.  Sampled mode holds its draws in a TableSet too
+and counts each system's zeros on bit masks.  Polynomial systems count zeros on bit masks (``calculus.zero_mask``) of
 value tables built one axis at a time from tabulated powers.  The test
-suite compares both counts with a count written from the definition.
+suite compares every count with a count written from the definition.
 """
 
 from __future__ import annotations
@@ -47,7 +62,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .bounds import (
     TargetSpec,
@@ -60,16 +75,19 @@ from .bounds import (
 from .calculus import (
     BinomialSeries,
     FiniteMap,
+    Table,
     TableSet,
     _count_valuation,
     _degree,
     _degree_tops,
-    _entries,
     _forward_differences,
+    _level_flags,
+    _raise_past_cap,
+    _slot_nonzero,
     _slot_ones,
-    _slot_reduction,
     _slot_size,
     _slot_sum,
+    _sylow_plan,
     _unpack,
     coefficient_table,
     degree_generators,
@@ -178,8 +196,7 @@ def functions_by_degree(
 
     With max_degree=None every table is bucketed.  With max_degree=d (a
     one-prime pair only) just the tables of degree <= d are: ``_tables``
-    combines the generators of ``degree_generators`` with the constants
-    without building the others.  Tables arrive in itertools.product order,
+    decodes them from ``_generated_planes`` without building the others.  Tables arrive in itertools.product order,
     and buckets keep the order in which each degree first appears.  Every
     table is checked, and its degree computed again from its values, in one
     batch (``_rechecked_tops``).  A bucket is a sequence of FiniteMaps held
@@ -211,18 +228,32 @@ def _rechecked_tops(
     # Distinct tops, in the order of their first tables.
     outside = [top for top in dict.fromkeys(tops) if not least <= top <= high]
     if outside:
-        raise ConsistencyError(
-            f"a generated table has degree {_degree(outside[0])}"
-            f" outside [{_degree(least)}, {_degree(high)}]",
-            instance={
-                "domain": domain.factors,
-                "codomain": codomain.factors,
-                "max_degree": max_degree,
-                "order": _degree(outside[0]).to_json(),
-                "values": tables.table(tops.index(outside[0])),
-            },
-        )
+        values = tables.table(tops.index(outside[0]))
+        raise _degree_outside(domain, codomain, least, max_degree, outside[0], values)
     return tops
+
+
+def _degree_outside(
+    domain: AbelianShape,
+    codomain: AbelianShape,
+    least: int,
+    max_degree: int | None,
+    top: int,
+    values: Table,
+) -> ConsistencyError:
+    """The error for a generated or drawn table whose top lies outside
+    [least, max_degree + 1], with the instance that replays it."""
+    high = math.inf if max_degree is None else max_degree + 1
+    return ConsistencyError(
+        f"a generated table has degree {_degree(top)} outside [{_degree(least)}, {_degree(high)}]",
+        instance={
+            "domain": domain.factors,
+            "codomain": codomain.factors,
+            "max_degree": max_degree,
+            "order": _degree(top).to_json(),
+            "values": values,
+        },
+    )
 
 
 def _check_table_cap(q: int, p: int, size: int, cap: int) -> None:
@@ -247,42 +278,38 @@ def _tables(
     """Value tables in itertools.product order; with max_degree set, only
     those of degree <= max_degree.
 
-    Those are every combination of the constants and the generators of
-    ``degree_generators``, unless that is every table.  A table is packed
-    into one int, a slot of ``width`` bits per position and codomain factor
-    with the first position on top, so int order is product order.  The
-    multiples of each generator are added slot by slot, and the slots are
-    reduced mod q (``calculus._slot_reduction``) before they could overflow.
-    The sorted ints, written big-endian, are the TableSet's blob.
+    Those are the constants (the zero map alone when max_degree < 0) and the
+    tables of ``_generated_planes``, unless that is every table.  Each table
+    is written as a row of big-endian slots, so that sorting the rows sorts
+    the tables into product order; the slots are then flipped to the
+    TableSet's little-endian order.
     """
     targets = enumerate_elements(codomain)
     n, r = domain.order, len(codomain.factors)
     if max_degree is None or _bounded_map_count(domain, codomain, max_degree) == len(targets) ** n:
         tables = itertools.product(targets, repeat=n)
         return TableSet.of(domain, codomain, tables, len(targets) ** n)
-    width, factors = _packed_generators(domain, codomain, max_degree)
-    ones = sum(1 << width * k for k in range(n * r))
-    packed = [0]
-    for q, generators in factors:
-        # A slot holds less than 2^width, and less than 2q when q is odd.
-        limit = q if q & (q - 1) else (1 << width) - q + 1
-        reduction = _slot_reduction(q, width, ones)
-        digits, top = [0], 0  # top bounds every slot
-        for multiples in generators:
-            if top >= limit:
-                digits, top = list(map(reduction, digits)), q - 1
-            digits += [d + m for m in multiples[1:] for d in digits]  # multiples[0] is 0
-            top += q - 1
-        packed = [a + d for d in map(reduction, digits) for a in packed]
-    packed.sort()
-    size, repeat = width // 8, itertools.repeat
-    data = b"".join(map(int.to_bytes, packed, repeat(n * r * size), repeat("big")))
-    if size > 1:  # each slot was written big-endian: flip its byte planes
+    count, width, planes = _generated_planes(domain, codomain, max_degree)
+    size = _slot_size(domain, codomain)
+    stride, step = n * r * size, max(width // 8, 1)  # step: bytes per entry of a plane
+    data = bytearray(count * stride)
+    for k, cells in enumerate(zip(*planes)):
+        for j, plane in enumerate(cells):
+            if width == 1:  # one bit per table: a byte per table
+                plane = _relayout(plane, count, 1, 8)
+            entries = plane.to_bytes(count * step, "little")
+            for b in range(step):
+                data[(k * r + j + 1) * size - 1 - b :: stride] = entries[b::step]
+    rows = [data[i * stride : (i + 1) * stride] for i in range(count)]
+    for constant in targets if max_degree >= 0 else targets[:1]:
+        rows.append(b"".join(v.to_bytes(size, "big") for v in constant) * n)
+    data = b"".join(sorted(rows))
+    if size > 1:  # flip each big-endian slot
         flipped = bytearray(len(data))
         for b in range(size):
             flipped[b::size] = data[size - 1 - b :: size]
-        data = bytes(flipped)
-    return TableSet(domain, codomain, len(packed), data, size)
+        data = flipped
+    return TableSet(domain, codomain, len(rows), bytes(data), size)
 
 
 def _bounded_map_count(domain: AbelianShape, codomain: AbelianShape, max_degree: int) -> int:
@@ -294,28 +321,50 @@ def _bounded_map_count(domain: AbelianShape, codomain: AbelianShape, max_degree:
     return constants * math.prod(order for factor in generators for _, order in factor)
 
 
-@lru_cache(maxsize=None)
-def _packed_generators(
+@lru_cache(maxsize=64)
+def _generated_planes(
     domain: AbelianShape, codomain: AbelianShape, max_degree: int
-) -> tuple[int, tuple[tuple[int, tuple[list[int], ...]], ...]]:
-    """(slot width, per codomain factor Z/q: (q, the packed multiples of the
-    constant 1, when max_degree >= 0, and of each generator)) for ``_tables``.
-    Every q stays below 2^(width - 1)."""
-    n, r = domain.order, len(codomain.factors)
-    width = 8 * _slot_size(domain, codomain)
-    factors = []
-    for j, (q, generators) in enumerate(
-        zip(codomain.factors, degree_generators(domain, codomain, max_degree))
-    ):
-        if max_degree >= 0:
-            generators = ((((0, 1),), q), *generators)  # c_0 = 1: the constant 1
-        shifts = [width * ((n - 1 - k) * r + r - 1 - j) for k in range(n)]
-        gens = []
-        for terms, order in generators:
-            table = coefficient_table(domain, q, terms)
-            gens.append([sum(t * v % q << s for v, s in zip(table, shifts)) for t in range(order)])
-        factors.append((q, tuple(gens)))
-    return width, tuple(factors)
+) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """(count, width, planes): the nonconstant maps of degree <= max_degree
+    of a one-prime pair.
+
+    planes[j][k] holds entry j of every table at domain position k, table i
+    in bits [i width, (i + 1) width): one bit when every codomain factor is
+    Z/2, else a slot of ``_slot_size`` bytes.  Starting from the zero map,
+    each generator of ``degree_generators``, of order o, makes o copies of
+    the tables so far, copy t plus t times the generator, added slot-wise.
+    Table 0 is then the zero map; without it the tables are the nonzero
+    combinations, and the constants of each factor are doubled in last.
+    """
+    n = domain.order
+    width = 1 if set(codomain.factors) == {2} else 8 * _slot_size(domain, codomain)
+    planes = [[0] * n for _ in codomain.factors]
+    count = 1
+
+    def double(slot: int, q: int, values: Sequence[int], order: int) -> None:
+        nonlocal count
+        ones = _ones(count, width)
+        add, shifts = _slot_sum(q, width, ones), range(0, order * count * width, count * width)
+        for j, column in enumerate(planes):
+            for k, plane in enumerate(column):
+                copies = [plane] * order
+                if j == slot and values[k]:
+                    term = values[k] * ones
+                    for t in range(1, order):
+                        copies[t] = add(copies[t - 1], term)
+                column[k] = sum(map(operator.lshift, copies, shifts))
+        count *= order
+
+    generators = degree_generators(domain, codomain, max_degree)
+    for j, (q, factor) in enumerate(zip(codomain.factors, generators)):
+        for terms, order in factor:
+            double(j, q, coefficient_table(domain, q, terms), order)
+    planes = [[plane >> width for plane in column] for column in planes]
+    count -= 1
+    if count:  # no generator (max_degree < 1) leaves no nonconstant map
+        for j, q in enumerate(codomain.factors):
+            double(j, q, [1] * n, q)
+    return count, width, tuple(map(tuple, planes))
 
 
 def brute_max_degree(domain: AbelianShape, codomain: AbelianShape, cap: int = 2**20) -> int:
@@ -479,11 +528,13 @@ def verify_bound(
     Exhaustive mode enumerates every qualifying tuple; sampled mode draws a
     fixed number of systems deterministically from the seed.  Drawing no
     sample yields a vacuous pass, flagged as such.  The table cap
-    (exhaustive) or the enumeration limit (sampled) is checked from p and
-    the exponent sum first, before any p^part is formed; then the number of
-    systems, the product over the targets of their qualifying counts
-    (exhaustive) or the sample count, is checked against MAX_SYSTEMS before
-    any table is built.
+    (exhaustive), then the enumeration limit (either mode, with a sample),
+    is checked from p and the exponent sum first, before any p^part is
+    formed; then the number of systems, the product over the targets of
+    their qualifying counts (exhaustive) or the sample count, is checked
+    against MAX_SYSTEMS before any table is built.  Exhaustive mode holds
+    each target's maps as per-position planes (``_Target``) and scans all
+    systems at once (``_scan_planes``).
     """
     targets = expand_targets(p, shaped)
     if mode not in ("exhaustive", "sampled"):
@@ -493,8 +544,8 @@ def verify_bound(
     if mode == "exhaustive":
         for shape, _ in shaped:
             _check_table_cap(shape.order, p, alpha.size, cap)
-    elif samples > 0:
-        check_enumerable(p, alpha.size)
+    if mode == "exhaustive" or samples > 0:
+        check_enumerable(p, alpha.size)  # tables hold an entry per domain element
     else:
         # No sample builds no table, so no cap bounds the run: only the bound
         # is computed, and it takes the bound's digit check.
@@ -520,15 +571,10 @@ def verify_bound(
         "targets": [[shape.to_json(), d] for shape, d in shaped],
     }
 
+    claimed = Degree.of(report.bound)
     if mode == "exhaustive":
-        # Rechecked degrees lie in [-inf, d], so those above 0 qualify; a
-        # bucket that is a plain list of FiniteMaps is packed once.
-        buckets = [functions_by_degree(domain, shape, cap, d) for shape, d in shaped]
-        candidate_lists = [
-            TableSet.join(domain, shape, [fs for k, fs in b.items() if k > 0])
-            for (shape, _), b in zip(shaped, buckets)
-        ]
-        combine = itertools.product
+        targets = [_Target(domain, shape, d) for shape, d in shaped]
+        min_ord, witness, tested, passed = _scan_planes(p, targets, claimed)
     else:
         # Drawing no sample builds no table, so the domain is never enumerated.
         rng = random.Random(seed)
@@ -536,11 +582,7 @@ def verify_bound(
             sample_bounded_maps(domain, shape, d, rng, samples) if samples else []
             for shape, d in shaped
         ]
-        combine = zip
-
-    min_ord, witness, tested, passed = _scan_systems(
-        p, candidate_lists, combine, Degree.of(report.bound)
-    )
+        min_ord, witness, tested, passed = _scan_systems(p, candidate_lists, claimed)
     return VerifyReport(
         instance,
         report.bound,
@@ -555,55 +597,227 @@ def verify_bound(
     )
 
 
-def _scan_systems(
-    p: int,
-    candidate_lists: list[TableSet],
-    combine: Callable,
-    claimed: Degree,
+class _Target:
+    """The qualifying maps of one exhaustive target, as the planes of
+    ``_generated_planes``, with their degrees rechecked from their values.
+
+    ``degrees`` maps each degree in [1, d] to the flags of its tables: one
+    difference transform per codomain slot, on copies of the planes, gives
+    per total order the tables with a nonzero coefficient of that order
+    (``_level_flags``), and a table's degree is its highest such order.  A
+    table past the pair's degree cap, or of degree outside [1, d], raises
+    ConsistencyError naming the first such table in product order.
+
+    Flags are ints with a 1 in the lowest bit of each chosen table's slot.
+    ``first`` finds the first flagged table in product order by a
+    bit-sliced argmin: per position and codomain slot, from the top bit of
+    the entry down, it keeps the candidates whose bit is 0 when any is.
+    """
+
+    def __init__(self, domain: AbelianShape, codomain: AbelianShape, max_degree: int):
+        self.domain, self.codomain = domain, codomain
+        self.count, self.width, self.planes = _generated_planes(domain, codomain, max_degree)
+        self.ones = _ones(self.count, self.width)
+        self.degrees: dict[int, int] = self._rechecked(max_degree) if self.count else {}
+
+    def _rechecked(self, max_degree: int) -> dict[int, int]:
+        (comp,) = _sylow_plan(self.domain, self.codomain)
+        levels = _level_flags(comp, list(map(list, self.planes)), self.width, self.ones)
+        degrees, above = {}, 0  # above: the tables with a nonzero coefficient past order o
+        for order in range(len(levels) - 1, 0, -1):
+            if levels[order] & ~above:
+                degrees[order] = levels[order] & ~above
+            above |= levels[order]
+        past_cap = {order: flags for order, flags in degrees.items() if order > comp.cap}
+        if past_cap:
+            i, order = self._first_of(past_cap)
+            _raise_past_cap(self.domain, self.codomain, (comp,), [[order + 1]], [self.table(i)])
+        # Keyed by top, one plus the degree: 1 for a nonzero constant, 0 for the zero map.
+        outside = {order + 1: flags for order, flags in degrees.items() if order > max_degree}
+        constant = self.ones ^ above
+        outside.update({1: constant & levels[0], 0: constant & ~levels[0]})
+        if any(outside.values()):
+            i, top = self._first_of({t: flags for t, flags in outside.items() if flags})
+            raise _degree_outside(self.domain, self.codomain, 2, max_degree, top, self.table(i))
+        return degrees
+
+    def table(self, i: int) -> Table:
+        """The value table of table i."""
+        shift, mask = i * self.width, (1 << self.width) - 1
+        cells = zip(*self.planes)
+        return tuple(tuple(plane >> shift & mask for plane in entries) for entries in cells)
+
+    def zero_flags(self) -> list[int]:
+        """Per domain position, the flags of the tables that vanish there."""
+        nonzero = _slot_nonzero(self.width, self.ones)
+        return [self.ones ^ nonzero(reduce(operator.or_, cells)) for cells in zip(*self.planes)]
+
+    def first(self, candidates: int) -> int:
+        """The index of the first of the flagged tables in product order."""
+        for cells in zip(*self.planes):
+            for plane, q in zip(cells, self.codomain.factors):
+                for b in range((q - 1).bit_length() - 1, -1, -1):
+                    if not candidates & candidates - 1:  # one left
+                        return (candidates.bit_length() - 1) // self.width
+                    candidates = candidates & ~(plane >> b) or candidates
+        return ((candidates & -candidates).bit_length() - 1) // self.width
+
+    def _first_of(self, flags: dict) -> tuple[int, object]:
+        """(the first table in product order flagged in any of the values,
+        the key whose flags hold it)."""
+        i = self.first(reduce(operator.or_, flags.values()))
+        return i, next(key for key, f in flags.items() if f >> i * self.width & 1)
+
+    def witness(self, candidates: int) -> int:
+        """The index of the first of the flagged tables in candidate order:
+        the degrees in the order of their first tables in product order,
+        the tables of each degree in product order.  Bits of candidates
+        off the slots' lowest are ignored."""
+        degrees = dict(self.degrees)
+        while True:
+            _, degree = self._first_of(degrees)
+            hit = degrees.pop(degree) & candidates
+            if hit:
+                return self.first(hit)
+
+
+def _scan_planes(
+    p: int, targets: list[_Target], claimed: Degree
 ) -> tuple[Degree | None, tuple | None, int, bool]:
     """(min ord_p of the zero counts, its first witness, systems tested,
-    whether every system met the claimed bound) over combine(*lists).
+    whether every system met the claimed bound) over the systems of the
+    targets' candidates, in product order.
 
-    Zeros are counted slot-wise.  With itertools.product, the systems come
-    in runs: one per prefix system of all targets but the last, in product
-    order, each with every candidate of the last target.  A run's zero
-    counts are one sum, over the zeros of its prefix (the AND of the
-    prefix's zero masks), of the last target's ``zero_flags``: one slot per
-    candidate.  With zip, the one run's counts are the bit counts of the
-    ANDed zero masks.  Each run compares its distinct counts only, and only
-    the witness, the first system of least valuation, is decoded.
+    Systems are laid out in slots of one width: one bit when every target
+    holds one bit per table, else the widest target slot.  System
+    (i_1, ..., i_r) has index (..(i_1 c_2 + i_2) c_3 ..) c_r + i_r, c_s the
+    candidate counts, i_s a table index of target s: each target's zero
+    flags are spread over the systems of later targets and tiled over those
+    of earlier ones (``_relayout``), and ANDed per domain position.  Their
+    sum is each system's zero count, held as bit planes (``_count_planes``).
+    The witness, the first system of least ord in product order over the
+    targets' candidate orders, is picked one target at a time: the tables
+    of target s in a system of least ord with the chosen prefix, then the
+    first of them in candidate order (``_Target.witness``).
     """
+    counts = [target.count for target in targets]
+    if not all(counts):
+        return None, None, 0, True
+    total, order = math.prod(counts), targets[0].domain.order
+    width = max(target.width for target in targets)
+    ones = _ones(total, width)
+    zeros, spread, tile = [ones] * order, total, 1
+    for target in targets:
+        spread //= target.count
+        for k, flags in enumerate(target.zero_flags()):
+            zeros[k] &= _relayout(flags, target.count, target.width, width, spread, tile)
+        tile *= target.count
+    low, least = _least_ord(p, _count_planes(zeros, width, ones, order), ones)
+    witness, block = [], total * width
+    for target in targets:
+        block //= target.count  # the bits of the systems of one table of this target
+        flags = _relayout(_fold(least, block), target.count, block, target.width)
+        i = target.witness(flags)
+        witness.append(target.table(i))
+        least = least >> i * block & (1 << block) - 1
+    min_ord = INF if low == math.inf else Degree.of(low)
+    return min_ord, tuple(witness), total, low >= claimed.value
+
+
+def _ones(count: int, width: int) -> int:
+    """A 1 in the lowest bit of each of count slots of width bits, width 1 or
+    a multiple of 8."""
+    return (1 << count) - 1 if width == 1 else _slot_ones(count, width // 8)
+
+
+def _relayout(
+    flags: int, count: int, width: int, new_width: int, spread: int = 1, tile: int = 1
+) -> int:
+    """Flags of count slots of width bits (read off each slot's lowest bit)
+    in slots of new_width bits, each slot repeated spread times in a row
+    and the whole repeated tile times, through their binary digits; flags
+    that nothing moves are returned as they are."""
+    if width == new_width and spread == tile == 1:
+        return flags
+    digits = format(flags, "b").zfill(count * width)[width - 1 :: width]
+    slot = "1".zfill(new_width) * spread
+    return int(digits.translate({48: "0" * len(slot), 49: slot}) * tile, 2)
+
+
+def _fold(flags: int, bits: int) -> int:
+    """flags with the lowest bit of each bits-wide slot set when the slot
+    has any bit set (the other bits of no meaning)."""
+    span = 1
+    while 2 * span <= bits:
+        flags |= flags >> span
+        span *= 2
+    return flags | flags >> bits - span if span < bits else flags
+
+
+def _count_planes(zeros: list[int], width: int, ones: int, order: int) -> list[int]:
+    """Bit planes of the zero counts: plane c flags the systems whose count
+    has bit c set, for flags per position in zeros.  One-bit slots add the
+    flags in a ripple-carry counter; wider slots sum them slot-wise (a
+    count up to order fits) and read each bit of the sums."""
+    if width > 1:
+        total = sum(zeros)
+        return [total >> c & ones for c in range(order.bit_length())]
+    planes: list[int] = []
+    for carry in zeros:
+        for c in range(len(planes)):
+            if not carry:
+                break
+            planes[c], carry = planes[c] ^ carry, planes[c] & carry
+        else:
+            if carry:
+                planes.append(carry)
+    return planes
+
+
+def _least_ord(p: int, planes: list[int], ones: int) -> tuple[int | float, int]:
+    """(the least ord_p of the zero counts, the flags of the systems at it),
+    from the counts' bit planes; (math.inf, every system) when every count
+    is 0.  For p = 2 a count's ord is its lowest set bit; for odd p the
+    systems of each count are read off the planes."""
+    if p == 2:
+        lower = 0
+        for c, plane in enumerate(planes):
+            if plane & ~lower:
+                return c, plane & ~lower
+            lower |= plane
+        return math.inf, ones
+    low, least = math.inf, ones
+    for count in range(1, 1 << len(planes)):
+        systems = ones
+        for c, plane in enumerate(planes):
+            systems &= plane if count >> c & 1 else ~plane
+            if not systems:
+                break
+        else:
+            o = multiplicity(p, count)
+            if o < low:
+                low, least = o, systems
+            elif o == low:
+                least |= systems
+    return low, least
+
+
+def _scan_systems(
+    p: int, candidate_lists: list[TableSet], claimed: Degree
+) -> tuple[Degree | None, tuple | None, int, bool]:
+    """``_scan_planes`` over the systems zip(*candidate_lists), the draws of
+    sampled mode: each count is the bit count of the AND of the system's
+    zero masks, and only the witness, the first system of least valuation,
+    is decoded."""
     if not all(map(len, candidate_lists)):
         return None, None, 0, True
-    if combine is zip:
-        masks = [tables.zero_masks() for tables in candidate_lists]
-        runs = [((), [reduce(operator.and_, system).bit_count() for system in zip(*masks)])]
-    else:
-        *head, last = candidate_lists
-        flags, masks, order = last.zero_flags(), [t.zero_masks() for t in head], last.domain.order
-        runs = (
-            (prefix, _entries(total.to_bytes(len(last) * last.size, "little"), last.size))
-            for prefix in itertools.product(*(range(len(t)) for t in head))
-            for zeros in [reduce(operator.and_, map(list.__getitem__, masks, prefix), ~0)]
-            for total in [sum(flags[k] for k in range(order) if zeros >> k & 1)]
-        )
-    ords: dict[int, int | float] = {}  # ord_p of each count seen, math.inf for 0
-    low, witness, tested, passed = math.inf, None, 0, True
-    for prefix, counts in runs:
-        tested += len(counts)
-        distinct = dict.fromkeys(counts)
-        for count in distinct:
-            if count not in ords:
-                ords[count] = multiplicity(p, count) if count else math.inf
-        least = min(map(ords.__getitem__, distinct))
-        passed = passed and least >= claimed.value
-        if witness is None or least < low:
-            low = least
-            witness = (*prefix, next(k for k, c in enumerate(counts) if ords[c] == low))
-    if combine is zip:
-        witness = (witness[-1],) * len(candidate_lists)
-    systems = tuple(map(TableSet.table, candidate_lists, witness))
-    return INF if low == math.inf else Degree.of(low), systems, tested, passed
+    masks = [tables.zero_masks() for tables in candidate_lists]
+    counts = [reduce(operator.and_, system).bit_count() for system in zip(*masks)]
+    ords = {count: multiplicity(p, count) if count else math.inf for count in set(counts)}
+    low = min(ords.values())
+    k = next(k for k, count in enumerate(counts) if ords[count] == low)
+    witness = tuple(tables.table(k) for tables in candidate_lists)
+    return INF if low == math.inf else Degree.of(low), witness, len(counts), low >= claimed.value
 
 
 @dataclass(frozen=True)

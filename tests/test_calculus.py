@@ -234,8 +234,7 @@ class _Small(enum.IntEnum):
     "codomain, values",
     [
         (Z2, ((0,), (1,))),
-        (Z2, ((False,), (True,))),  # bools are ints
-        (Z2, ((0,), (_Small.ONE,))),  # so are other int subclasses
+        (Z2, ((0,), (_Small.ONE,))),  # int subclasses are ints, bools excepted
         (Z2, (collections.namedtuple("Point", "x")(0), (1,))),  # and tuple subclasses tuples
         (AbelianShape(()), ((), ())),
     ],
@@ -351,12 +350,23 @@ def test_tensor_products_match_the_checked_constructors():
         # The first offending value is named.
         (Z3, Z2, ((0,), [0], (5,)), "[0] is not a reduced element of (2,)"),
         (Z3, Z2, ((2,), (1.0,), (0,)), "(2,) is not a reduced element of (2,)"),
+        # A bool is no table entry, though it is an int.
+        (Z2, Z2, ((True,), (0,)), "(True,) is not a reduced element of (2,)"),
+        (Z2, AbelianShape((2, 4)), ((1, 3), (1, False)), "(1, False) is not a reduced element of (2, 4)"),
     ],
 )
 def test_finite_map_rejects(domain, codomain, values, message):
     with pytest.raises(ValueError) as info:
         FiniteMap(domain, codomain, values)
     assert str(info.value) == message
+
+
+def test_finite_map_from_json_rejects_bool_entries():
+    # JSON true is a bool: the entry check rejects it, as it does in a table.
+    data = {"domain": [2], "codomain": [2], "values": [[True], [0]]}
+    with pytest.raises(ValueError, match=r"^\(True,\) is not a reduced element of \(2,\)$"):
+        FiniteMap.from_json_dict(data)
+
 
 
 @pytest.mark.parametrize(
@@ -940,6 +950,8 @@ def test_exact_difference_box_stays_exact():
         ({(0, 1, 2): 1}, "bad support point (0, 1, 2) for arity 2"),
         ({(0, -1): 1}, "bad support point (0, -1) for arity 2"),
         ({(9, 9): 1.5}, "coefficients must be integers, got 1.5"),
+        ({(1.5, 0): 1}, "bad support point (1.5, 0) for arity 2"),
+        ({(True, 5): 1}, "bad support point (True, 5) for arity 2"),
     ],
 )
 def test_binomial_series_checks_every_term(bad, message):

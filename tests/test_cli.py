@@ -282,6 +282,11 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fdeg", "--map", str(truncated))
     assert code == 2 and err
 
+    boolean = tmp_path / "bool.json"
+    boolean.write_text(json.dumps({"domain": [2], "codomain": [2], "values": [[True], [0]]}))
+    code, out, err = run_cli(capsys, "fdeg", "--map", str(boolean))
+    assert code == 2 and out == "" and "(True,) is not a reduced element of (2,)" in err
+
 
 def test_outputs_are_deterministic(capsys):
     argv = ["bound", "--p", "3", "--alpha", "2,2,1", "--targets", "2:1,1:2"]

@@ -210,51 +210,185 @@ VERIFY_INSTANCES = [
 ]
 
 
-def test_verify_bound_agrees_with_brute_force_bucketing(monkeypatch):
-    def run():
-        return [
-            verify_bound(p, make_partition(parts), [(AbelianShape(c), d) for c, d in targets])
-            .to_json_dict()
-            for p, parts, targets in VERIFY_INSTANCES
+def _definition_scan(p, systems, claimed):
+    """(min ord, first witness, systems tested, passed) over the systems, each
+    zero count written from the definition: the points where every map of
+    the system takes the value 0."""
+    min_ord, witness, tested = None, None, 0
+    for system in systems:
+        domain = system[0].domain
+        count = sum(
+            all(not any(f.values[k]) for f in system) for k in range(domain.order)
+        )
+        observed = INF if count == 0 else Degree.of(multiplicity(p, count))
+        tested += 1
+        if min_ord is None or observed < min_ord:
+            min_ord, witness = observed, tuple(f.values for f in system)
+    passed = min_ord is None or min_ord >= claimed
+    return min_ord, witness, tested, passed
+
+
+def _reference_report(p, parts, targets, mode="exhaustive", seed=None, samples=25):
+    """verify_bound's report built from the brute-force bucketing (exhaustive:
+    every candidate of degree 1..d, degrees in the order of their first
+    tables, then systems in itertools.product order) or from single draws
+    (sampled), with every zero count written from the definition."""
+    alpha = make_partition(parts)
+    shaped = [(AbelianShape(c), d) for c, d in targets]
+    domain = AbelianShape(tuple(p**a for a in parts))
+    spec = oracle.expand_targets(p, shaped)
+    bound = oracle.zero_count_bound(alpha, spec)
+    if mode == "exhaustive":
+        buckets = [_reference_buckets(domain, shape, d) for shape, d in shaped]
+        candidates = [[f for degree, fs in b.items() if degree > 0 for f in fs] for b in buckets]
+        systems = itertools.product(*candidates)
+    else:
+        rng = random.Random(seed)
+        candidates = [
+            [sample_bounded_map(domain, shape, d, rng) for _ in range(samples)]
+            for shape, d in shaped
         ]
+        systems = zip(*candidates)
+    min_ord, witness, tested, passed = _definition_scan(p, systems, Degree.of(bound.bound))
+    return {
+        "instance": {"p": p, "alpha": list(parts), "targets": [[list(c), d] for c, d in targets]},
+        "bound": bound.bound,
+        "min_ord": None if min_ord is None else min_ord.to_json(),
+        "witness": [[list(v) for v in table] for table in witness] if witness else None,
+        "systems_tested": tested,
+        "mode": mode,
+        "seed": seed,
+        "vacuous": tested == 0,
+        "passed": passed,
+        "objective_match": oracle.bound_objective_minimum(alpha, spec, (bound.s0 or 0) + 1)
+        == bound.bound,
+    }
 
-    joined = run()
-    calls = []
 
-    def reference(domain, codomain, cap, max_degree):
-        calls.append((domain, codomain, max_degree))
-        return _reference_buckets(domain, codomain, max_degree)
+# VERIFY_INSTANCES, then three targets (one bit per table, then bit and byte
+# slots in one system layout), and the codomains Z/9 and Z/2 + Z/4.
+REFERENCE_INSTANCES = VERIFY_INSTANCES + [
+    (2, [1, 1], [((2,), 1)] * 3),
+    (2, [2], [((2,), 1), ((4,), 1), ((2,), 2)]),
+    (3, [1], [((3,), 1), ((9,), 1), ((3,), 2)]),
+    (3, [1], [((9,), 1)]),
+    (3, [1], [((9,), 3)]),
+    (2, [2], [((2, 4), 1)]),
+    (2, [1, 1], [((2, 4), 1), ((2,), 1)]),
+]
 
-    monkeypatch.setattr(oracle, "functions_by_degree", reference)
-    assert run() == joined
-    assert len(calls) == sum(len(targets) for _, _, targets in VERIFY_INSTANCES)
+
+def test_verify_bound_agrees_with_brute_force_bucketing():
+    # Full reports, witness included: the candidate order and the zero counts
+    # of the planes scan against the brute-force bucketing and the definition.
+    for p, parts, targets in REFERENCE_INSTANCES:
+        shaped = [(AbelianShape(c), d) for c, d in targets]
+        report = verify_bound(p, make_partition(parts), shaped).to_json_dict()
+        assert report == _reference_report(p, parts, targets), (p, parts, targets)
+    assert any(len(targets) == 3 for _, _, targets in REFERENCE_INSTANCES)
 
 
-def test_verify_checks_each_target_in_one_batch(monkeypatch):
+def test_verify_checks_each_target_in_one_batch():
+    # Both modes, two targets of different codomains: each target's maps
+    # (every qualifying one, then 25 draws) give the reference's reports.
     shaped = [(Z2, 2), (AbelianShape((2, 2)), 1)]
-
-    def run():
-        return [
-            verify_bound(2, make_partition([2, 1]), shaped).to_json_dict(),
-            verify_bound(2, make_partition([2, 1]), shaped, mode="sampled", seed=4).to_json_dict(),
-        ]
-
-    expected = run()
-    batches = []
-    real = calculus._check_tables
-
-    def counted(domain, codomain, tables):
-        batches.append((codomain, len(tables)))
-        return real(domain, codomain, tables)
-
-    # FiniteMap.__post_init__ and functional_degrees both check through it.
-    monkeypatch.setattr(calculus, "_check_tables", counted)
-    assert run() == expected
-    # One check per target and mode, over all of its tables: every map of
-    # degree <= d (exhaustive), then the 25 draws (sampled).
+    targets = [((2,), 2), ((2, 2), 1)]
+    exhaustive = verify_bound(2, make_partition([2, 1]), shaped)
+    sampled = verify_bound(2, make_partition([2, 1]), shaped, mode="sampled", seed=4)
+    assert exhaustive.to_json_dict() == _reference_report(2, [2, 1], targets)
+    assert sampled.to_json_dict() == _reference_report(2, [2, 1], targets, "sampled", 4)
     domain = AbelianShape((4, 2))
-    exhaustive = [(c, oracle._bounded_map_count(domain, c, d)) for c, d in shaped]
-    assert batches == exhaustive + [(c, 25) for c, _ in shaped]
+    assert exhaustive.systems_tested == math.prod(
+        oracle._bounded_map_count(domain, c, d) - c.order for c, d in shaped
+    )
+
+
+def test_verify_past_a_patched_cap_names_the_first_table_and_replays(monkeypatch):
+    # Claim a degree cap of 1 on Z/4 -> Z/2: verify's recheck of its
+    # generated tables raises for the first one of degree 2 or 3 in product
+    # order, and the instance replays through functional_degree.
+    real = calculus._sylow_plan
+
+    def patched(domain, codomain):
+        return tuple(dataclasses.replace(comp, cap=1) for comp in real(domain, codomain))
+
+    for module in (calculus, oracle):
+        monkeypatch.setattr(module, "_sylow_plan", patched)
+    with pytest.raises(ConsistencyError) as info:
+        verify_bound(2, make_partition([2]), [(Z2, 3)])
+    instance = info.value.instance
+    first = min(
+        f.values for degree, fs in _reference_buckets(Z4, Z2, 3).items() if degree > 1 for f in fs
+    )
+    assert instance == {
+        "domain": (4,), "codomain": (2,), "cap": 1, "order": instance["order"], "values": first
+    }
+    with pytest.raises(ConsistencyError) as again:
+        functional_degree(FiniteMap(Z4, Z2, instance["values"]))
+    assert again.value.instance == instance
+    monkeypatch.undo()
+    assert functional_degree(FiniteMap(Z4, Z2, instance["values"])) == instance["order"] > 1
+    assert verify_bound(2, make_partition([2]), [(Z2, 3)]).passed
+
+
+def test_verify_degree_cross_check_replays(monkeypatch):
+    # A recheck that reads every order one higher makes the tables of degree
+    # 2 read as 3, past d = 2: the first of them in product order is named,
+    # and the instance rebuilds the same failure.
+    real = oracle._level_flags
+    monkeypatch.setattr(
+        oracle, "_level_flags", lambda *args: [0] + real(*args)
+    )
+    first = _reference_buckets(Z42, Z2, 2)[Degree.of(2)][0].values
+    with pytest.raises(ConsistencyError, match=r"degree 3 outside \[1, 2\]") as info:
+        verify_bound(2, make_partition([2, 1]), [(Z2, 2)])
+    instance = info.value.instance
+    assert instance == {
+        "domain": (4, 2), "codomain": (2,), "max_degree": 2, "order": 3, "values": first
+    }
+    with pytest.raises(ConsistencyError) as again:
+        verify_bound(2, make_partition([2, 1]), [(AbelianShape(instance["codomain"]), 2)])
+    assert again.value.instance == instance
+
+
+def test_system_layout_helpers_match_their_definitions():
+    # _relayout reads the lowest bit of each slot, whatever the others hold,
+    # unless nothing moves, and _fold flags each slot that has any bit set.
+    rng = random.Random(5)
+    for _ in range(300):
+        count, width, new_width = rng.randint(1, 9), rng.choice([1, 8, 16]), rng.choice([1, 8, 16])
+        spread, tile = rng.randint(1, 4), rng.randint(1, 3)
+        entries = [rng.randrange(2) for _ in range(count)]
+        low = sum(e << i * width for i, e in enumerate(entries))
+        noise = rng.getrandbits(count * width) & ~sum(1 << i * width for i in range(count))
+        if width == new_width and spread == tile == 1:
+            assert oracle._relayout(low, count, width, new_width) == low
+            continue
+        expected = [e for _ in range(tile) for e in entries for _ in range(spread)]
+        got = oracle._relayout(low | noise, count, width, new_width, spread, tile)
+        assert got == sum(e << i * new_width for i, e in enumerate(expected))
+        bits, slots = rng.randint(1, 40), rng.randint(1, 6)
+        mask = rng.getrandbits(bits * slots) & rng.getrandbits(bits * slots)
+        folded = oracle._fold(mask, bits)
+        slot_bits = [mask >> i * bits & (1 << bits) - 1 for i in range(slots)]
+        assert [folded >> i * bits & 1 for i in range(slots)] == [int(b != 0) for b in slot_bits]
+
+
+@pytest.mark.parametrize(
+    "parts, modulus, systems, bound, min_ord",
+    [
+        # RM(2, 5): (Z/2)^5 -> Z/2, d <= 2, one bit per table.
+        ([1] * 5, 2, 65534, 2, 2),
+        # (Z/2)^4 -> Z/4, d <= 2: the fifth gap of the sharpness survey, in byte slots.
+        ([1] * 4, 4, 65532, 0, 1),
+    ],
+)
+def test_large_exhaustive_instances_through_the_planes(parts, modulus, systems, bound, min_ord):
+    # The default cap counts all |B|^|A| tables, so the cap is raised here.
+    shaped = [(AbelianShape((modulus,)), 2)]
+    report = verify_bound(2, make_partition(parts), shaped, cap=2**64)
+    assert (report.systems_tested, report.bound, report.min_ord) == (systems, bound, min_ord)
+    assert report.passed and not report.vacuous
 
 
 def test_generated_table_past_a_patched_cap_raises(monkeypatch):
@@ -528,10 +662,10 @@ def test_poly_zero_count_json_roundtrip():
     assert count == poly_zero_count(rebuilt)[0]
 
 
-def _per_system_reference(p, candidate_lists, combine, claimed):
+def _per_system_reference(p, candidate_lists, claimed):
     """The systems loop as it reads from the definition: one zero_count per system."""
     min_ord, witness, tested, passed = None, None, 0, True
-    for system in combine(*candidate_lists):
+    for system in zip(*candidate_lists):
         maps = list(system)
         observed = zero_count(maps)[1][p]
         tested += 1
@@ -556,11 +690,10 @@ SAMPLED_INSTANCES = [
 
 
 def test_masked_systems_loop_matches_per_system_zero_count(monkeypatch):
+    # Sampled mode's scan; the exhaustive scan is checked against the
+    # definition in test_verify_bound_agrees_with_brute_force_bucketing.
     def run():
-        reports = [
-            verify_bound(p, make_partition(parts), [(AbelianShape(c), d) for c, d in targets])
-            for p, parts, targets in VERIFY_INSTANCES
-        ]
+        reports = []
         for p, parts, targets in SAMPLED_INSTANCES:
             for seed in (5, 6):
                 shaped = [(AbelianShape(c), d) for c, d in targets]
@@ -570,8 +703,7 @@ def test_masked_systems_loop_matches_per_system_zero_count(monkeypatch):
         return [report.to_json_dict() for report in reports]
 
     masked = run()
-    assert any(len(r["witness"]) == 2 and r["mode"] == "exhaustive" for r in masked)
-    assert any(len(r["witness"]) == 2 and r["mode"] == "sampled" for r in masked)
+    assert any(len(r["witness"]) == 2 for r in masked)
     monkeypatch.setattr(oracle, "_scan_systems", _per_system_reference)
     assert run() == masked
 
@@ -692,7 +824,7 @@ def test_verify_checks_its_system_count_before_building_any_table(monkeypatch):
         raise AssertionError("a table was built past the system cap")
 
     # The table sources each mode calls.
-    monkeypatch.setattr(oracle, "functions_by_degree", no_table)
+    monkeypatch.setattr(oracle, "_generated_planes", no_table)
     monkeypatch.setattr(oracle, "sample_bounded_maps", no_table)
     # 2 (2^6 - 1) = 126 nonconstant maps Z/4 + Z/2 -> Z/2 of degree <= 3, per target.
     with pytest.raises(ResourceLimitError) as exhaustive:

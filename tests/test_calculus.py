@@ -237,6 +237,7 @@ class _Small(enum.IntEnum):
         (Z2, ((0,), (_Small.ONE,))),  # int subclasses are ints, bools excepted
         (Z2, (collections.namedtuple("Point", "x")(0), (1,))),  # and tuple subclasses tuples
         (AbelianShape(()), ((), ())),
+        (AbelianShape((2, 4)), ((1, 3), (0, _Small.ONE))),  # in any slot of a product
     ],
 )
 def test_finite_map_accepts(codomain, values):

@@ -158,6 +158,7 @@ class TableSet(Sequence):
         self.domain, self.codomain, self.length, self.data, self.size = (
             domain, codomain, length, data, size
         )
+        self._zero_flags: tuple[int, ...] | None = None
 
     def __repr__(self) -> str:
         return f"TableSet({self.domain}, {self.codomain}, {self.length} tables)"
@@ -198,15 +199,17 @@ class TableSet(Sequence):
         data = b"".join(map(self.data.__getitem__, map(slice, starts, ends)))
         return TableSet(self.domain, self.codomain, len(starts), data, self.size)
 
-    def zero_flags(self) -> list[int]:
+    def zero_flags(self) -> tuple[int, ...]:
         """Per domain position, a 1 in the lowest bit of the slot of each table
-        that vanishes there (``_slot_nonzero``).  A trivial codomain packs no
-        slot: one zero column stands for it."""
-        width, r = 8 * self.size, len(self.codomain.factors)
-        ones = _slot_ones(self.length, self.size)
-        nonzero = _slot_nonzero(width, ones)
-        columns = _pack(self.data, self.domain.order, r, self.size) or [[0] * self.domain.order]
-        return [ones ^ nonzero(reduce(operator.or_, cells)) for cells in zip(*columns)]
+        that vanishes there (``_slot_nonzero``), computed once per set.  A
+        trivial codomain packs no slot: one zero column stands for it."""
+        if self._zero_flags is None:
+            width, r = 8 * self.size, len(self.codomain.factors)
+            ones = _slot_ones(self.length, self.size)
+            nonzero = _slot_nonzero(width, ones)
+            columns = _pack(self.data, self.domain.order, r, self.size) or [[0] * self.domain.order]
+            self._zero_flags = tuple(ones ^ nonzero(reduce(operator.or_, c)) for c in zip(*columns))
+        return self._zero_flags
 
     def zero_masks(self) -> list[int]:
         """Per table, its zero set as one int (``zero_mask``), from ``zero_flags``."""
@@ -229,6 +232,12 @@ def _slot_size(domain: AbelianShape, codomain: AbelianShape) -> int:
 def _slot_ones(count: int, size: int) -> int:
     """A 1 in the lowest bit of each of count slots of size bytes."""
     return int.from_bytes((b"\x01" + bytes(size - 1)) * count, "little")
+
+
+def _width_ones(count: int, width: int) -> int:
+    """A 1 in the lowest bit of each of count slots of width bits, width 1
+    (the one-bit slots of Z/2 entries) or a multiple of 8."""
+    return (1 << count) - 1 if width == 1 else _slot_ones(count, width // 8)
 
 
 def _blob(flat: Iterable[int], size: int) -> bytes:
@@ -478,6 +487,23 @@ def _level_flags(comp: _Component, columns: list[list[int]], width: int, ones: i
     return list(map(_slot_nonzero(width, ones), nonzero))
 
 
+def _top_flags(comp: _Component, columns: list[list[int]], width: int, ones: int) -> dict[int, int]:
+    """``_level_flags`` read per entry: for each top, one plus an entry's
+    largest total order with a nonzero coefficient (0 when all vanish), the
+    flags of the entries with that top, highest top first and only those
+    that some entry has."""
+    levels = _level_flags(comp, columns, width, ones)
+    flags, pending = {}, ones
+    for order in range(len(levels) - 1, -1, -1):
+        hit = levels[order] & pending
+        if hit:
+            flags[order + 1] = hit
+            pending ^= hit
+    if pending:
+        flags[0] = pending
+    return flags
+
+
 def _top_orders(comp: _Component, columns: list[list[int]], count: int, size: int) -> list[int]:
     """In place, each column becomes its coefficient column over the support
     box; returns, per table, one plus its top order, the largest total order
@@ -485,20 +511,15 @@ def _top_orders(comp: _Component, columns: list[list[int]], count: int, size: in
 
     A batch holds ``count`` tables packed by ``_pack`` in slots of ``size``
     bytes, at least ``comp.slot_bytes``, one int per cell, and its level
-    flags (``_level_flags``) give every table's top order, highest first.
+    flags give every table's top order (``_top_flags``).
     One table (count 1, size ``comp.slot_bytes``) is transformed in one int
     holding its whole box (``_box_rows``) and left one entry per cell; its
     top order is the largest order of a nonzero cell.
     """
     width = 8 * size
     if count > 1:
-        pending, tops = _slot_ones(count, size), 0
-        levels = _level_flags(comp, columns, width, pending)
-        for order in range(len(levels) - 1, -1, -1):
-            hit = levels[order] & pending
-            if hit:
-                tops |= hit * (order + 1)
-                pending ^= hit
+        flags = _top_flags(comp, columns, width, _slot_ones(count, size))
+        tops = sum(top * hit for top, hit in flags.items())
         return list(_entries(tops.to_bytes(count * size, "little"), size))
     gather, orders, _ = comp.box
     ones, top = _slot_ones(len(orders), size), -1

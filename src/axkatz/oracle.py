@@ -15,40 +15,37 @@ before it builds any table: the product of the targets' |B| (K - 1)
 (exhaustive) or the sample count (sampled).  The oracle stays independent
 of what it checks: it never consults the closed-form bound, and every
 generated or drawn table has its degree computed again from its values, not
-from the generators.  A degree above d (or below 1 for a qualifying map)
-raises ConsistencyError naming the first such table, and the test suite
+from the generators.  A degree above d (sampled: outside (0, d]) raises
+ConsistencyError naming the first such table, and the test suite
 compares the enumeration, and the sampler's support, with the brute-force
 bucketing of every table.
 
-Exhaustive mode holds each target on per-position planes
+Exhaustive mode takes each target's candidates from
+``functions_by_degree(domain, B, cap, d)``, the buckets of degree 1..d in
+order, so its reports are those of a full enumeration with the other tables
+left out.  The maps of degree <= d are generated on per-position planes
 (``_generated_planes``): for each codomain slot j and domain position k one
-int holds entry j at k of every qualifying table, table i in bits
-[i w, (i + 1) w).  The slot width w is one bit when every codomain factor
-is Z/2, where adding is XOR, and ``calculus._slot_size`` bytes otherwise.
-The planes are built by doubling, one generator at a time, and are cached
-per (domain, codomain, d); every call rechecks them with one difference
-transform per codomain slot on copies of the planes, whose order levels,
-ORed, give each table's degree as flags (``_Target``).  Zero counts come
-from the planes too, never from series coefficients or a closed form: per
-position, a flag for each table that vanishes there.  With one-bit slots the
-|A| flag planes go through a ripple-carry counter, whose planes hold the
-bits of every count, and ord_2 of a count is its lowest set bit; wider
-slots add the flags slot-wise.  With r >= 2 targets the systems are laid out
-in product order of the targets' table indices, the last target's flags
-tiled and the earlier ones' spread, and ANDed per position, so one count
-serves every system (``_scan_planes``).  The witness is the first system of
-least ord in the order a full enumeration reports: per target, the degree
-buckets in the order in which each degree first appears in
-``itertools.product`` order, product order within a bucket, and systems in
-product order over the targets.  A bit-sliced argmin over the value planes
-finds it one target at a time, and only that system is decoded.
+int holds entry j at k of every map, table i in bits [i w, (i + 1) w).  The
+slot width w is one bit when every codomain factor is Z/2, where adding is
+XOR, and ``calculus._slot_size`` bytes otherwise.  The planes are built by
+doubling, one generator at a time, from the zero map.  Every call rechecks
+them with one difference transform per codomain slot on copies of the
+planes, whose order levels give each table's degree as flags
+(``calculus._top_flags``); each degree's tables are then decoded from the
+planes and sorted into product order (``_decoded``).  The planes and the
+decoded buckets are cached per (domain, codomain, d), and per recheck
+outcome, when they fit in CACHED_BYTES.
 
-The degree-capped tables of ``functions_by_degree`` come from the same
-generator: decoded from the planes and sorted into product order as one
-``calculus.TableSet`` (one slot per entry, tables side by side in one
-blob), then rechecked by ``calculus.functional_degrees``, as every table of
-``brute_max_degree`` is.  Sampled mode holds its draws in a TableSet too
-and counts each system's zeros on bit masks.  Polynomial systems count zeros on bit masks (``calculus.zero_mask``) of
+Both modes count zeros on the candidates' ``TableSet.zero_flags``: per domain
+position, a flag in the slot of each candidate that vanishes there.  With r
+>= 2 targets the systems are laid out in product order of the candidate
+indices (exhaustive: the last target's flags tiled and the earlier ones'
+spread) or side by side (sampled: the draws zipped), and ANDed per
+position; the slot-wise sum over the positions is every system's zero count
+at once (``_scan_systems``).  The flags come from the value tables
+themselves, never from series coefficients or a closed form.  The witness
+is the first system of least ord in that layout, and only it is decoded.
+Polynomial systems count zeros on bit masks (``calculus.zero_mask``) of
 value tables built one axis at a time from tabulated powers.  The test
 suite compares every count with a count written from the definition.
 """
@@ -61,8 +58,8 @@ import operator
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from typing import Sequence
+from functools import lru_cache, reduce, wraps
+from typing import Callable, Sequence
 
 from .bounds import (
     TargetSpec,
@@ -81,14 +78,14 @@ from .calculus import (
     _degree,
     _degree_tops,
     _forward_differences,
-    _level_flags,
     _raise_past_cap,
-    _slot_nonzero,
     _slot_ones,
     _slot_size,
     _slot_sum,
     _sylow_plan,
+    _top_flags,
     _unpack,
+    _width_ones,
     coefficient_table,
     degree_generators,
     functional_degree,  # not called here; perfbench's tracer test reads oracle.functional_degree
@@ -114,6 +111,7 @@ from .partitions import Partition, make_partition
 
 DIRECT_SUM_CAP = 1024
 MAX_SYSTEMS = 200000  # systems one verification may test, in either mode
+CACHED_BYTES = 2**22  # generated tables kept between calls, per cache entry
 
 
 def binomial_column_sums(limit: int, direct: bool | None = None) -> list[int]:
@@ -194,17 +192,21 @@ def functions_by_degree(
 ) -> dict[Degree, TableSet]:
     """Bucket maps from domain to codomain by exact functional degree.
 
-    With max_degree=None every table is bucketed.  With max_degree=d (a
-    one-prime pair only) just the tables of degree <= d are: ``_tables``
-    decodes them from ``_generated_planes`` without building the others.  Tables arrive in itertools.product order,
-    and buckets keep the order in which each degree first appears.  Every
-    table is checked, and its degree computed again from its values, in one
-    batch (``_rechecked_tops``).  A bucket is a sequence of FiniteMaps held
-    as one TableSet, which builds a FiniteMap only for a table read out.
+    With max_degree=None every table is listed and bucketed.  With
+    max_degree=d (a one-prime pair only) just the tables of degree <= d
+    are: ``_bounded_buckets`` takes them from ``_generated_planes`` without
+    building the others.  Tables arrive in itertools.product order, and
+    buckets keep the order in which each degree first appears.  Every table
+    has its degree computed again from its values on every call.  A bucket
+    is a sequence of FiniteMaps held as one TableSet, which builds a
+    FiniteMap only for a table read out.
     """
     _check_table_cap(codomain.order, domain.order, 1, cap)
-    tables = _tables(domain, codomain, max_degree)
-    tops = _rechecked_tops(domain, codomain, tables, 0, max_degree)
+    targets = enumerate_elements(codomain)  # the codomain is held to the enumeration limit
+    if max_degree is not None:
+        return _bounded_buckets(domain, codomain, max_degree)
+    tables = _all_tables(domain, codomain, targets)
+    tops = _degree_tops(domain, codomain, tables)
     # A stable sort by top puts each bucket in one run, in product order.
     ranked, ordered = tables.select(sorted(range(len(tops)), key=tops.__getitem__)), sorted(tops)
     return {
@@ -220,8 +222,8 @@ def _rechecked_tops(
     least: int,
     max_degree: int | None,
 ) -> list:
-    """One plus the degree of each generated or drawn table (0 for -inf),
-    again from its values by one ``_degree_tops`` call; the first outside
+    """One plus the degree of each drawn table (0 for -inf), again from its
+    values by one ``_degree_tops`` call; the first outside
     [least, max_degree + 1] raises."""
     tops = _degree_tops(domain, codomain, tables)
     high = math.inf if max_degree is None else max_degree + 1
@@ -272,44 +274,13 @@ def _check_table_cap(q: int, p: int, size: int, cap: int) -> None:
         )
 
 
-def _tables(
-    domain: AbelianShape, codomain: AbelianShape, max_degree: int | None
+def _all_tables(
+    domain: AbelianShape, codomain: AbelianShape, targets: list[tuple[int, ...]]
 ) -> TableSet:
-    """Value tables in itertools.product order; with max_degree set, only
-    those of degree <= max_degree.
-
-    Those are the constants (the zero map alone when max_degree < 0) and the
-    tables of ``_generated_planes``, unless that is every table.  Each table
-    is written as a row of big-endian slots, so that sorting the rows sorts
-    the tables into product order; the slots are then flipped to the
-    TableSet's little-endian order.
-    """
-    targets = enumerate_elements(codomain)
-    n, r = domain.order, len(codomain.factors)
-    if max_degree is None or _bounded_map_count(domain, codomain, max_degree) == len(targets) ** n:
-        tables = itertools.product(targets, repeat=n)
-        return TableSet.of(domain, codomain, tables, len(targets) ** n)
-    count, width, planes = _generated_planes(domain, codomain, max_degree)
-    size = _slot_size(domain, codomain)
-    stride, step = n * r * size, max(width // 8, 1)  # step: bytes per entry of a plane
-    data = bytearray(count * stride)
-    for k, cells in enumerate(zip(*planes)):
-        for j, plane in enumerate(cells):
-            if width == 1:  # one bit per table: a byte per table
-                plane = _relayout(plane, count, 1, 8)
-            entries = plane.to_bytes(count * step, "little")
-            for b in range(step):
-                data[(k * r + j + 1) * size - 1 - b :: stride] = entries[b::step]
-    rows = [data[i * stride : (i + 1) * stride] for i in range(count)]
-    for constant in targets if max_degree >= 0 else targets[:1]:
-        rows.append(b"".join(v.to_bytes(size, "big") for v in constant) * n)
-    data = b"".join(sorted(rows))
-    if size > 1:  # flip each big-endian slot
-        flipped = bytearray(len(data))
-        for b in range(size):
-            flipped[b::size] = data[size - 1 - b :: size]
-        data = flipped
-    return TableSet(domain, codomain, len(rows), bytes(data), size)
+    """Every value table, in itertools.product order of the codomain's
+    elements, targets."""
+    count = len(targets) ** domain.order
+    return TableSet.of(domain, codomain, itertools.product(targets, repeat=domain.order), count)
 
 
 def _bounded_map_count(domain: AbelianShape, codomain: AbelianShape, max_degree: int) -> int:
@@ -321,20 +292,45 @@ def _bounded_map_count(domain: AbelianShape, codomain: AbelianShape, max_degree:
     return constants * math.prod(order for factor in generators for _, order in factor)
 
 
-@lru_cache(maxsize=64)
+def _kept_when_small(size: Callable[..., int]) -> Callable[[Callable], Callable]:
+    """Memoize a function of hashable arguments (64 entries, least recently
+    used first out) on the calls whose result takes at most CACHED_BYTES by
+    size(*args); a larger result is built on each call and freed with it."""
+
+    def wrap(build: Callable) -> Callable:
+        kept = lru_cache(maxsize=64)(build)
+
+        @wraps(build)
+        def call(*args):
+            return kept(*args) if size(*args) <= CACHED_BYTES else build(*args)
+
+        call.cache_clear = kept.cache_clear
+        return call
+
+    return wrap
+
+
+def _table_bytes(domain: AbelianShape, codomain: AbelianShape, count: int) -> int:
+    """Bytes of count tables of the pair in TableSet slots."""
+    return count * domain.order * len(codomain.factors) * _slot_size(domain, codomain)
+
+
+@_kept_when_small(lambda domain, codomain, max_degree: _table_bytes(
+    domain, codomain, _bounded_map_count(domain, codomain, max_degree)
+))
 def _generated_planes(
     domain: AbelianShape, codomain: AbelianShape, max_degree: int
 ) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-    """(count, width, planes): the nonconstant maps of degree <= max_degree
-    of a one-prime pair.
+    """(count, width, planes): the maps of degree <= max_degree of a
+    one-prime pair.
 
     planes[j][k] holds entry j of every table at domain position k, table i
     in bits [i width, (i + 1) width): one bit when every codomain factor is
     Z/2, else a slot of ``_slot_size`` bytes.  Starting from the zero map,
     each generator of ``degree_generators``, of order o, makes o copies of
-    the tables so far, copy t plus t times the generator, added slot-wise.
-    Table 0 is then the zero map; without it the tables are the nonzero
-    combinations, and the constants of each factor are doubled in last.
+    the tables so far, copy t plus t times the generator, added slot-wise;
+    the constants of each factor are doubled in last (none when max_degree
+    < 0), so table 0 is the zero map.
     """
     n = domain.order
     width = 1 if set(codomain.factors) == {2} else 8 * _slot_size(domain, codomain)
@@ -343,7 +339,7 @@ def _generated_planes(
 
     def double(slot: int, q: int, values: Sequence[int], order: int) -> None:
         nonlocal count
-        ones = _ones(count, width)
+        ones = _width_ones(count, width)
         add, shifts = _slot_sum(q, width, ones), range(0, order * count * width, count * width)
         for j, column in enumerate(planes):
             for k, plane in enumerate(column):
@@ -359,12 +355,87 @@ def _generated_planes(
     for j, (q, factor) in enumerate(zip(codomain.factors, generators)):
         for terms, order in factor:
             double(j, q, coefficient_table(domain, q, terms), order)
-    planes = [[plane >> width for plane in column] for column in planes]
-    count -= 1
-    if count:  # no generator (max_degree < 1) leaves no nonconstant map
+    if max_degree >= 0:
         for j, q in enumerate(codomain.factors):
             double(j, q, [1] * n, q)
     return count, width, tuple(map(tuple, planes))
+
+
+def _bounded_buckets(
+    domain: AbelianShape, codomain: AbelianShape, max_degree: int
+) -> dict[Degree, TableSet]:
+    """``functions_by_degree`` of the maps of degree <= max_degree of a
+    one-prime pair, from the planes of ``_generated_planes``.
+
+    The degrees are rechecked on every call: one difference transform per
+    codomain slot, on copies of the planes, gives per total order the flags
+    of the tables with a nonzero coefficient of that order, and a table's
+    degree is its highest such order, -inf when it has none
+    (``calculus._top_flags``).  A table past the pair's degree cap, or
+    of degree above max_degree, raises ConsistencyError naming the first
+    such table in product order.  Each degree's tables are decoded from the
+    planes into product order (``_decoded``), and the buckets are ordered by
+    their first tables.
+    """
+    count, width, planes = _generated_planes(domain, codomain, max_degree)
+    (comp,) = _sylow_plan(domain, codomain)
+    tops = _top_flags(comp, list(map(list, planes)), width, _width_ones(count, width))
+    buckets = dict(zip(tops, _decoded(domain, codomain, max_degree, tuple(tops.values()))))
+    past_cap = [top for top in buckets if top > comp.cap + 1]
+    if past_cap:
+        values, top = min((buckets[top].table(0), top) for top in past_cap)
+        _raise_past_cap(domain, codomain, (comp,), [[top]], [values])
+    outside = [top for top in buckets if top > max_degree + 1]
+    if outside:
+        values, top = min((buckets[top].table(0), top) for top in outside)
+        raise _degree_outside(domain, codomain, 0, max_degree, top, values)
+    ordered = sorted(buckets, key=lambda top: buckets[top].table(0))
+    return {_degree(top): buckets[top] for top in ordered}
+
+
+@_kept_when_small(lambda domain, codomain, max_degree, flags: _table_bytes(
+    domain, codomain, sum(f.bit_count() for f in flags)
+))
+def _decoded(
+    domain: AbelianShape, codomain: AbelianShape, max_degree: int, flags: tuple[int, ...]
+) -> tuple[TableSet, ...]:
+    """Per entry of flags (a 1 in the lowest bit of the slot of each chosen
+    table), the tables of ``_generated_planes`` it flags, in product order.
+
+    Each table is written as a row of big-endian slots, so that sorting the
+    rows sorts the tables into product order; the slots are then flipped to
+    the TableSet's little-endian order.
+    """
+    count, width, planes = _generated_planes(domain, codomain, max_degree)
+    n, r, size = domain.order, len(codomain.factors), _slot_size(domain, codomain)
+    stride, step = n * r * size, max(width // 8, 1)  # step: bytes per entry of a plane
+    data = bytearray(count * stride)
+    for k, cells in enumerate(zip(*planes)):
+        for j, plane in enumerate(cells):
+            entries = _plane_bytes(plane, count, width)
+            for b in range(step):
+                data[(k * r + j + 1) * size - 1 - b :: stride] = entries[b::step]
+    buckets = []
+    for chosen in flags:
+        chosen = itertools.compress(range(count), _plane_bytes(chosen, count, width)[::step])
+        rows = b"".join(sorted(data[i * stride : (i + 1) * stride] for i in chosen))
+        blob = bytearray(len(rows))
+        for b in range(size):  # flip each big-endian slot
+            blob[b::size] = rows[size - 1 - b :: size]
+        buckets.append(TableSet(domain, codomain, len(rows) // stride, bytes(blob), size))
+    return tuple(buckets)
+
+
+_BIT_BYTES = [bytes(b >> i & 1 for i in range(8)) for b in range(256)]
+
+
+def _plane_bytes(plane: int, count: int, width: int) -> bytes:
+    """The count slots of a plane, little-endian, max(width // 8, 1) bytes
+    each: a one-bit slot becomes a byte 0 or 1."""
+    if width > 1:
+        return plane.to_bytes(count * width // 8, "little")
+    digits = plane.to_bytes((count + 7) // 8, "little")
+    return b"".join(map(_BIT_BYTES.__getitem__, digits))[:count]
 
 
 def brute_max_degree(domain: AbelianShape, codomain: AbelianShape, cap: int = 2**20) -> int:
@@ -373,7 +444,8 @@ def brute_max_degree(domain: AbelianShape, codomain: AbelianShape, cap: int = 2*
     p = pure_prime(domain)
     if p is None or pure_prime(codomain) != p:
         raise ValueError("both shapes must be p-groups of one common prime")
-    tops = _rechecked_tops(domain, codomain, _tables(domain, codomain, None), 0, None)
+    tables = _all_tables(domain, codomain, enumerate_elements(codomain))
+    tops = _degree_tops(domain, codomain, tables)
     best = _degree(max(tops))
     exponents = make_partition(multiplicity(p, m) for m in domain.factors)
     beta = max(multiplicity(p, m) for m in codomain.factors)
@@ -528,13 +600,13 @@ def verify_bound(
     Exhaustive mode enumerates every qualifying tuple; sampled mode draws a
     fixed number of systems deterministically from the seed.  Drawing no
     sample yields a vacuous pass, flagged as such.  The table cap
-    (exhaustive), then the enumeration limit (either mode, with a sample),
-    is checked from p and the exponent sum first, before any p^part is
-    formed; then the number of systems, the product over the targets of
-    their qualifying counts (exhaustive) or the sample count, is checked
-    against MAX_SYSTEMS before any table is built.  Exhaustive mode holds
-    each target's maps as per-position planes (``_Target``) and scans all
-    systems at once (``_scan_planes``).
+    (exhaustive) or the enumeration limit (sampled) is checked from p and
+    the exponent sum first, before any p^part is formed; then the number of
+    systems, the product over the targets of their qualifying counts
+    (exhaustive) or the sample count, is checked against MAX_SYSTEMS before
+    any table is built.  Exhaustive mode takes each target's candidates
+    from ``functions_by_degree``, and both modes count the zeros of every
+    system at once (``_scan_systems``).
     """
     targets = expand_targets(p, shaped)
     if mode not in ("exhaustive", "sampled"):
@@ -544,8 +616,8 @@ def verify_bound(
     if mode == "exhaustive":
         for shape, _ in shaped:
             _check_table_cap(shape.order, p, alpha.size, cap)
-    if mode == "exhaustive" or samples > 0:
-        check_enumerable(p, alpha.size)  # tables hold an entry per domain element
+    elif samples > 0:
+        check_enumerable(p, alpha.size)
     else:
         # No sample builds no table, so no cap bounds the run: only the bound
         # is computed, and it takes the bound's digit check.
@@ -571,18 +643,22 @@ def verify_bound(
         "targets": [[shape.to_json(), d] for shape, d in shaped],
     }
 
-    claimed = Degree.of(report.bound)
     if mode == "exhaustive":
-        targets = [_Target(domain, shape, d) for shape, d in shaped]
-        min_ord, witness, tested, passed = _scan_planes(p, targets, claimed)
+        # Rechecked degrees lie in [-inf, d], so those above 0 qualify.
+        candidate_lists = [
+            [tables for k, tables in functions_by_degree(domain, shape, cap, d).items() if k > 0]
+            for shape, d in shaped
+        ]
     else:
         # Drawing no sample builds no table, so the domain is never enumerated.
         rng = random.Random(seed)
         candidate_lists = [
-            sample_bounded_maps(domain, shape, d, rng, samples) if samples else []
+            [sample_bounded_maps(domain, shape, d, rng, samples)] if samples else []
             for shape, d in shaped
         ]
-        min_ord, witness, tested, passed = _scan_systems(p, candidate_lists, claimed)
+    min_ord, witness, tested, passed = _scan_systems(
+        p, candidate_lists, mode == "exhaustive", Degree.of(report.bound)
+    )
     return VerifyReport(
         instance,
         report.bound,
@@ -597,137 +673,68 @@ def verify_bound(
     )
 
 
-class _Target:
-    """The qualifying maps of one exhaustive target, as the planes of
-    ``_generated_planes``, with their degrees rechecked from their values.
-
-    ``degrees`` maps each degree in [1, d] to the flags of its tables: one
-    difference transform per codomain slot, on copies of the planes, gives
-    per total order the tables with a nonzero coefficient of that order
-    (``_level_flags``), and a table's degree is its highest such order.  A
-    table past the pair's degree cap, or of degree outside [1, d], raises
-    ConsistencyError naming the first such table in product order.
-
-    Flags are ints with a 1 in the lowest bit of each chosen table's slot.
-    ``first`` finds the first flagged table in product order by a
-    bit-sliced argmin: per position and codomain slot, from the top bit of
-    the entry down, it keeps the candidates whose bit is 0 when any is.
-    """
-
-    def __init__(self, domain: AbelianShape, codomain: AbelianShape, max_degree: int):
-        self.domain, self.codomain = domain, codomain
-        self.count, self.width, self.planes = _generated_planes(domain, codomain, max_degree)
-        self.ones = _ones(self.count, self.width)
-        self.degrees: dict[int, int] = self._rechecked(max_degree) if self.count else {}
-
-    def _rechecked(self, max_degree: int) -> dict[int, int]:
-        (comp,) = _sylow_plan(self.domain, self.codomain)
-        levels = _level_flags(comp, list(map(list, self.planes)), self.width, self.ones)
-        degrees, above = {}, 0  # above: the tables with a nonzero coefficient past order o
-        for order in range(len(levels) - 1, 0, -1):
-            if levels[order] & ~above:
-                degrees[order] = levels[order] & ~above
-            above |= levels[order]
-        past_cap = {order: flags for order, flags in degrees.items() if order > comp.cap}
-        if past_cap:
-            i, order = self._first_of(past_cap)
-            _raise_past_cap(self.domain, self.codomain, (comp,), [[order + 1]], [self.table(i)])
-        # Keyed by top, one plus the degree: 1 for a nonzero constant, 0 for the zero map.
-        outside = {order + 1: flags for order, flags in degrees.items() if order > max_degree}
-        constant = self.ones ^ above
-        outside.update({1: constant & levels[0], 0: constant & ~levels[0]})
-        if any(outside.values()):
-            i, top = self._first_of({t: flags for t, flags in outside.items() if flags})
-            raise _degree_outside(self.domain, self.codomain, 2, max_degree, top, self.table(i))
-        return degrees
-
-    def table(self, i: int) -> Table:
-        """The value table of table i."""
-        shift, mask = i * self.width, (1 << self.width) - 1
-        cells = zip(*self.planes)
-        return tuple(tuple(plane >> shift & mask for plane in entries) for entries in cells)
-
-    def zero_flags(self) -> list[int]:
-        """Per domain position, the flags of the tables that vanish there."""
-        nonzero = _slot_nonzero(self.width, self.ones)
-        return [self.ones ^ nonzero(reduce(operator.or_, cells)) for cells in zip(*self.planes)]
-
-    def first(self, candidates: int) -> int:
-        """The index of the first of the flagged tables in product order."""
-        for cells in zip(*self.planes):
-            for plane, q in zip(cells, self.codomain.factors):
-                for b in range((q - 1).bit_length() - 1, -1, -1):
-                    if not candidates & candidates - 1:  # one left
-                        return (candidates.bit_length() - 1) // self.width
-                    candidates = candidates & ~(plane >> b) or candidates
-        return ((candidates & -candidates).bit_length() - 1) // self.width
-
-    def _first_of(self, flags: dict) -> tuple[int, object]:
-        """(the first table in product order flagged in any of the values,
-        the key whose flags hold it)."""
-        i = self.first(reduce(operator.or_, flags.values()))
-        return i, next(key for key, f in flags.items() if f >> i * self.width & 1)
-
-    def witness(self, candidates: int) -> int:
-        """The index of the first of the flagged tables in candidate order:
-        the degrees in the order of their first tables in product order,
-        the tables of each degree in product order.  Bits of candidates
-        off the slots' lowest are ignored."""
-        degrees = dict(self.degrees)
-        while True:
-            _, degree = self._first_of(degrees)
-            hit = degrees.pop(degree) & candidates
-            if hit:
-                return self.first(hit)
-
-
-def _scan_planes(
-    p: int, targets: list[_Target], claimed: Degree
+def _scan_systems(
+    p: int, candidate_lists: list[list[TableSet]], product: bool, claimed: Degree
 ) -> tuple[Degree | None, tuple | None, int, bool]:
     """(min ord_p of the zero counts, its first witness, systems tested,
     whether every system met the claimed bound) over the systems of the
-    targets' candidates, in product order.
+    targets' candidates, each target's candidates the tables of its
+    TableSets in turn: itertools.product of the candidates (product) or zip
+    (the draws of sampled mode).
 
-    Systems are laid out in slots of one width: one bit when every target
-    holds one bit per table, else the widest target slot.  System
-    (i_1, ..., i_r) has index (..(i_1 c_2 + i_2) c_3 ..) c_r + i_r, c_s the
-    candidate counts, i_s a table index of target s: each target's zero
-    flags are spread over the systems of later targets and tiled over those
-    of earlier ones (``_relayout``), and ANDed per domain position.  Their
-    sum is each system's zero count, held as bit planes (``_count_planes``).
-    The witness, the first system of least ord in product order over the
-    targets' candidate orders, is picked one target at a time: the tables
-    of target s in a system of least ord with the chosen prefix, then the
-    first of them in candidate order (``_Target.witness``).
+    Systems are laid out in slots of one width, the widest of the targets'
+    slots.  With product, system (i_1, ..., i_r) has index
+    (..(i_1 c_2 + i_2) c_3 ..) c_r + i_r, c_s the candidate counts: each
+    target's zero flags (``TableSet.zero_flags``) are spread over the
+    systems of later targets and tiled over those of earlier ones
+    (``_relayout``); with zip, system i holds candidate i of every target.
+    The flags are ANDed per domain position, and their sum is each system's
+    zero count, held as bit planes (``_count_planes``).  The witness, the
+    first system of least ord, is the lowest such index, and only its
+    tables are decoded.
     """
-    counts = [target.count for target in targets]
+    counts = [sum(map(len, runs)) for runs in candidate_lists]
     if not all(counts):
         return None, None, 0, True
-    total, order = math.prod(counts), targets[0].domain.order
-    width = max(target.width for target in targets)
-    ones = _ones(total, width)
-    zeros, spread, tile = [ones] * order, total, 1
-    for target in targets:
-        spread //= target.count
-        for k, flags in enumerate(target.zero_flags()):
-            zeros[k] &= _relayout(flags, target.count, target.width, width, spread, tile)
-        tile *= target.count
-    low, least = _least_ord(p, _count_planes(zeros, width, ones, order), ones)
-    witness, block = [], total * width
-    for target in targets:
-        block //= target.count  # the bits of the systems of one table of this target
-        flags = _relayout(_fold(least, block), target.count, block, target.width)
-        i = target.witness(flags)
-        witness.append(target.table(i))
-        least = least >> i * block & (1 << block) - 1
+    total = math.prod(counts) if product else counts[0]
+    size = max(runs[0].size for runs in candidate_lists)
+    order, width, ones = candidate_lists[0][0].domain.order, 8 * size, _slot_ones(total, size)
+    zeros, spread, tile = [ones] * order, total if product else 1, 1
+    for runs, count in zip(candidate_lists, counts):
+        if product:
+            spread //= count
+        for k, flags in enumerate(_joined_flags(runs)):
+            zeros[k] &= _relayout(flags, count, 8 * runs[0].size, width, spread, tile)
+        if product:
+            tile *= count
+    low, least = _least_ord(p, _count_planes(zeros, ones, order), ones)
+    first = ((least & -least).bit_length() - 1) // width
+    indices = [first] * len(counts)
+    if product:
+        for s in range(len(counts) - 1, -1, -1):
+            first, indices[s] = divmod(first, counts[s])
+    witness = tuple(map(_table_at, candidate_lists, indices))
     min_ord = INF if low == math.inf else Degree.of(low)
-    return min_ord, tuple(witness), total, low >= claimed.value
+    return min_ord, witness, total, low >= claimed.value
 
 
-def _ones(count: int, width: int) -> int:
-    """A 1 in the lowest bit of each of count slots of width bits, width 1 or
-    a multiple of 8."""
-    return (1 << count) - 1 if width == 1 else _slot_ones(count, width // 8)
+def _joined_flags(runs: list[TableSet]) -> list[int]:
+    """Per domain position, the zero flags of the tables of runs, one
+    TableSet after another, in their common slots."""
+    joined, shift = [0] * runs[0].domain.order, 0
+    for tables in runs:
+        joined = [a | f << shift for a, f in zip(joined, tables.zero_flags())]
+        shift += len(tables) * 8 * tables.size
+    return joined
+
+
+def _table_at(runs: list[TableSet], i: int) -> Table:
+    """The value table of table i of runs, one TableSet after another."""
+    for tables in runs:
+        if i < len(tables):
+            return tables.table(i)
+        i -= len(tables)
+    raise IndexError("table index out of range")
 
 
 def _relayout(
@@ -744,34 +751,12 @@ def _relayout(
     return int(digits.translate({48: "0" * len(slot), 49: slot}) * tile, 2)
 
 
-def _fold(flags: int, bits: int) -> int:
-    """flags with the lowest bit of each bits-wide slot set when the slot
-    has any bit set (the other bits of no meaning)."""
-    span = 1
-    while 2 * span <= bits:
-        flags |= flags >> span
-        span *= 2
-    return flags | flags >> bits - span if span < bits else flags
-
-
-def _count_planes(zeros: list[int], width: int, ones: int, order: int) -> list[int]:
+def _count_planes(zeros: list[int], ones: int, order: int) -> list[int]:
     """Bit planes of the zero counts: plane c flags the systems whose count
-    has bit c set, for flags per position in zeros.  One-bit slots add the
-    flags in a ripple-carry counter; wider slots sum them slot-wise (a
-    count up to order fits) and read each bit of the sums."""
-    if width > 1:
-        total = sum(zeros)
-        return [total >> c & ones for c in range(order.bit_length())]
-    planes: list[int] = []
-    for carry in zeros:
-        for c in range(len(planes)):
-            if not carry:
-                break
-            planes[c], carry = planes[c] ^ carry, planes[c] & carry
-        else:
-            if carry:
-                planes.append(carry)
-    return planes
+    has bit c set, for flags per position in zeros, summed slot-wise (a
+    count up to order fits a slot)."""
+    total = sum(zeros)
+    return [total >> c & ones for c in range(order.bit_length())]
 
 
 def _least_ord(p: int, planes: list[int], ones: int) -> tuple[int | float, int]:
@@ -800,24 +785,6 @@ def _least_ord(p: int, planes: list[int], ones: int) -> tuple[int | float, int]:
             elif o == low:
                 least |= systems
     return low, least
-
-
-def _scan_systems(
-    p: int, candidate_lists: list[TableSet], claimed: Degree
-) -> tuple[Degree | None, tuple | None, int, bool]:
-    """``_scan_planes`` over the systems zip(*candidate_lists), the draws of
-    sampled mode: each count is the bit count of the AND of the system's
-    zero masks, and only the witness, the first system of least valuation,
-    is decoded."""
-    if not all(map(len, candidate_lists)):
-        return None, None, 0, True
-    masks = [tables.zero_masks() for tables in candidate_lists]
-    counts = [reduce(operator.and_, system).bit_count() for system in zip(*masks)]
-    ords = {count: multiplicity(p, count) if count else math.inf for count in set(counts)}
-    low = min(ords.values())
-    k = next(k for k, count in enumerate(counts) if ords[count] == low)
-    witness = tuple(tables.table(k) for tables in candidate_lists)
-    return INF if low == math.inf else Degree.of(low), witness, len(counts), low >= claimed.value
 
 
 @dataclass(frozen=True)

@@ -303,10 +303,19 @@ def test_verify_checks_each_target_in_one_batch():
     )
 
 
-def test_verify_past_a_patched_cap_names_the_first_table_and_replays(monkeypatch):
-    # Claim a degree cap of 1 on Z/4 -> Z/2: verify's recheck of its
-    # generated tables raises for the first one of degree 2 or 3 in product
-    # order, and the instance replays through functional_degree.
+@pytest.mark.parametrize(
+    "parts, domain, d",
+    [
+        # Every table has degree <= 3, and the planes hold them all.
+        ([2], Z4, 3),
+        # Degree <= 2 leaves some tables out.
+        ([2, 1], Z42, 2),
+    ],
+)
+def test_verify_past_a_patched_cap_names_the_first_table_and_replays(monkeypatch, parts, domain, d):
+    # Claim a degree cap of 1: verify's recheck of its tables raises for the
+    # first one of degree 2 or more in product order, and the instance
+    # replays through functional_degree.
     real = calculus._sylow_plan
 
     def patched(domain, codomain):
@@ -315,45 +324,25 @@ def test_verify_past_a_patched_cap_names_the_first_table_and_replays(monkeypatch
     for module in (calculus, oracle):
         monkeypatch.setattr(module, "_sylow_plan", patched)
     with pytest.raises(ConsistencyError) as info:
-        verify_bound(2, make_partition([2]), [(Z2, 3)])
+        verify_bound(2, make_partition(parts), [(Z2, d)])
     instance = info.value.instance
-    first = min(
-        f.values for degree, fs in _reference_buckets(Z4, Z2, 3).items() if degree > 1 for f in fs
-    )
+    buckets = _reference_buckets(domain, Z2, d)
+    first = min(f.values for degree, fs in buckets.items() if degree > 1 for f in fs)
     assert instance == {
-        "domain": (4,), "codomain": (2,), "cap": 1, "order": instance["order"], "values": first
+        "domain": domain.factors, "codomain": (2,), "cap": 1, "order": instance["order"],
+        "values": first,
     }
     with pytest.raises(ConsistencyError) as again:
-        functional_degree(FiniteMap(Z4, Z2, instance["values"]))
+        functional_degree(FiniteMap(domain, Z2, instance["values"]))
     assert again.value.instance == instance
     monkeypatch.undo()
-    assert functional_degree(FiniteMap(Z4, Z2, instance["values"])) == instance["order"] > 1
-    assert verify_bound(2, make_partition([2]), [(Z2, 3)]).passed
-
-
-def test_verify_degree_cross_check_replays(monkeypatch):
-    # A recheck that reads every order one higher makes the tables of degree
-    # 2 read as 3, past d = 2: the first of them in product order is named,
-    # and the instance rebuilds the same failure.
-    real = oracle._level_flags
-    monkeypatch.setattr(
-        oracle, "_level_flags", lambda *args: [0] + real(*args)
-    )
-    first = _reference_buckets(Z42, Z2, 2)[Degree.of(2)][0].values
-    with pytest.raises(ConsistencyError, match=r"degree 3 outside \[1, 2\]") as info:
-        verify_bound(2, make_partition([2, 1]), [(Z2, 2)])
-    instance = info.value.instance
-    assert instance == {
-        "domain": (4, 2), "codomain": (2,), "max_degree": 2, "order": 3, "values": first
-    }
-    with pytest.raises(ConsistencyError) as again:
-        verify_bound(2, make_partition([2, 1]), [(AbelianShape(instance["codomain"]), 2)])
-    assert again.value.instance == instance
+    assert functional_degree(FiniteMap(domain, Z2, instance["values"])) == instance["order"] > 1
+    assert verify_bound(2, make_partition(parts), [(Z2, d)]).passed
 
 
 def test_system_layout_helpers_match_their_definitions():
     # _relayout reads the lowest bit of each slot, whatever the others hold,
-    # unless nothing moves, and _fold flags each slot that has any bit set.
+    # unless nothing moves.
     rng = random.Random(5)
     for _ in range(300):
         count, width, new_width = rng.randint(1, 9), rng.choice([1, 8, 16]), rng.choice([1, 8, 16])
@@ -367,11 +356,6 @@ def test_system_layout_helpers_match_their_definitions():
         expected = [e for _ in range(tile) for e in entries for _ in range(spread)]
         got = oracle._relayout(low | noise, count, width, new_width, spread, tile)
         assert got == sum(e << i * new_width for i, e in enumerate(expected))
-        bits, slots = rng.randint(1, 40), rng.randint(1, 6)
-        mask = rng.getrandbits(bits * slots) & rng.getrandbits(bits * slots)
-        folded = oracle._fold(mask, bits)
-        slot_bits = [mask >> i * bits & (1 << bits) - 1 for i in range(slots)]
-        assert [folded >> i * bits & 1 for i in range(slots)] == [int(b != 0) for b in slot_bits]
 
 
 @pytest.mark.parametrize(
@@ -393,15 +377,17 @@ def test_large_exhaustive_instances_through_the_planes(parts, modulus, systems, 
 
 def test_generated_table_past_a_patched_cap_raises(monkeypatch):
     # Claim a degree cap of 1 on the real Z/4 -> Z/2 box (widths (4,)): the
-    # first generated table of degree 2 trips functional_degree's cap check.
+    # first generated table of degree 2 trips the recheck's cap check, as it
+    # trips functional_degree's.
     real = calculus._sylow_plan
-    monkeypatch.setattr(
-        calculus,
-        "_sylow_plan",
-        lambda domain, codomain: tuple(
-            dataclasses.replace(comp, cap=1) for comp in real(domain, codomain)
-        ),
-    )
+    for module in (calculus, oracle):
+        monkeypatch.setattr(
+            module,
+            "_sylow_plan",
+            lambda domain, codomain: tuple(
+                dataclasses.replace(comp, cap=1) for comp in real(domain, codomain)
+            ),
+        )
     with pytest.raises(ConsistencyError) as info:
         functions_by_degree(Z4, Z2, max_degree=3)
     instance = info.value.instance
@@ -416,18 +402,14 @@ def test_generated_table_past_a_patched_cap_raises(monkeypatch):
 
 
 def test_join_degree_cross_check_replays(monkeypatch):
-    # A degree oracle that reads one more than the truth makes the join's
-    # cross-check fire; its instance rebuilds the same call.  The recheck
-    # reads degrees as integer tops, one plus the degree.
-    real = oracle._degree_tops
-    monkeypatch.setattr(
-        oracle,
-        "_degree_tops",
-        lambda domain, codomain, tables: [t + 1 for t in real(domain, codomain, tables)],
-    )
-    # The first generated table of true degree 2 is the first read as 3.
+    # A recheck that reads every order one higher makes the tables of degree
+    # 2 read as 3, past d = 2: the cross-check fires for functions_by_degree
+    # and for verify_bound, which takes its candidates from it, naming the
+    # first of them in product order; its instance rebuilds the same call.
+    real = calculus._level_flags
+    monkeypatch.setattr(calculus, "_level_flags", lambda *args: [0] + real(*args))
     first = _reference_buckets(Z42, Z2, 2)[Degree.of(2)][0].values
-    with pytest.raises(ConsistencyError) as info:
+    with pytest.raises(ConsistencyError, match=r"degree 3 outside \[-inf, 2\]") as info:
         functions_by_degree(Z42, Z2, max_degree=2)
     instance = info.value.instance
     assert instance == {
@@ -440,6 +422,9 @@ def test_join_degree_cross_check_replays(monkeypatch):
             max_degree=instance["max_degree"],
         )
     assert again.value.instance == instance
+    with pytest.raises(ConsistencyError) as verified:
+        verify_bound(2, make_partition([2, 1]), [(Z2, 2)])
+    assert verified.value.instance == instance
 
 
 def test_brute_max_degree_small_pairs():
@@ -662,20 +647,6 @@ def test_poly_zero_count_json_roundtrip():
     assert count == poly_zero_count(rebuilt)[0]
 
 
-def _per_system_reference(p, candidate_lists, claimed):
-    """The systems loop as it reads from the definition: one zero_count per system."""
-    min_ord, witness, tested, passed = None, None, 0, True
-    for system in zip(*candidate_lists):
-        maps = list(system)
-        observed = zero_count(maps)[1][p]
-        tested += 1
-        if observed < claimed:
-            passed = False
-        if min_ord is None or observed < min_ord:
-            min_ord, witness = observed, tuple(f.values for f in maps)
-    return min_ord, witness, tested, passed
-
-
 # The benchmark's sampled shapes (two targets in the last but one), two seeds
 # each, then a domain of 512 elements, whose zero counts need slots of two bytes.
 SAMPLED_INSTANCES = [
@@ -689,23 +660,18 @@ SAMPLED_INSTANCES = [
 ]
 
 
-def test_masked_systems_loop_matches_per_system_zero_count(monkeypatch):
-    # Sampled mode's scan; the exhaustive scan is checked against the
-    # definition in test_verify_bound_agrees_with_brute_force_bucketing.
-    def run():
-        reports = []
-        for p, parts, targets in SAMPLED_INSTANCES:
-            for seed in (5, 6):
-                shaped = [(AbelianShape(c), d) for c, d in targets]
-                reports.append(
-                    verify_bound(p, make_partition(parts), shaped, mode="sampled", seed=seed)
-                )
-        return [report.to_json_dict() for report in reports]
-
-    masked = run()
-    assert any(len(r["witness"]) == 2 for r in masked)
-    monkeypatch.setattr(oracle, "_scan_systems", _per_system_reference)
-    assert run() == masked
+def test_masked_systems_loop_matches_per_system_zero_count():
+    # Sampled mode's scan against single draws and zero counts written from
+    # the definition; the exhaustive scan is checked the same way in
+    # test_verify_bound_agrees_with_brute_force_bucketing.
+    reports = []
+    for p, parts, targets in SAMPLED_INSTANCES:
+        shaped = [(AbelianShape(c), d) for c, d in targets]
+        for seed in (5, 6):
+            report = verify_bound(p, make_partition(parts), shaped, mode="sampled", seed=seed)
+            reports.append(report.to_json_dict())
+            assert reports[-1] == _reference_report(p, parts, targets, "sampled", seed)
+    assert any(len(r["witness"]) == 2 for r in reports)
 
 
 def _replica_draw(domain, codomain, generators, ref):

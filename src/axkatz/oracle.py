@@ -77,6 +77,7 @@ from .calculus import (
     _count_valuation,
     _degree,
     _degree_tops,
+    _entries,
     _forward_differences,
     _raise_past_cap,
     _slot_ones,
@@ -688,18 +689,17 @@ def _scan_systems(
     target's zero flags (``TableSet.zero_flags``) are spread over the
     systems of later targets and tiled over those of earlier ones
     (``_relayout``); with zip, system i holds candidate i of every target.
-    The flags are ANDed per domain position, and their sum is each system's
-    zero count, held as bit planes (``_count_planes``).  The witness, the
-    first system of least ord, is the lowest such index, and only its
-    tables are decoded.
+    The flags are ANDed per domain position, and their slot-wise sum holds
+    every system's zero count.  Only the distinct counts are valued, and
+    only the witness, the first system of least ord, is decoded.
     """
     counts = [sum(map(len, runs)) for runs in candidate_lists]
     if not all(counts):
         return None, None, 0, True
     total = math.prod(counts) if product else counts[0]
     size = max(runs[0].size for runs in candidate_lists)
-    order, width, ones = candidate_lists[0][0].domain.order, 8 * size, _slot_ones(total, size)
-    zeros, spread, tile = [ones] * order, total if product else 1, 1
+    order, width = candidate_lists[0][0].domain.order, 8 * size
+    zeros, spread, tile = [_slot_ones(total, size)] * order, total if product else 1, 1
     for runs, count in zip(candidate_lists, counts):
         if product:
             spread //= count
@@ -707,8 +707,11 @@ def _scan_systems(
             zeros[k] &= _relayout(flags, count, 8 * runs[0].size, width, spread, tile)
         if product:
             tile *= count
-    low, least = _least_ord(p, _count_planes(zeros, ones, order), ones)
-    first = ((least & -least).bit_length() - 1) // width
+    # System i's zero count is the sum of its flags, in slot i (a count up to |A| fits).
+    zero_counts = _entries(sum(zeros).to_bytes(total * size, "little"), size)
+    ords = {count: multiplicity(p, count) if count else math.inf for count in set(zero_counts)}
+    low = min(ords.values())
+    first = min(zero_counts.index(count) for count, o in ords.items() if o == low)
     indices = [first] * len(counts)
     if product:
         for s in range(len(counts) - 1, -1, -1):
@@ -749,42 +752,6 @@ def _relayout(
     digits = format(flags, "b").zfill(count * width)[width - 1 :: width]
     slot = "1".zfill(new_width) * spread
     return int(digits.translate({48: "0" * len(slot), 49: slot}) * tile, 2)
-
-
-def _count_planes(zeros: list[int], ones: int, order: int) -> list[int]:
-    """Bit planes of the zero counts: plane c flags the systems whose count
-    has bit c set, for flags per position in zeros, summed slot-wise (a
-    count up to order fits a slot)."""
-    total = sum(zeros)
-    return [total >> c & ones for c in range(order.bit_length())]
-
-
-def _least_ord(p: int, planes: list[int], ones: int) -> tuple[int | float, int]:
-    """(the least ord_p of the zero counts, the flags of the systems at it),
-    from the counts' bit planes; (math.inf, every system) when every count
-    is 0.  For p = 2 a count's ord is its lowest set bit; for odd p the
-    systems of each count are read off the planes."""
-    if p == 2:
-        lower = 0
-        for c, plane in enumerate(planes):
-            if plane & ~lower:
-                return c, plane & ~lower
-            lower |= plane
-        return math.inf, ones
-    low, least = math.inf, ones
-    for count in range(1, 1 << len(planes)):
-        systems = ones
-        for c, plane in enumerate(planes):
-            systems &= plane if count >> c & 1 else ~plane
-            if not systems:
-                break
-        else:
-            o = multiplicity(p, count)
-            if o < low:
-                low, least = o, systems
-            elif o == low:
-                least |= systems
-    return low, least
 
 
 @dataclass(frozen=True)

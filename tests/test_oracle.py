@@ -356,6 +356,17 @@ def test_system_layout_helpers_match_their_definitions():
         expected = [e for _ in range(tile) for e in entries for _ in range(spread)]
         got = oracle._relayout(low | noise, count, width, new_width, spread, tile)
         assert got == sum(e << i * new_width for i, e in enumerate(expected))
+    # _joined_flags and _table_at read a target's buckets, one after another,
+    # as the one TableSet of all their tables, in slots of one or two bytes.
+    for dom, cod, d in [((4, 2), (2,), 3), ((2,), (128,), 3), ((2, 2), (2, 4), 2)]:
+        domain, codomain = AbelianShape(dom), AbelianShape(cod)
+        runs = list(functions_by_degree(domain, codomain, max_degree=d).values())
+        data = b"".join(tables.data for tables in runs)
+        joined = calculus.TableSet(domain, codomain, sum(map(len, runs)), data, runs[0].size)
+        assert runs[0].size == (2 if cod == (128,) else 1)
+        assert oracle._joined_flags(runs) == list(joined.zero_flags())
+        indices = range(len(joined))
+        assert [oracle._table_at(runs, i) for i in indices] == list(map(joined.table, indices))
 
 
 @pytest.mark.parametrize(

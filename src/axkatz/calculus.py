@@ -33,7 +33,9 @@ ConsistencyError.  ``difference`` and
 ``iterated_difference`` are the definition-level operators, both read
 through one index map per translation; the test suite checks the transform
 against them.  ``reconstruct`` evaluates a coefficient table point by point
-through one ``BinomialSeries`` per codomain factor.
+through one ``BinomialSeries`` per codomain factor; ``_box_values`` gives a
+series' exact values on the whole domain box by the transform run with
+exact adds.
 """
 
 from __future__ import annotations
@@ -893,6 +895,20 @@ def coefficient_table(
         column[cell] += c
     column = [c % q for c in column]
     _forward_differences(column, domain.factors, _slot_sum(q, q.bit_length() + 1, 1))
+    return column
+
+
+def _box_values(domain: AbelianShape, series: BinomialSeries) -> list[int]:
+    """Exact values, in enumeration order, of a series of the domain's arity
+    at every point of the domain box: its coefficients at cells inside the
+    box written row-major (C(x_i, n_i) = 0 for x_i < m_i <= n_i drops the
+    others), then one summation transform, ``_forward_differences`` run
+    with exact adds."""
+    column = [0] * domain.order
+    for nvec, c in series.coeffs.items():
+        if all(map(operator.lt, nvec, domain.factors)):
+            column[index_of(domain, nvec)] += c
+    _forward_differences(column, domain.factors, operator.add)
     return column
 
 

@@ -74,6 +74,7 @@ from .calculus import (
     FiniteMap,
     Table,
     TableSet,
+    _box_values,
     _count_valuation,
     _degree,
     _degree_tops,
@@ -196,16 +197,17 @@ def functions_by_degree(
     With max_degree=None every table is listed and bucketed.  With
     max_degree=d (a one-prime pair only) just the tables of degree <= d
     are: ``_bounded_buckets`` takes them from ``_generated_planes`` without
-    building the others.  Tables arrive in itertools.product order, and
-    buckets keep the order in which each degree first appears.  Every table
-    has its degree computed again from its values on every call.  A bucket
-    is a sequence of FiniteMaps held as one TableSet, which builds a
+    building the others (d below -1 admits the zero map alone, as -1
+    does).  Tables arrive in itertools.product order, and buckets keep the
+    order in which each degree first appears.  Every table has its degree
+    computed again from its values on every call.  A bucket is a sequence
+    of FiniteMaps held as one TableSet, which builds a
     FiniteMap only for a table read out.
     """
     _check_table_cap(codomain.order, domain.order, 1, cap)
     targets = enumerate_elements(codomain)  # the codomain is held to the enumeration limit
     if max_degree is not None:
-        return _bounded_buckets(domain, codomain, max_degree)
+        return _bounded_buckets(domain, codomain, max(max_degree, -1))
     tables = _all_tables(domain, codomain, targets)
     tops = _degree_tops(domain, codomain, tables)
     # A stable sort by top puts each bucket in one run, in product order.
@@ -509,11 +511,11 @@ def sample_bounded_maps(
     One draw from the rng per map picks a constant and a nonzero combination
     of the generators of ``degree_generators`` (the maps of degree <= cap
     that vanish at 0, a direct sum of cyclic groups), decoded digit by digit
-    into binomial coefficients.  Per codomain factor, each coefficient is
-    written once into its slot of a blob, one slot per cell and draw; after
-    the last draw each cell's slots are read as one int, side by side, and
-    one slot-wise inverse transform turns them into values.  Once all count
-    maps are drawn, ``_rechecked_tops`` computes their degrees again, and
+    into binomial coefficients (a digit 0 is skipped).  Each coefficient is
+    written once, into the slot of its draw in a row per codomain factor and
+    domain cell; after the last draw each row is read as one int, and one
+    slot-wise inverse transform per factor turns them into values.  Once all
+    count maps are drawn, ``_rechecked_tops`` computes their degrees again, and
     the first one outside (0, cap] raises ConsistencyError with its table.
     """
     p = pure_prime(domain)
@@ -525,27 +527,27 @@ def sample_bounded_maps(
     nonconstant = _bounded_map_count(domain, codomain, cap) - codomain.order
     generators = degree_generators(domain, codomain, cap)
     size, combinations = _slot_size(domain, codomain), nonconstant // codomain.order
-    stride = count * size  # the slot of cell k and draw i starts at k stride + i size
-    blobs = [bytearray(domain.order * stride) for _ in codomain.factors]
+    blobs = [[bytearray(count * size) for _ in range(domain.order)] for _ in codomain.factors]
     for i in range(count):
         constants, combination = divmod(rng.randrange(nonconstant), combinations)
         combination += 1
-        for q, factor, blob in zip(codomain.factors, generators, blobs):
+        for q, factor, rows in zip(codomain.factors, generators, blobs):
             constants, constant = divmod(constants, q)
             cells = {0: constant}
             for generator, order in factor:
                 combination, t = divmod(combination, order)
-                for cell, c in generator:
-                    cells[cell] = (cells.get(cell, 0) + t * c) % q
-            for cell, c in cells.items():
-                start = cell * stride + i * size
-                blob[start : start + size] = c.to_bytes(size, "little")
+                if t:
+                    for cell, c in generator:
+                        cells[cell] = (cells.get(cell, 0) + t * c) % q
+            if size == 1:
+                for cell, c in cells.items():
+                    rows[cell][i] = c
+            else:
+                for cell, c in cells.items():
+                    rows[cell][i * size : (i + 1) * size] = c.to_bytes(size, "little")
     columns = []
-    while blobs:  # free each blob once its column ints are read
-        blob = blobs.pop(0)
-        rows = (blob[k * stride : (k + 1) * stride] for k in range(domain.order))
-        columns.append([int.from_bytes(row, "little") for row in rows])
-    del blob
+    while blobs:  # free each factor's rows once their column ints are read
+        columns.append([int.from_bytes(row, "little") for row in blobs.pop(0)])
     ones = _slot_ones(count, size)
     for q, column in zip(codomain.factors, columns):
         _forward_differences(column, domain.factors, _slot_sum(q, 8 * size, ones))
@@ -786,10 +788,15 @@ def zero_count_trace(system: Sequence[FiniteMap], beta: int | None = None) -> Tr
     Builds, for each map, the indicator of its zero residue as a series over
     the integers, composes with a proper lift of the map, integrates exactly
     over the representative box, and asserts the two valuations agree.
-    Requires a nonempty zero set and beta above its valuation.
+    Requires a nonempty zero set and beta, if given, an int above its
+    valuation.  Each lift is evaluated on the whole box by one summation
+    transform (``calculus._box_values``), each indicator once per distinct
+    lifted value, and the integral sums their per-point products.
     """
     if not system:
         raise ValueError("the trace needs at least one map")
+    if beta is not None and (not isinstance(beta, int) or isinstance(beta, bool)):
+        raise ValueError(f"beta must be an integer, got {beta!r}")
     domain = system[0].domain
     p = pure_prime(domain)
     if p is None:
@@ -816,7 +823,7 @@ def zero_count_trace(system: Sequence[FiniteMap], beta: int | None = None) -> Tr
 
     # Each indicator's series box has width cap + 1: its transform costs
     # about width^2 / 2 cell updates and the integral evaluates width terms
-    # per point, so both are checked before any series is built.
+    # per distinct lifted value (at most |A|), so both are checked first.
     caps = [one_variable_cap(p, b_j, beta) for b_j in betas]
     limit = enumeration_limit()
     for cap in caps:
@@ -831,7 +838,7 @@ def zero_count_trace(system: Sequence[FiniteMap], beta: int | None = None) -> Tr
         return ConsistencyError(message, instance={"system": system_json, "beta": beta, **values})
 
     ring = AbelianShape((p**beta,))
-    lifted_maps = [proper_lift(f) for f in system]
+    lifted_values = [_box_values(domain, proper_lift(f)) for f in system]
     indicator_series: list[BinomialSeries] = []
     floors_per_map = []
     for b_j, cap in zip(betas, caps):
@@ -856,14 +863,13 @@ def zero_count_trace(system: Sequence[FiniteMap], beta: int | None = None) -> Tr
         floors_per_map.append(tuple(floors))
     floors_ok = all(o >= f for per_map in floors_per_map for _, o, f in per_map)
 
-    total = 0
-    for point in enumerate_elements(domain):
-        term = 1
-        for lifted, chi in zip(lifted_maps, indicator_series):
-            term *= chi.evaluate((lifted.evaluate(point),))
-            if term == 0:
-                break
-        total += term
+    # Each indicator is evaluated once per distinct lifted value (all >= 0).
+    terms = itertools.repeat(1)
+    for values, chi in zip(lifted_values, indicator_series):
+        chi_terms = [(c, n) for (n,), c in chi.coeffs.items()]
+        chi_at = {v: sum([c * math.comb(v, n) for c, n in chi_terms]) for v in set(values)}
+        terms = list(map(operator.mul, terms, map(chi_at.__getitem__, values)))
+    total = sum(terms)
 
     if total == 0 or (total - count) % p**beta != 0:
         raise failure(

@@ -945,6 +945,26 @@ def test_exact_difference_box_stays_exact():
     assert lift_difference_box(BinomialSeries(1, {(0,): 10**30}), 2) == {(0,): 10**30, (1,): 0}
 
 
+def test_box_values_match_per_point_evaluation():
+    # The summation transform gives every point's exact value, as evaluating
+    # the series point by point does, also when the support passes the box.
+    rng = random.Random(17)
+    z333 = AbelianShape((3, 3, 3))
+    lift = proper_lift(random_map(z333, Z9, rng))
+    assert max(max(n) for n in lift.coeffs) >= 3  # axis width 5 exceeds 3
+    cases = [
+        (z333, lift),
+        (z333, BinomialSeries(3, {})),
+        (AbelianShape((4, 4)), BinomialSeries(2, {(1, 0): 10**30, (2, 1): -7, (0, 5): 3})),
+        (Z42, proper_lift(random_map(Z42, Z4, rng))),
+        (Z8, BinomialSeries(1, {(n,): 10**30 - n for n in range(12)})),
+        (AbelianShape((9, 9)), proper_lift(random_map(AbelianShape((9, 9)), Z9, rng))),
+    ]
+    for domain, series in cases:
+        expected = [series.evaluate(x) for x in enumerate_elements(domain)]
+        assert calculus._box_values(domain, series) == expected
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [

@@ -35,6 +35,7 @@ from axkatz import (
     make_targets,
     objective_box,
     poly_zero_count,
+    proper_lift,
     reconstruct,
     sample_bounded_map,
     verify_bound,
@@ -80,6 +81,15 @@ def test_functions_by_degree_buckets():
         functions_by_degree(Z42, Z4, cap=100, max_degree=1)
     with pytest.raises(ValueError):
         functions_by_degree(AbelianShape((6,)), Z2, max_degree=1)
+
+
+@pytest.mark.parametrize("d", [-2, -3, -50])
+def test_functions_by_degree_below_minus_one_holds_the_zero_map(d):
+    for domain, codomain in [(Z4, Z4), (Z42, Z2), (Z2, AbelianShape((2, 4)))]:
+        zero = FiniteMap(domain, codomain, (codomain.zero(),) * domain.order)
+        buckets = functions_by_degree(domain, codomain, max_degree=d)
+        assert buckets == functions_by_degree(domain, codomain, max_degree=-1)
+        assert buckets == {NEG_INF: [zero]}
 
 
 @functools.cache
@@ -621,6 +631,76 @@ def test_zero_count_trace_random_systems():
         assert trace.integral_ord == trace.count_ord
         assert trace.floors_ok
         traced += 1
+
+
+def _reference_trace(system, beta=None):
+    """The TraceReport written from the definition: every lifted map and
+    indicator evaluated point by point, and the floors from the indicator
+    coefficients."""
+    domain = system[0].domain
+    (p,) = factorize(domain.factors[0])
+    count, ords = zero_count(system)
+    count_ord = ords[p].value
+    beta = count_ord + 1 if beta is None else beta
+    ring = AbelianShape((p**beta,))
+    chis, floors = [], []
+    for f in system:
+        q = f.codomain.factors[0]
+        period = AbelianShape((q,))
+        chi = proper_lift(FiniteMap.from_callable(period, ring, lambda x: (int(x == (0,)),)))
+        chis.append(chi)
+        floors.append(tuple(
+            (n, multiplicity(p, c), max(-(-(n - (q - 1)) // (q // p * (p - 1))), 0))
+            for (n,), c in sorted(chi.coeffs.items())
+        ))
+    lifts = [proper_lift(f) for f in system]
+    total = sum(
+        math.prod(chi((lift(x),)) for lift, chi in zip(lifts, chis))
+        for x in enumerate_elements(domain)
+    )
+    floors_ok = all(o >= floor for per_map in floors for _, o, floor in per_map)
+    return oracle.TraceReport(
+        count, count_ord, beta, total, multiplicity(p, total), tuple(floors), floors_ok
+    )
+
+
+@pytest.mark.parametrize(
+    "domain, moduli",
+    [((4, 4), (2, 4)), ((8, 8), (2, 2)), ((3, 3, 3), (3, 3)), ((9, 9), (3, 9))],
+)
+def test_trace_reports_match_the_per_point_integral(domain, moduli):
+    # Low-degree draws and random tables, at the default beta and above it.
+    rng = random.Random(sum(domain) * 100 + sum(moduli))
+    domain = AbelianShape(domain)
+    traced = 0
+    while traced < 4:
+        system = [
+            sample_bounded_map(domain, AbelianShape((m,)), rng.randint(1, 2), rng)
+            if traced % 2
+            else FiniteMap(domain, AbelianShape((m,)), tuple(
+                (rng.randrange(m) if rng.random() < 0.5 else 0,) for _ in range(domain.order)
+            ))
+            for m in moduli
+        ]
+        if not zero_count(system)[0]:
+            continue
+        report = zero_count_trace(system)
+        assert report == _reference_trace(system)
+        assert zero_count_trace(system, report.beta + 1) == _reference_trace(
+            system, report.beta + 1
+        )
+        traced += 1
+
+
+@pytest.mark.parametrize("beta", [True, False, 1.5, 2.0, "2", [2]])
+def test_zero_count_trace_rejects_a_beta_that_is_not_an_int(beta, monkeypatch):
+    # The check comes before the zero count, which is made to fail here.
+    identity = FiniteMap(Z2, Z2, ((0,), (1,)))
+    assert zero_count_trace([identity], 2).beta == 2
+    monkeypatch.setattr(oracle, "zero_count", lambda maps: pytest.fail("counted zeros"))
+    with pytest.raises(ValueError) as info:
+        zero_count_trace([identity], beta)
+    assert str(info.value) == f"beta must be an integer, got {beta!r}"
 
 
 def test_poly_zero_count_fixtures():

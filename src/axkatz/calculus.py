@@ -695,7 +695,8 @@ def _forward_differences(column: list[int], widths: Sequence[int], step, rows=No
     """In place over a row-major box: cell n becomes the n-th iterated
     forward difference of the original array at the origin, by the
     slot-wise step(a, b) (``_slot_difference``; ``operator.sub`` keeps plain
-    ints exact; ``_slot_sum`` undoes the transform).
+    ints exact; ``_slot_sum``, or ``operator.add`` on plain ints, undoes the
+    transform).
 
     Per axis, for k = 1..w-1 the rows k..w-1 are stepped against their
     predecessors.  Across entries (entry n cell n): one step per entry, the

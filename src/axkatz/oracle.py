@@ -527,11 +527,11 @@ def sample_bounded_maps(
     nonconstant = _bounded_map_count(domain, codomain, cap) - codomain.order
     generators = degree_generators(domain, codomain, cap)
     size, combinations = _slot_size(domain, codomain), nonconstant // codomain.order
-    blobs = [[bytearray(count * size) for _ in range(domain.order)] for _ in codomain.factors]
+    factor_rows = [[bytearray(count * size) for _ in range(domain.order)] for _ in codomain.factors]
     for i in range(count):
         constants, combination = divmod(rng.randrange(nonconstant), combinations)
         combination += 1
-        for q, factor, rows in zip(codomain.factors, generators, blobs):
+        for q, factor, rows in zip(codomain.factors, generators, factor_rows):
             constants, constant = divmod(constants, q)
             cells = {0: constant}
             for generator, order in factor:
@@ -546,8 +546,8 @@ def sample_bounded_maps(
                 for cell, c in cells.items():
                     rows[cell][i * size : (i + 1) * size] = c.to_bytes(size, "little")
     columns = []
-    while blobs:  # free each factor's rows once their column ints are read
-        columns.append([int.from_bytes(row, "little") for row in blobs.pop(0)])
+    while factor_rows:  # free each factor's rows once their column ints are read
+        columns.append([int.from_bytes(row, "little") for row in factor_rows.pop(0)])
     ones = _slot_ones(count, size)
     for q, column in zip(codomain.factors, columns):
         _forward_differences(column, domain.factors, _slot_sum(q, 8 * size, ones))

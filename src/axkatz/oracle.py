@@ -31,10 +31,10 @@ XOR, and ``calculus._slot_size`` bytes otherwise.  The planes are built by
 doubling, one generator at a time, from the zero map.  Every call rechecks
 them with one difference transform per codomain slot on copies of the
 planes, whose order levels give each table's degree as flags
-(``calculus._top_flags``); each degree's tables are then decoded from the
-planes and sorted into product order (``_decoded``).  The planes and the
-decoded buckets are cached per (domain, codomain, d), and per recheck
-outcome, when they fit in CACHED_BYTES.
+(``calculus._top_flags``); each degree's tables are decoded from the planes
+into product order (``_decoded``).  One record per (domain, codomain, d),
+64 kept (``_target``), keeps the planes and the buckets of the last recheck
+outcome when the maps fit in CACHED_BYTES; an equal outcome reuses them.
 
 Both modes count zeros on the candidates' ``TableSet.zero_flags``: per domain
 position, a flag in the slot of each candidate that vanishes there.  With r
@@ -58,8 +58,8 @@ import operator
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, reduce, wraps
-from typing import Callable, Sequence
+from functools import lru_cache, reduce
+from typing import Sequence
 
 from .bounds import (
     TargetSpec,
@@ -113,7 +113,7 @@ from .partitions import Partition, make_partition
 
 DIRECT_SUM_CAP = 1024
 MAX_SYSTEMS = 200000  # systems one verification may test, in either mode
-CACHED_BYTES = 2**22  # generated tables kept between calls, per cache entry
+CACHED_BYTES = 2**22  # generated tables kept between calls, per target record
 
 
 def binomial_column_sums(limit: int, direct: bool | None = None) -> list[int]:
@@ -205,10 +205,10 @@ def functions_by_degree(
     FiniteMap only for a table read out.
     """
     _check_table_cap(codomain.order, domain.order, 1, cap)
-    targets = enumerate_elements(codomain)  # the codomain is held to the enumeration limit
     if max_degree is not None:
+        check_enumerable(codomain.order)  # held to the enumeration limit, as below
         return _bounded_buckets(domain, codomain, max(max_degree, -1))
-    tables = _all_tables(domain, codomain, targets)
+    tables = _all_tables(domain, codomain, enumerate_elements(codomain))
     tops = _degree_tops(domain, codomain, tables)
     # A stable sort by top puts each bucket in one run, in product order.
     ranked, ordered = tables.select(sorted(range(len(tops)), key=tops.__getitem__)), sorted(tops)
@@ -295,37 +295,28 @@ def _bounded_map_count(domain: AbelianShape, codomain: AbelianShape, max_degree:
     return constants * math.prod(order for factor in generators for _, order in factor)
 
 
-def _kept_when_small(size: Callable[..., int]) -> Callable[[Callable], Callable]:
-    """Memoize a function of hashable arguments (64 entries, least recently
-    used first out) on the calls whose result takes at most CACHED_BYTES by
-    size(*args); a larger result is built on each call and freed with it."""
+class _Target:
+    """What ``_bounded_buckets`` keeps of one (domain, codomain, d), built
+    without any table: the map count, the plane slot width and whether the
+    maps fit in CACHED_BYTES as TableSet slots (kept).  Only a kept target
+    holds its planes, and the buckets of the last recheck outcome."""
 
-    def wrap(build: Callable) -> Callable:
-        kept = lru_cache(maxsize=64)(build)
-
-        @wraps(build)
-        def call(*args):
-            return kept(*args) if size(*args) <= CACHED_BYTES else build(*args)
-
-        call.cache_clear = kept.cache_clear
-        return call
-
-    return wrap
+    def __init__(self, domain: AbelianShape, codomain: AbelianShape, max_degree: int):
+        size = _slot_size(domain, codomain)
+        self.count = _bounded_map_count(domain, codomain, max_degree)
+        self.width = 1 if set(codomain.factors) == {2} else 8 * size
+        self.kept = self.count * domain.order * len(codomain.factors) * size <= CACHED_BYTES
+        self.planes = self.tops = self.buckets = None
 
 
-def _table_bytes(domain: AbelianShape, codomain: AbelianShape, count: int) -> int:
-    """Bytes of count tables of the pair in TableSet slots."""
-    return count * domain.order * len(codomain.factors) * _slot_size(domain, codomain)
+_target = lru_cache(maxsize=64)(_Target)  # one record per (domain, codomain, d)
 
 
-@_kept_when_small(lambda domain, codomain, max_degree: _table_bytes(
-    domain, codomain, _bounded_map_count(domain, codomain, max_degree)
-))
 def _generated_planes(
     domain: AbelianShape, codomain: AbelianShape, max_degree: int
-) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-    """(count, width, planes): the maps of degree <= max_degree of a
-    one-prime pair.
+) -> tuple[tuple[int, ...], ...]:
+    """The maps of degree <= max_degree of a one-prime pair on planes, kept
+    in the pair's record (``_target``) when it keeps its maps.
 
     planes[j][k] holds entry j of every table at domain position k, table i
     in bits [i width, (i + 1) width): one bit when every codomain factor is
@@ -335,8 +326,10 @@ def _generated_planes(
     the constants of each factor are doubled in last (none when max_degree
     < 0), so table 0 is the zero map.
     """
-    n = domain.order
-    width = 1 if set(codomain.factors) == {2} else 8 * _slot_size(domain, codomain)
+    target = _target(domain, codomain, max_degree)
+    if target.planes is not None:
+        return target.planes
+    n, width = domain.order, target.width
     planes = [[0] * n for _ in codomain.factors]
     count = 1
 
@@ -361,7 +354,9 @@ def _generated_planes(
     if max_degree >= 0:
         for j, q in enumerate(codomain.factors):
             double(j, q, [1] * n, q)
-    return count, width, tuple(map(tuple, planes))
+    planes = tuple(map(tuple, planes))
+    target.planes = planes if target.kept else None
+    return planes
 
 
 def _bounded_buckets(
@@ -374,43 +369,44 @@ def _bounded_buckets(
     codomain slot, on copies of the planes, gives per total order the flags
     of the tables with a nonzero coefficient of that order, and a table's
     degree is its highest such order, -inf when it has none
-    (``calculus._top_flags``).  A table past the pair's degree cap, or
+    (``calculus._top_flags``).  An outcome equal to the one the pair's
+    record (``_target``) keeps gets the kept buckets; any other is decoded
+    from the planes (``_decoded``).  A table past the pair's degree cap, or
     of degree above max_degree, raises ConsistencyError naming the first
-    such table in product order.  Each degree's tables are decoded from the
-    planes into product order (``_decoded``), and the buckets are ordered by
-    their first tables.
+    such table in product order.
     """
-    count, width, planes = _generated_planes(domain, codomain, max_degree)
+    target = _target(domain, codomain, max_degree)
+    planes = _generated_planes(domain, codomain, max_degree)
     (comp,) = _sylow_plan(domain, codomain)
-    tops = _top_flags(comp, list(map(list, planes)), width, _width_ones(count, width))
-    buckets = dict(zip(tops, _decoded(domain, codomain, max_degree, tuple(tops.values()))))
-    past_cap = [top for top in buckets if top > comp.cap + 1]
-    if past_cap:
-        values, top = min((buckets[top].table(0), top) for top in past_cap)
-        _raise_past_cap(domain, codomain, (comp,), [[top]], [values])
-    outside = [top for top in buckets if top > max_degree + 1]
-    if outside:
-        values, top = min((buckets[top].table(0), top) for top in outside)
-        raise _degree_outside(domain, codomain, 0, max_degree, top, values)
-    ordered = sorted(buckets, key=lambda top: buckets[top].table(0))
-    return {_degree(top): buckets[top] for top in ordered}
+    ones = _width_ones(target.count, target.width)
+    tops = _top_flags(comp, list(map(list, planes)), target.width, ones)
+    unchanged = tops == target.tops
+    buckets = target.buckets if unchanged else _decoded(domain, codomain, target, planes, tops)
+    if target.kept:
+        target.tops, target.buckets = tops, buckets
+    # The buckets are in first-table order: the first past a limit names its table.
+    if max(tops) > min(comp.cap, max_degree) + 1:
+        for degree, tables in buckets.items():
+            if degree > comp.cap:
+                _raise_past_cap(domain, codomain, (comp,), [[degree.value + 1]], [tables.table(0)])
+        degree, tables = next(item for item in buckets.items() if item[0] > max_degree)
+        raise _degree_outside(domain, codomain, 0, max_degree, degree.value + 1, tables.table(0))
+    return dict(buckets)
 
 
-@_kept_when_small(lambda domain, codomain, max_degree, flags: _table_bytes(
-    domain, codomain, sum(f.bit_count() for f in flags)
-))
 def _decoded(
-    domain: AbelianShape, codomain: AbelianShape, max_degree: int, flags: tuple[int, ...]
-) -> tuple[TableSet, ...]:
-    """Per entry of flags (a 1 in the lowest bit of the slot of each chosen
-    table), the tables of ``_generated_planes`` it flags, in product order.
+    domain: AbelianShape, codomain: AbelianShape, target: _Target, planes: tuple, tops: dict
+) -> dict[Degree, TableSet]:
+    """Per top of tops (a 1 in the lowest bit of the slot of each table of
+    that top), the tables of the planes it flags, in product order; the
+    buckets are ordered by their first tables.
 
     Each table is written as a row of big-endian slots, so that sorting the
     rows sorts the tables into product order; the slots are then flipped to
     the TableSet's little-endian order.
     """
-    count, width, planes = _generated_planes(domain, codomain, max_degree)
     n, r, size = domain.order, len(codomain.factors), _slot_size(domain, codomain)
+    count, width = target.count, target.width
     stride, step = n * r * size, max(width // 8, 1)  # step: bytes per entry of a plane
     data = bytearray(count * stride)
     for k, cells in enumerate(zip(*planes)):
@@ -419,14 +415,16 @@ def _decoded(
             for b in range(step):
                 data[(k * r + j + 1) * size - 1 - b :: stride] = entries[b::step]
     buckets = []
-    for chosen in flags:
+    for top, chosen in tops.items():
         chosen = itertools.compress(range(count), _plane_bytes(chosen, count, width)[::step])
         rows = b"".join(sorted(data[i * stride : (i + 1) * stride] for i in chosen))
         blob = bytearray(len(rows))
         for b in range(size):  # flip each big-endian slot
             blob[b::size] = rows[size - 1 - b :: size]
-        buckets.append(TableSet(domain, codomain, len(rows) // stride, bytes(blob), size))
-    return tuple(buckets)
+        tables = TableSet(domain, codomain, len(rows) // stride, bytes(blob), size)
+        buckets.append((rows[:stride], top, tables))
+    buckets.sort(key=operator.itemgetter(0))
+    return {_degree(top): tables for _, top, tables in buckets}
 
 
 _BIT_BYTES = [bytes(b >> i & 1 for i in range(8)) for b in range(256)]

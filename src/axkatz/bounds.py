@@ -39,7 +39,7 @@ from typing import Sequence
 from .degrees import INF, Degree
 from .errors import ConsistencyError, ResourceLimitError
 from .groups import AbelianShape, enumeration_limit, primary_decomposition
-from .intmath import ceil_div, check_prime, factorize, ilog, multiplicity
+from .intmath import ceil_div, check_integer, check_prime, factorize, ilog, multiplicity
 from .partitions import Partition, _dot_prefix_weight, _unchecked, make_partition, truncate
 
 Budget = int | float  # nonnegative int, or math.inf for an unbounded budget
@@ -322,8 +322,14 @@ class TargetSpec:
 def make_targets(p: int, pairs: Sequence[tuple[int, int]]) -> TargetSpec:
     """Build a TargetSpec, sorting by d * p^beta with larger beta first on ties."""
     check_prime(p)
+    return TargetSpec(p, _sorted_targets(p, pairs).targets)
+
+
+def _sorted_targets(p: int, pairs: Sequence[tuple[int, int]]) -> TargetSpec:
+    """``make_targets`` unchecked, for a prime and pairs the caller checked
+    (beta >= 1, d >= 1 and at least one pair), so no prime is tested again."""
     ordered = sorted(pairs, key=lambda bd: (bd[1] * p ** bd[0], bd[0]), reverse=True)
-    return TargetSpec(p, tuple((int(b), int(d)) for b, d in ordered))
+    return _unchecked(TargetSpec, p=p, targets=tuple((int(b), int(d)) for b, d in ordered))
 
 
 def bound_objective(alpha: Partition, targets: TargetSpec, point: Sequence[int]) -> int:
@@ -487,6 +493,7 @@ def equal_exponent_bound(p: int, copies: int, exponent: int, targets: TargetSpec
 def _check_target(shape: AbelianShape, d: int) -> None:
     if shape.is_trivial:
         raise ValueError("target shapes must be nontrivial")
+    check_integer(d, "a degree cap")
     if d < 1:
         raise ValueError(f"degree caps must be >= 1, got {d}")
 
@@ -506,7 +513,9 @@ def expand_targets(p: int, shaped: Sequence[tuple[AbelianShape, int]]) -> Target
             if p**e != m:
                 raise ValueError(f"factor {m} is not a power of {p}")
             pairs.append((e, d))
-    return make_targets(p, pairs)
+    if not pairs:
+        raise ValueError("at least one target is required")
+    return _sorted_targets(p, pairs)
 
 
 @dataclass(frozen=True)
@@ -557,7 +566,7 @@ def multi_prime_bounds(
                 if e:
                     pairs.append((e, d))
         if pairs:
-            report = zero_count_bound(pshape.exponents, make_targets(prime, pairs))
+            report = zero_count_bound(pshape.exponents, _sorted_targets(prime, pairs))
             out[prime] = PrimeBound(prime, report.bound, False, report)
         else:
             out[prime] = PrimeBound(prime, pshape.exponents.size, True, None)
@@ -578,6 +587,8 @@ def polynomial_system_bound(
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     if nvars < 1:
         raise ValueError(f"variable count must be >= 1, got {nvars}")
+    for d in degrees or ():  # a missing or empty list raises below
+        check_integer(d, "a degree cap")
     if not degrees or any(d < 1 for d in degrees):
         raise ValueError("degrees must be a nonempty list of integers >= 1")
     limit = enumeration_limit()
@@ -586,6 +597,6 @@ def polynomial_system_bound(
     out: dict[int, BoundReport] = {}
     for prime, e in sorted(factorize(modulus).items()):
         alpha = _unchecked(Partition, parts=(e,) * nvars)
-        targets = make_targets(prime, [(e, d) for d in degrees])
+        targets = _sorted_targets(prime, [(e, d) for d in degrees])
         out[prime] = zero_count_bound(alpha, targets)
     return out

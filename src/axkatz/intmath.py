@@ -127,6 +127,12 @@ def check_prime(p: int) -> int:
     return p
 
 
+def check_integer(value: object, what: str) -> None:
+    """Raise ValueError naming the value unless it is an int (a bool is not)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _pollard_brent(n: int) -> int:
     """A nontrivial factor of an odd composite n with no prime factor below 1000.
 

@@ -522,6 +522,30 @@ def test_consistency_error_carries_a_replayable_instance(monkeypatch, capsys):
     assert code == 1 and "consistency failure" in err and '"budget": 24' in err
 
 
+def test_each_prime_is_tested_once(monkeypatch):
+    # expand_targets tests its prime once; multi_prime_bounds and
+    # polynomial_system_bound take theirs from factorize and test none.
+    # Their targets are those of make_targets, which keeps every check.
+    calls = []
+    real = bounds.check_prime
+    monkeypatch.setattr(bounds, "check_prime", lambda p: calls.append(p) or real(p))
+    spec = expand_targets(2, [(AbelianShape((4, 2)), 1), (AbelianShape((8,)), 2)])
+    assert calls == [2]
+    calls.clear()
+    mixed = multi_prime_bounds(
+        AbelianShape((12, 5)), [(AbelianShape((6,)), 2), (AbelianShape((10, 4)), 1)]
+    )
+    poly = polynomial_system_bound(360, 2, [2, 3])
+    assert calls == []
+    monkeypatch.undo()
+    assert spec == make_targets(2, [(2, 1), (1, 1), (3, 2)])
+    assert mixed[2].report.targets == make_targets(2, [(1, 2), (1, 1), (2, 1)])
+    assert mixed[3].report.targets == make_targets(3, [(1, 2)])
+    assert mixed[5].report.targets == make_targets(5, [(1, 1)])
+    for q, e in ((2, 3), (3, 2), (5, 1)):
+        assert poly[q].targets == make_targets(q, [(e, 2), (e, 3)])
+
+
 def test_target_validation_is_shared():
     for shaped, message in [
         ([(AbelianShape(()), 1)], "target shapes must be nontrivial"),

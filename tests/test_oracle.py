@@ -33,8 +33,10 @@ from axkatz import (
     functions_by_degree,
     make_partition,
     make_targets,
+    multi_prime_bounds,
     objective_box,
     poly_zero_count,
+    polynomial_system_bound,
     proper_lift,
     reconstruct,
     sample_bounded_map,
@@ -42,7 +44,7 @@ from axkatz import (
     zero_count,
     zero_count_trace,
 )
-from axkatz import calculus, oracle
+from axkatz import bounds, calculus, oracle
 from axkatz.intmath import factorize, multiplicity
 
 Z2 = AbelianShape((2,))
@@ -298,6 +300,27 @@ def test_verify_bound_agrees_with_brute_force_bucketing():
     assert any(len(targets) == 3 for _, _, targets in REFERENCE_INSTANCES)
 
 
+def test_verify_derives_its_bound_once(monkeypatch):
+    # The objective's minimum is the report's raw bound, not a second bound.
+    calls = []
+    real = oracle.zero_count_bound
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (bounds, oracle):
+        monkeypatch.setattr(module, "zero_count_bound", counted)
+    reports = {}
+    for parts, d in [([2, 1], 1), ([2, 1], 3), ([3], 1)]:
+        calls.clear()
+        reports[tuple(parts), d] = verify_bound(2, make_partition(parts), [(Z2, d)])
+        assert len(calls) == 1
+    monkeypatch.undo()
+    for (parts, d), report in reports.items():
+        assert report.to_json_dict() == _reference_report(2, list(parts), [((2,), d)])
+
+
 def test_verify_checks_each_target_in_one_batch():
     # Both modes, two targets of different codomains: each target's maps
     # (every qualifying one, then 25 draws) give the reference's reports.
@@ -446,6 +469,57 @@ def test_join_degree_cross_check_replays(monkeypatch):
     with pytest.raises(ConsistencyError) as verified:
         verify_bound(2, make_partition([2, 1]), [(Z2, 2)])
     assert verified.value.instance == instance
+
+
+def test_warm_targets_are_rechecked(monkeypatch):
+    # A kept target still has its degrees rechecked on every call: the patched
+    # recheck of test_join_degree_cross_check_replays fires on a warm call with
+    # the same instance, and after the undo the brute-force bucketing is back.
+    expected = _reference_buckets(Z42, Z2, 2)
+    functions_by_degree(Z42, Z2, max_degree=2)
+    assert oracle._target(Z42, Z2, 2).planes is not None
+    real = calculus._level_flags
+    monkeypatch.setattr(calculus, "_level_flags", lambda *args: [0] + real(*args))
+    with pytest.raises(ConsistencyError, match=r"degree 3 outside \[-inf, 2\]") as info:
+        functions_by_degree(Z42, Z2, max_degree=2)
+    assert info.value.instance == {
+        "domain": (4, 2), "codomain": (2,), "max_degree": 2, "order": 3,
+        "values": expected[Degree.of(2)][0].values,
+    }
+    monkeypatch.undo()
+    got = functions_by_degree(Z42, Z2, max_degree=2)
+    assert list(got) == list(expected) and got == expected
+
+
+def test_warm_calls_share_their_buckets():
+    # Each call returns its own dict, of the bucket objects the record keeps,
+    # so each bucket's zero flags are packed once.
+    first = functions_by_degree(Z42, Z2, max_degree=3)
+    second = functions_by_degree(Z42, Z2, max_degree=3)
+    assert first is not second and list(first) == list(second)
+    assert all(a is b for a, b in zip(first.values(), second.values()))
+
+
+def test_targets_past_cached_bytes_keep_nothing(monkeypatch):
+    # With no byte to spare, a record keeps no planes and no buckets, and the
+    # buckets built on each call equal the kept ones.
+    Z5, Z128 = AbelianShape((5,)), AbelianShape((128,))
+    pairs = [(Z42, Z2, 3), (Z5, Z5, 2), (Z2, Z128, 3)]
+    kept = [functions_by_degree(domain, codomain, max_degree=d) for domain, codomain, d in pairs]
+    monkeypatch.setattr(oracle, "CACHED_BYTES", 0)
+    oracle._target.cache_clear()
+    try:
+        for (domain, codomain, d), expected in zip(pairs, kept):
+            first = functions_by_degree(domain, codomain, max_degree=d)
+            second = functions_by_degree(domain, codomain, max_degree=d)
+            target = oracle._target(domain, codomain, d)
+            assert not target.kept
+            assert target.planes is None and target.tops is None and target.buckets is None
+            for got in (first, second):
+                assert list(got) == list(expected) and got == expected
+            assert not any(a is b for a, b in zip(first.values(), second.values()))
+    finally:
+        oracle._target.cache_clear()
 
 
 def test_brute_max_degree_small_pairs():
@@ -701,6 +775,29 @@ def test_zero_count_trace_rejects_a_beta_that_is_not_an_int(beta, monkeypatch):
     with pytest.raises(ValueError) as info:
         zero_count_trace([identity], beta)
     assert str(info.value) == f"beta must be an integer, got {beta!r}"
+
+
+@pytest.mark.parametrize("d", [True, 1.5, 2.0, "2"])
+def test_degree_caps_must_be_ints(d, monkeypatch):
+    # Every entry that takes a degree cap names a cap that is not an int,
+    # before it counts or builds any table.
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was counted or built")
+
+    for name in ("_bounded_map_count", "_generated_planes", "_all_tables"):
+        monkeypatch.setattr(oracle, name, no_table)
+    for name, call in [
+        ("a degree cap", lambda: verify_bound(2, make_partition([2, 1]), [(Z2, d)])),
+        ("a degree cap", lambda: multi_prime_bounds(AbelianShape((12,)), [(Z2, d)])),
+        ("a degree cap", lambda: polynomial_system_bound(6, 2, [2, d])),
+        ("max_degree", lambda: functions_by_degree(Z42, Z2, max_degree=d)),
+        ("cap", lambda: oracle.sample_bounded_maps(Z42, Z2, d, random.Random(1), 3)),
+    ]:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"{name} must be an integer, got {d!r}"
+    with pytest.raises(ValueError, match="degree caps must be >= 1, got 0"):
+        verify_bound(2, make_partition([2, 1]), [(Z2, 0)])
 
 
 def test_poly_zero_count_fixtures():

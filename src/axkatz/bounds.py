@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
 
 from .degrees import INF, Degree
 from .errors import ConsistencyError, ResourceLimitError
 from .groups import AbelianShape, enumeration_limit, primary_decomposition
 from .intmath import ceil_div, check_integer, check_prime, factorize, ilog, multiplicity
-from .partitions import Partition, _dot_prefix_weight, _unchecked, make_partition, truncate
+from .partitions import Partition, _dot_prefix_weight, _Record, _unchecked, make_partition, truncate
 
 Budget = int | float  # nonnegative int, or math.inf for an unbounded budget
 
@@ -120,8 +119,7 @@ def vp_value(p: int, alpha: Partition, budget: Budget) -> int:
     return sum(columns) - t
 
 
-@dataclass(frozen=True)
-class ValuationMinimum:
+class ValuationMinimum(_Record):
     """Minimum valuation with an explicit minimizing point.
 
     full_columns counts the completely selected Ferrers columns, extra_dots
@@ -275,8 +273,7 @@ def step_cost_minimum(
     return 0, -reach
 
 
-@dataclass(frozen=True)
-class TargetSpec:
+class TargetSpec(_Record):
     """Cyclic targets (beta_j, d_j), sorted by d * p^beta then beta, descending."""
 
     p: int
@@ -284,11 +281,7 @@ class TargetSpec:
 
     def __post_init__(self):
         check_prime(self.p)
-        if not self.targets:
-            raise ValueError("at least one target is required")
-        for beta, d in self.targets:
-            if beta < 1 or d < 1:
-                raise ValueError(f"targets need beta >= 1 and d >= 1, got {(beta, d)}")
+        _check_pairs(self.targets)
         keys = [(d * self.p**beta, beta) for beta, d in self.targets]
         if any(b > a for a, b in zip(keys, keys[1:])):
             raise ValueError("targets must be sorted by d * p^beta, then beta, descending")
@@ -319,15 +312,28 @@ class TargetSpec:
         return [[beta, d] for beta, d in self.targets]
 
 
+def _check_pairs(pairs: Sequence[tuple[int, int]]) -> None:
+    """Raise ValueError unless there is a pair and every pair (beta, d) holds
+    integers beta >= 1 and d >= 1."""
+    if not pairs:
+        raise ValueError("at least one target is required")
+    for beta, d in pairs:
+        check_integer(beta, "a target exponent")
+        check_integer(d, "a degree cap")
+        if beta < 1 or d < 1:
+            raise ValueError(f"targets need beta >= 1 and d >= 1, got {(beta, d)}")
+
+
 def make_targets(p: int, pairs: Sequence[tuple[int, int]]) -> TargetSpec:
     """Build a TargetSpec, sorting by d * p^beta with larger beta first on ties."""
     check_prime(p)
-    return TargetSpec(p, _sorted_targets(p, pairs).targets)
+    _check_pairs(pairs)  # before the sort forms d * p^beta
+    return _sorted_targets(p, pairs)
 
 
 def _sorted_targets(p: int, pairs: Sequence[tuple[int, int]]) -> TargetSpec:
     """``make_targets`` unchecked, for a prime and pairs the caller checked
-    (beta >= 1, d >= 1 and at least one pair), so no prime is tested again."""
+    (``_check_pairs``), so no prime is tested again."""
     ordered = sorted(pairs, key=lambda bd: (bd[1] * p ** bd[0], bd[0]), reverse=True)
     return _unchecked(TargetSpec, p=p, targets=tuple((int(b), int(d)) for b, d in ordered))
 
@@ -347,8 +353,7 @@ def bound_objective(alpha: Partition, targets: TargetSpec, point: Sequence[int])
     return floors + vp_value(p, alpha, budget)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """Every intermediate of the two-case bound, so the split can be audited."""
 
     p: int
@@ -518,8 +523,7 @@ def expand_targets(p: int, shaped: Sequence[tuple[AbelianShape, int]]) -> Target
     return _sorted_targets(p, pairs)
 
 
-@dataclass(frozen=True)
-class PrimeBound:
+class PrimeBound(_Record):
     """Per-prime result of a mixed-order bound computation.
 
     When no target has a component at the prime, every component map is

@@ -43,7 +43,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -62,13 +61,12 @@ from .groups import (
     pure_prime,
 )
 from .intmath import binomial, factorize, multiplicity
-from .partitions import _unchecked, make_partition
+from .partitions import _Record, _unchecked, make_partition
 
 Table = tuple[tuple[int, ...], ...]  # the values of a map, in enumeration order
 
 
-@dataclass(frozen=True)
-class FiniteMap:
+class FiniteMap(_Record):
     """Total function between finite shapes, tabulated in enumeration order."""
 
     domain: AbelianShape
@@ -297,8 +295,7 @@ def iterated_difference(f: FiniteMap, orders: Sequence[int]) -> FiniteMap:
     return f
 
 
-@dataclass(frozen=True)
-class _Component:
+class _Component(_Record):
     """One Sylow component of a (domain, codomain) pair, as index gathers.
 
     A domain factor Z/m, m = c q with q its p-part, has the mutually inverse
@@ -960,8 +957,7 @@ def reconstruct(
     return FiniteMap.from_callable(domain, codomain, lambda x: tuple(s(x) for s in series))
 
 
-@dataclass(frozen=True)
-class BinomialSeries:
+class BinomialSeries(_Record):
     """Finitely supported integer series in the binomial basis.
 
     Evaluates as F(x) = sum over support of C(x_1, n_1)...C(x_N, n_N) times

@@ -12,12 +12,11 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ResourceLimitError
 from .intmath import check_prime, factorize, multiplicity, power_exceeds, power_text
-from .partitions import Partition, _unchecked
+from .partitions import Partition, _Record, _unchecked
 
 DEFAULT_ENUM_LIMIT = 10**6
 ENUM_LIMIT_ENV = "AXKATZ_ENUM_LIMIT"
@@ -38,8 +37,7 @@ def enumeration_limit() -> int:
     return limit
 
 
-@dataclass(frozen=True)
-class AbelianShape:
+class AbelianShape(_Record):
     """Direct sum of Z/mZ factors, in the stored order; () is the trivial group."""
 
     factors: tuple[int, ...]
@@ -88,8 +86,7 @@ class AbelianShape:
         return list(self.factors)
 
 
-@dataclass(frozen=True)
-class PGroupShape:
+class PGroupShape(_Record):
     """p-group presented by its invariant-factor exponent partition."""
 
     p: int

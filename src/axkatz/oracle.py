@@ -57,7 +57,6 @@ import math
 import operator
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Sequence
 
@@ -109,7 +108,7 @@ from .groups import (
 )
 from .intmath import ceil_div, check_integer, check_prime, check_printable, factorize
 from .intmath import multiplicity, power_exceeds, power_text
-from .partitions import Partition, make_partition
+from .partitions import Partition, _Record, make_partition
 
 DIRECT_SUM_CAP = 1024
 MAX_SYSTEMS = 200000  # systems one verification may test, in either mode
@@ -317,10 +316,10 @@ _target = lru_cache(maxsize=64)(_Target)  # one record per (domain, codomain, d)
 
 
 def _generated_planes(
-    domain: AbelianShape, codomain: AbelianShape, max_degree: int
+    domain: AbelianShape, codomain: AbelianShape, max_degree: int, target: _Target
 ) -> tuple[tuple[int, ...], ...]:
     """The maps of degree <= max_degree of a one-prime pair on planes, kept
-    in the pair's record (``_target``) when it keeps its maps.
+    in target, the pair's record (``_target``), when it keeps its maps.
 
     planes[j][k] holds entry j of every table at domain position k, table i
     in bits [i width, (i + 1) width): one bit when every codomain factor is
@@ -330,7 +329,6 @@ def _generated_planes(
     the constants of each factor are doubled in last (none when max_degree
     < 0), so table 0 is the zero map.
     """
-    target = _target(domain, codomain, max_degree)
     if target.planes is not None:
         return target.planes
     n, width = domain.order, target.width
@@ -380,7 +378,7 @@ def _bounded_buckets(
     such table in product order.
     """
     target = _target(domain, codomain, max_degree)
-    planes = _generated_planes(domain, codomain, max_degree)
+    planes = _generated_planes(domain, codomain, max_degree, target)
     (comp,) = _sylow_plan(domain, codomain)
     ones = _width_ones(target.count, target.width)
     tops = _top_flags(comp, list(map(list, planes)), target.width, ones)
@@ -559,8 +557,7 @@ def sample_bounded_maps(
     return tables
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Record):
     """Outcome of checking the bound against actual zero counts."""
 
     instance: dict
@@ -757,8 +754,7 @@ def _relayout(
     return int(digits.translate({48: "0" * len(slot), 49: slot}) * tile, 2)
 
 
-@dataclass(frozen=True)
-class TraceReport:
+class TraceReport(_Record):
     """Both sides of the lifted-indicator integral identity for one system."""
 
     count: int
@@ -888,8 +884,7 @@ def zero_count_trace(system: Sequence[FiniteMap], beta: int | None = None) -> Tr
     )
 
 
-@dataclass(frozen=True)
-class PolySystem:
+class PolySystem(_Record):
     """Polynomial system over Z/mZ: sparse monomials plus declared degree caps.
 
     Each polynomial is a tuple of (coefficient, exponent vector) monomials;

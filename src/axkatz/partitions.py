@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import Iterable, Sequence
@@ -23,8 +22,83 @@ from typing import Iterable, Sequence
 from .intmath import check_prime
 
 
-@dataclass(frozen=True)
-class Partition:
+class _Record:
+    """Base of the package's frozen value types.
+
+    A subclass names its fields as class annotations, read once when the
+    class is made.  It is built from its fields by position or by keyword,
+    then runs its ``__post_init__`` check if it has one.  It compares equal
+    only to an instance of the same class with equal fields, hashes as the
+    tuple of its fields, shows them in its repr and ``__match_args__``, and
+    refuses assignment and deletion.  Fields live in the instance dict, so
+    ``cached_property``, pickle and copy work as on a plain object, and
+    ``_unchecked`` can build one without the check.
+    """
+
+    def __init_subclass__(cls):
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        values = operator.attrgetter(*fields)  # the value itself for one field
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return values(self) == values(other)
+            return NotImplemented
+
+        if len(fields) == 1:
+            def __hash__(self):
+                return hash((values(self),))
+        else:
+            def __hash__(self):
+                return hash(values(self))
+
+        cls._fields, cls._field_set, cls.__match_args__ = fields, frozenset(fields), fields
+        cls._checked = hasattr(cls, "__post_init__")
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):  # all by keyword, or bound
+            if args or kwargs.keys() != self._field_set:
+                kwargs = _bound(type(self), args, kwargs)
+            pairs = kwargs.items()
+        else:
+            pairs = zip(self._fields, args)
+        for name, value in pairs:  # kept out of vars(), whose reads are slower
+            object.__setattr__(self, name, value)
+        if self._checked:
+            self.__post_init__()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _bound(cls, args: tuple, kwargs: dict) -> dict:
+    """The fields of a record call that gives them neither all by position
+    nor all by keyword; TypeError for a call a function of those fields
+    would refuse."""
+    name, fields = cls.__qualname__, cls._fields
+    if len(args) > len(fields):
+        raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+    bound = dict(zip(fields, args))
+    for field, value in kwargs.items():
+        if field not in cls._field_set:
+            raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+        if field in bound:
+            raise TypeError(f"{name}() got multiple values for argument {field!r}")
+        bound[field] = value
+    missing = [field for field in fields if field not in bound]
+    if missing:
+        raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+    return bound
+
+
+class Partition(_Record):
     """Weakly decreasing tuple of positive integers; never empty."""
 
     parts: tuple[int, ...]
@@ -85,7 +159,7 @@ def _raise_first_violation(parts: tuple) -> None:
 
 
 def _unchecked(cls, **fields):
-    """The dataclass cls holding fields, unchecked: for values derived from checked ones."""
+    """The record cls holding fields, unchecked: for values derived from checked ones."""
     obj = object.__new__(cls)
     vars(obj).update(fields)
     return obj
@@ -136,8 +210,7 @@ def _dot_prefix_weight(columns: Sequence[int], p: int, t: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+class WeightSequence(_Record):
     """Column-ordered Ferrers dot weights: conj[j-1] copies of p^(j-1)."""
 
     p: int

@@ -217,6 +217,17 @@ def test_target_spec_ordering_and_measures():
         make_targets(2, [(0, 1)])
 
 
+@pytest.mark.parametrize("value", [1.5, True, "2"])
+def test_targets_must_hold_ints(value):
+    # Both public constructors name a cap or exponent that is not an int,
+    # before make_targets sorts by d * p^beta.
+    for pair, name in [((1, value), "a degree cap"), ((value, 1), "a target exponent")]:
+        for build in (lambda: make_targets(2, [pair]), lambda: bounds.TargetSpec(2, (pair,))):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
 def test_zero_count_bound_fixtures():
     report = zero_count_bound(make_partition([2, 1]), make_targets(2, [(1, 1)]))
     assert (report.a_measure, report.b_measure, report.level) == (4, 1, 1)

@@ -398,6 +398,17 @@ print("ok")
     assert done.stdout == "True\n", done.stderr
 
 
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    # The value types are frozen records, so no CLI process pays for
+    # importing dataclasses and the inspect, ast, dis and tokenize it pulls in.
+    done = _python(
+        "-c",
+        "import sys, axkatz.cli, axkatz.calculus, axkatz.oracle; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+    )
+    assert done.stdout == "[]\n", done.stderr
+
+
 def _parse_outcome(parser, argv, capsys):
     """(exit code or parsed options, stdout, stderr) of parsing argv."""
     try:

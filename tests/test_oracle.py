@@ -1,7 +1,6 @@
 """Brute-force oracles: enumeration, sampling, tracing, polynomial systems."""
 
 import collections
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -50,6 +49,12 @@ from axkatz.intmath import factorize, multiplicity
 Z2 = AbelianShape((2,))
 Z4 = AbelianShape((4,))
 Z42 = AbelianShape((4, 2))
+
+
+def _with_cap(comp, cap):
+    """The Sylow component comp with its degree cap replaced by cap."""
+    fields = {name: getattr(comp, name) for name in comp.__match_args__}
+    return type(comp)(**{**fields, "cap": cap})
 
 
 def test_binomial_column_sums_routes_agree():
@@ -352,7 +357,7 @@ def test_verify_past_a_patched_cap_names_the_first_table_and_replays(monkeypatch
     real = calculus._sylow_plan
 
     def patched(domain, codomain):
-        return tuple(dataclasses.replace(comp, cap=1) for comp in real(domain, codomain))
+        return tuple(_with_cap(comp, 1) for comp in real(domain, codomain))
 
     for module in (calculus, oracle):
         monkeypatch.setattr(module, "_sylow_plan", patched)
@@ -429,7 +434,7 @@ def test_generated_table_past_a_patched_cap_raises(monkeypatch):
             module,
             "_sylow_plan",
             lambda domain, codomain: tuple(
-                dataclasses.replace(comp, cap=1) for comp in real(domain, codomain)
+                _with_cap(comp, 1) for comp in real(domain, codomain)
             ),
         )
     with pytest.raises(ConsistencyError) as info:

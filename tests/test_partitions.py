@@ -219,3 +219,103 @@ def test_truncated_geometric_sum_identity(partition, level, p):
     c1 = min(partition.width, level)
     expected = sum(conj[j] * p**j for j in range(c1))
     assert geometric_sum(truncate(partition, level), p) == expected
+
+
+def _record_pairs():
+    """Two unequal instances of each of the package's 14 value types."""
+    from axkatz import (
+        AbelianShape,
+        BinomialSeries,
+        FiniteMap,
+        PGroupShape,
+        PolySystem,
+        make_targets,
+        min_valuation,
+        multi_prime_bounds,
+        verify_bound,
+        zero_count_bound,
+        zero_count_trace,
+    )
+    from axkatz.calculus import _sylow_plan
+
+    Z2, Z6 = AbelianShape((2,)), AbelianShape((6,))
+    ident, parity = FiniteMap(Z2, Z2, ((0,), (1,))), FiniteMap(Z6, Z2, ((0,), (1,)) * 3)
+    alpha, beta = make_partition([2, 1]), make_partition([3])
+    targets = make_targets(2, [(1, 1)]), make_targets(3, [(2, 1), (1, 2)])
+    bounds = multi_prime_bounds(Z6, [(Z2, 1)])
+    return [
+        (alpha, beta),
+        (weight_sequence(alpha, 2), weight_sequence(beta, 3)),
+        (Z2, Z6),
+        (PGroupShape(2, alpha), PGroupShape(3, alpha)),
+        (min_valuation(2, alpha, 3), min_valuation(3, beta, 7)),
+        targets,
+        (zero_count_bound(alpha, targets[0]), zero_count_bound(beta, targets[0])),
+        (bounds[2], bounds[3]),
+        (ident, parity),
+        _sylow_plan(Z6, Z6),
+        (BinomialSeries(1, {(1,): 1}), BinomialSeries(2, {})),
+        (
+            verify_bound(2, alpha, [(Z2, 1)]),
+            verify_bound(2, alpha, [(Z2, 1)], mode="sampled", seed=1, samples=3),
+        ),
+        (zero_count_trace([ident]), zero_count_trace([ident, ident], beta=2)),
+        (PolySystem(2, 1, (((1, (1,)),),), (1,)), PolySystem(6, 2, ((), ()), (1, 1))),
+    ]
+
+
+@pytest.mark.parametrize("pair", _record_pairs(), ids=lambda pair: type(pair[0]).__name__)
+def test_records_behave_as_frozen_dataclasses(pair):
+    import copy
+    import dataclasses
+    import pickle
+
+    first, second = pair
+    cls = type(first)
+    # A frozen dataclass of the same name and annotations, built here.
+    twin = dataclasses.make_dataclass(cls.__qualname__, list(cls.__annotations__), frozen=True)
+    assert cls.__match_args__ == twin.__match_args__
+    fields = {name: getattr(first, name) for name in cls.__match_args__}
+    values = list(fields.values())
+    again = [cls(*values), cls(**fields), cls(*values[:1], **dict(list(fields.items())[1:]))]
+    twins = [twin(**fields), twin(**{name: getattr(second, name) for name in fields})]
+    for other, twin_other in [(item, twins[0]) for item in again] + [(second, twins[1])]:
+        assert (first == other) is (twins[0] == twin_other)
+        assert (first != other) is (twins[0] != twin_other)
+    assert first == again[0] and first != second
+    # A different class compares unequal, even with equal fields.
+    assert first != twins[0] and not first == twins[0]
+    assert repr(first) == repr(twins[0]) and repr(second) == repr(twins[1])
+    try:
+        expected = hash(twins[0])
+    except TypeError:  # a dict field: neither is hashable
+        with pytest.raises(TypeError):
+            hash(first)
+    else:
+        assert hash(first) == expected == hash(again[1])
+    name = cls.__match_args__[0]
+    for change in (
+        lambda: setattr(first, name, values[0]),
+        lambda: setattr(first, "other", 1),
+        lambda: delattr(first, name),
+    ):
+        with pytest.raises(AttributeError):
+            change()
+    for call in (
+        lambda: cls(*values, values[0]),
+        lambda: cls(*values[:-1]),
+        lambda: cls(**fields, other=1),
+        lambda: cls(values[0], **fields),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    assert fields == {name: getattr(first, name) for name in cls.__match_args__}
+    for copied in (pickle.loads(pickle.dumps(first)), copy.deepcopy(first), copy.copy(first)):
+        assert type(copied) is cls and copied == first and repr(copied) == repr(first)
+
+
+def test_partition_columns_are_computed_on_first_read():
+    alpha = Partition((3, 1))
+    assert "columns" not in vars(alpha)
+    assert alpha.columns == (2, 1, 1)
+    assert vars(alpha)["columns"] == (2, 1, 1)

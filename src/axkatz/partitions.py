@@ -56,14 +56,12 @@ class _Record:
         cls.__eq__, cls.__hash__ = __eq__, __hash__
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):  # all by keyword, or bound
+        if kwargs or len(args) != len(self._fields):  # not all by position
             if args or kwargs.keys() != self._field_set:
                 kwargs = _bound(type(self), args, kwargs)
-            pairs = kwargs.items()
+            vars(self).update(kwargs)
         else:
-            pairs = zip(self._fields, args)
-        for name, value in pairs:  # kept out of vars(), whose reads are slower
-            object.__setattr__(self, name, value)
+            vars(self).update(zip(self._fields, args))
         if self._checked:
             self.__post_init__()
 

@@ -108,7 +108,7 @@ from .groups import (
 )
 from .intmath import ceil_div, check_integer, check_prime, check_printable, factorize
 from .intmath import multiplicity, power_exceeds, power_text
-from .partitions import Partition, _Record, make_partition
+from .partitions import Partition, _Record, _unchecked, make_partition
 
 DIRECT_SUM_CAP = 1024
 MAX_SYSTEMS = 200000  # systems one verification may test, in either mode
@@ -625,7 +625,7 @@ def verify_bound(
         # No sample builds no table, so no cap bounds the run: only the bound
         # is computed, and it takes the bound's digit check.
         check_printable(p, alpha.width, "part")
-    domain = PGroupShape(p, alpha).shape()
+    domain = _unchecked(PGroupShape, p=p, exponents=alpha).shape()  # p tested above
     if mode == "exhaustive":
         systems = math.prod(
             _bounded_map_count(domain, shape, d) - shape.order for shape, d in shaped

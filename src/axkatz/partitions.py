@@ -22,6 +22,9 @@ from typing import Iterable, Sequence
 from .intmath import check_prime
 
 
+_setattr = object.__setattr__
+
+
 class _Record:
     """Base of the package's frozen value types.
 
@@ -30,8 +33,8 @@ class _Record:
     then runs its ``__post_init__`` check if it has one.  It compares equal
     only to an instance of the same class with equal fields, hashes as the
     tuple of its fields, shows them in its repr and ``__match_args__``, and
-    refuses assignment and deletion.  Fields live in the instance dict, so
-    ``cached_property``, pickle and copy work as on a plain object, and
+    refuses assignment and deletion.  Fields are plain instance attributes,
+    so ``cached_property``, pickle and copy work as on a plain object, and
     ``_unchecked`` can build one without the check.
     """
 
@@ -56,12 +59,17 @@ class _Record:
         cls.__eq__, cls.__hash__ = __eq__, __hash__
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):  # not all by position
+        # Fields given by position are set one by one, which keeps CPython's
+        # inline attribute storage and its fast reads (vars() would build a
+        # dict, read slower); an all-keyword call, as the reports make, takes
+        # one dict update, cheaper for many fields.
+        if kwargs or len(args) != len(self._fields):
             if args or kwargs.keys() != self._field_set:
                 kwargs = _bound(type(self), args, kwargs)
             vars(self).update(kwargs)
         else:
-            vars(self).update(zip(self._fields, args))
+            for name, value in zip(self._fields, args):
+                _setattr(self, name, value)
         if self._checked:
             self.__post_init__()
 

@@ -11,13 +11,19 @@ Every closed form reads the partition through its Ferrers column counts
 O(width), not one step per row.  One column walk (`_column_walk`) finds the
 longest column-ordered dot prefix whose weight fits a budget: it gives
 `vp_value`, the deficit case's t_star and the full and extra columns of the
-`min_valuation` witness.  One step per row is still spent on what the
-outputs hold row by row, the truncated partition of a `BoundReport` and the
-witness point of `min_valuation`, and on `min_valuation`'s rearrangement and
-witness-valuation checks.  `zero_count_bound` is the one place that derives
-the two-case bound; `bound_objective_minimum` returns its raw value.  The
-per-dot weight sequence of `partitions` stays off these paths; the tests
-compare against it.
+`min_valuation` witness.  The witness point takes one power p^m - 1 per run
+of equal parts (`_runs`), and `product_valuation` values one pair per run
+and stretch of equal coordinates (`_pair_counts`), so the Python-level work
+of both grows with the distinct parts, not with the rows.  What still runs
+once per row runs at C speed: the tuple builds of the outputs (the truncated
+partition of a `BoundReport`, the witness's mu and point), the sums of
+`min_valuation`'s rearrangement and budget checks, and the slice counts that
+confirm each stretch of equal coordinates (a point that rises inside a run
+of equal parts is counted from there on with a `Counter`).
+`zero_count_bound` is the one place that derives the two-case bound;
+`bound_objective_minimum` returns its raw value.  The per-dot weight
+sequence of `partitions` stays off these paths; the tests compare against
+it.
 
 Runtime checks: `min_valuation` re-derives its dot count from the bracket
 (p - 1) W(t) <= D < (p - 1) W(t + 1), with W the dot-prefix weight evaluated
@@ -32,13 +38,23 @@ the partition as its columns, and the budget or targets) to replay it.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from collections import Counter
+from itertools import chain
 from typing import Sequence
 
 from .degrees import INF, Degree
 from .errors import ConsistencyError, ResourceLimitError
 from .groups import AbelianShape, enumeration_limit, primary_decomposition
-from .intmath import ceil_div, check_integer, check_prime, factorize, ilog, multiplicity
+from .intmath import (
+    ceil_div,
+    check_integer,
+    check_prime,
+    factorize,
+    ilog,
+    multiplicity,
+    power_exceeds,
+)
 from .partitions import Partition, _dot_prefix_weight, _Record, _unchecked, make_partition, truncate
 
 Budget = int | float  # nonnegative int, or math.inf for an unbounded budget
@@ -55,26 +71,72 @@ def binomial_sum_valuation(p: int, exponent: int, n: int) -> Degree:
         raise ValueError(f"exponent must be >= 1, got {exponent}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n > p**exponent - 1:
-        return INF
-    return Degree.of(exponent - multiplicity(p, n + 1))
+    return _sum_valuation(p, exponent, n)
+
+
+def _sum_valuation(p: int, exponent: int, n: int) -> Degree:
+    """``binomial_sum_valuation`` for checked arguments; p^exponent is formed
+    only when n has about its bit length."""
+    if power_exceeds(p, exponent, n):
+        return Degree.of(exponent - multiplicity(p, n + 1))
+    return INF
 
 
 def product_valuation(p: int, alpha: Partition, point: Sequence[int]) -> Degree:
     """ord_p of the product of per-coordinate binomial column sums.
 
     Equal (exponent, coordinate) pairs are valued once and weighted by their
-    count, in the order of their first occurrence.
+    count, in the order of their first occurrence, after every distinct
+    coordinate has been checked.
     """
-    if len(point) != len(alpha):
-        raise ValueError(f"expected {len(alpha)} coordinates, got {len(point)}")
+    parts = alpha.parts
+    if len(point) != len(parts):
+        raise ValueError(f"expected {len(parts)} coordinates, got {len(point)}")
+    check_prime(p)
+    counts = _pair_counts(parts, point)
+    for _, n in counts:
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
     total = 0
-    for (a, n), copies in Counter(zip(alpha, point)).items():
-        term = binomial_sum_valuation(p, a, n)
+    for (a, n), copies in counts.items():
+        term = _sum_valuation(p, a, n)
         if term == INF:
             return INF
         total += copies * term.value
     return Degree.of(total)
+
+
+def _runs(parts: tuple[int, ...], lo: int = 0):
+    """(part, start, end) for each run of equal parts from index lo on."""
+    while lo < len(parts):
+        a = parts[lo]
+        hi = bisect_right(parts, -a, lo, key=operator.neg)
+        yield a, lo, hi
+        lo = hi
+
+
+def _pair_counts(parts: tuple[int, ...], point: Sequence[int]) -> dict[tuple[int, int], int]:
+    """Counts of the pairs (parts[i], point[i]), in first-occurrence order.
+
+    Inside each run of equal parts, a bisection finds the end j of a stretch
+    of coordinates equal to n, confirmed by one C-level count; the bisection
+    only stops before the end of the run at a coordinate below n, so the
+    confirmed stretches fall strictly and their counts are exact.  A run whose
+    coordinates do not fall costs one step per stretch; from the first stretch
+    that fails its count, the rest of the run is counted with a ``Counter``.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for a, i, hi in _runs(parts):
+        while i < hi:
+            n = point[i]
+            j = bisect_right(point, -n, i, hi, key=operator.neg)
+            if point[i:j].count(n) != j - i:
+                for m, copies in Counter(point[i:hi]).items():
+                    counts[a, m] = counts.get((a, m), 0) + copies
+                break
+            counts[a, n] = j - i
+            i = j
+    return counts
 
 
 def _column_walk(
@@ -175,12 +237,14 @@ def min_valuation(p: int, alpha: Partition, budget: Budget) -> ValuationMinimum:
     # full + 1 take full, and the shorter rows are taken whole.
     reach = counts[full + 1]
     mu = (full + 1,) * extra + (full,) * (reach - extra) + parts[reach:]
-    minus_one = {m: p**m - 1 for m in set(mu)}
-    point = tuple(map(minus_one.__getitem__, mu))
+    # One power p^m - 1 per run of rows taking m dots, repeated at C speed.
+    runs = [(full + 1, extra), (full, reach - extra)]
+    runs += ((a, hi - lo) for a, lo, hi in _runs(parts, reach))
+    point = tuple(chain.from_iterable((p**m - 1,) * rows for m, rows in runs if rows))
     value = size - t
 
     forms = (
-        sum(map(operator.sub, parts, mu)),
+        sum(parts) - sum(mu),
         sum(parts[: counts[full]]) - counts[full] * full - extra,
         sum(parts[:reach]) - reach * full - extra,
         sum(columns[full:]) - extra,

@@ -5,15 +5,17 @@ import math
 import random
 import tracemalloc
 from bisect import bisect_right
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axkatz import (
     INF,
     AbelianShape,
     ConsistencyError,
+    Degree,
     Partition,
     conjugate,
     geometric_sum,
@@ -51,6 +53,64 @@ def test_binomial_sum_valuation_fixtures():
     assert product_valuation(2, alpha, (1, 0)) == 2
     assert product_valuation(2, alpha, (3, 1)) == 0
     assert product_valuation(2, alpha, (4, 0)) == INF
+    # The vanishing test forms no power of a huge exponent.
+    assert binomial_sum_valuation(7, 10**7, 1) == 10**7
+
+
+def test_product_valuation_checks_every_coordinate_first():
+    # (5, -1): the pair (2, 5) alone would already make the product vanish.
+    alpha = make_partition([2, 1])
+    for point in ((5, -1), (-1, 5)):
+        with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+            product_valuation(2, alpha, point)
+
+
+def reference_product_valuation(p, alpha, point):
+    """The per-row formula: one Counter entry per (part, coordinate) pair."""
+    total = 0
+    for (a, n), copies in Counter(zip(alpha, point)).items():
+        term = binomial_sum_valuation(p, a, n)
+        if term == INF:
+            return INF
+        total += copies * term.value
+    return Degree.of(total)
+
+
+@st.composite
+def valued_points(draw):
+    """A prime, a partition and a point of at most p^a - 1 on each row of part a.
+
+    Each run of equal parts keeps its coordinates in drawn order (repeats out
+    of order), or sorts them falling or rising; an infinite-valuation pair
+    may be put first or last.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    alpha = make_partition(draw(st.lists(st.integers(1, 4), min_size=1, max_size=40)))
+    point = [
+        draw(st.one_of(st.sampled_from([0, 1, p - 1, p**a - 1]), st.integers(0, p**a - 1)))
+        for a in alpha
+    ]
+    falling = draw(st.sampled_from([None, True, False]))
+    if falling is not None:
+        for a in set(alpha):
+            lo = alpha.parts.index(a)
+            hi = lo + alpha.parts.count(a)
+            point[lo:hi] = sorted(point[lo:hi], reverse=falling)
+    infinite = draw(st.sampled_from([None, 0, -1]))
+    if infinite is not None:
+        point[infinite] = p ** alpha[infinite] + draw(st.integers(0, 2))
+    return p, alpha, tuple(point)
+
+
+@settings(max_examples=400, deadline=None)
+@given(valued_points())
+@example((2, make_partition([1, 1, 1]), (1, 0, 1)))  # a value back after a fall
+@example((3, make_partition([2, 2, 2, 1]), (0, 1, 8, 2)))  # a rise inside a run
+def test_product_valuation_matches_per_row_counts(case):
+    p, alpha, point = case
+    assert product_valuation(p, alpha, point) == reference_product_valuation(p, alpha, point)
+    pairs = bounds._pair_counts(alpha.parts, point)
+    assert list(pairs.items()) == list(Counter(zip(alpha, point)).items())
 
 
 def test_min_valuation_fixtures():
@@ -462,8 +522,12 @@ column_cases = st.tuples(
 )
 
 
+WIDE = make_partition(random.Random(20).randint(1, 12) for _ in range(10**4))
+
+
 @settings(max_examples=300, deadline=None)
 @given(column_cases)
+@example((WIDE, 3, geometric_sum(WIDE, 3), [(2, 7), (1, 40)]))
 def test_column_route_matches_weight_sequence(case):
     alpha, p, budget, pairs = case
     t = reference_prefix_count(p, alpha, budget, p - 1)
@@ -497,7 +561,8 @@ def test_bounds_keep_no_per_partition_state():
         alpha = make_partition([rng.randint(1, 4) for _ in range(10**4)])
         budget = rng.randint(0, 2 * geometric_sum(alpha, 3))
         vp_value(3, alpha, budget)
-        min_valuation(3, alpha, budget)
+        witness = min_valuation(3, alpha, budget)
+        product_valuation(3, alpha, witness.point)
         zero_count_bound(alpha, targets)
 
     run_fresh()

@@ -78,6 +78,10 @@ def test_nu_and_delta(capsys):
     assert code == 0 and json.loads(out)["value"] == 2
     code, out, _ = run_cli(capsys, "nu", "--p", "2", "--alpha", "2,1", "--n", "4,0")
     assert json.loads(out)["value"] == "inf"
+    # A negative coordinate is refused even after a pair that makes the sum vanish.
+    for n in ("5,-1", "-1,5"):
+        code, out, err = run_cli(capsys, "nu", "--p", "2", "--alpha", "2,1", f"--n={n}")
+        assert code == 2 and out == "" and "n must be nonnegative, got -1" in err
     code, out, _ = run_cli(capsys, "delta", "--p", "2", "--alpha", "2,1", "--beta", "2")
     assert code == 0 and json.loads(out)["delta"] == 6
 

@@ -41,7 +41,7 @@ import operator
 from bisect import bisect_right
 from collections import Counter
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .degrees import INF, Degree
 from .errors import ConsistencyError, ResourceLimitError
@@ -71,15 +71,16 @@ def binomial_sum_valuation(p: int, exponent: int, n: int) -> Degree:
         raise ValueError(f"exponent must be >= 1, got {exponent}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _sum_valuation(p, exponent, n)
+    value = _sum_valuation(p, exponent, n)
+    return INF if value is None else Degree.of(value)
 
 
-def _sum_valuation(p: int, exponent: int, n: int) -> Degree:
-    """``binomial_sum_valuation`` for checked arguments; p^exponent is formed
-    only when n has about its bit length."""
+def _sum_valuation(p: int, exponent: int, n: int) -> int | None:
+    """``binomial_sum_valuation`` for checked arguments, None for a vanishing
+    sum; p^exponent is formed only when n has about its bit length."""
     if power_exceeds(p, exponent, n):
-        return Degree.of(exponent - multiplicity(p, n + 1))
-    return INF
+        return exponent - multiplicity(p, n + 1)
+    return None
 
 
 def product_valuation(p: int, alpha: Partition, point: Sequence[int]) -> Degree:
@@ -100,13 +101,13 @@ def product_valuation(p: int, alpha: Partition, point: Sequence[int]) -> Degree:
     total = 0
     for (a, n), copies in counts.items():
         term = _sum_valuation(p, a, n)
-        if term == INF:
+        if term is None:
             return INF
-        total += copies * term.value
+        total += copies * term
     return Degree.of(total)
 
 
-def _runs(parts: tuple[int, ...], lo: int = 0):
+def _runs(parts: tuple[int, ...], lo: int = 0) -> Iterator[tuple[int, int, int]]:
     """(part, start, end) for each run of equal parts from index lo on."""
     while lo < len(parts):
         a = parts[lo]

@@ -50,6 +50,7 @@ from .intmath import (
     ceil_div,
     check_integer,
     check_prime,
+    check_printable,
     factorize,
     ilog,
     multiplicity,
@@ -346,7 +347,7 @@ class TargetSpec(_Record):
 
     def __post_init__(self):
         check_prime(self.p)
-        _check_pairs(self.targets)
+        _check_pairs(self.p, self.targets, tuple)
         keys = [(d * self.p**beta, beta) for beta, d in self.targets]
         if any(b > a for a, b in zip(keys, keys[1:])):
             raise ValueError("targets must be sorted by d * p^beta, then beta, descending")
@@ -377,9 +378,14 @@ class TargetSpec(_Record):
         return [[beta, d] for beta, d in self.targets]
 
 
-def _check_pairs(pairs: Sequence[tuple[int, int]]) -> None:
-    """Raise ValueError unless there is a pair and every pair (beta, d) holds
-    integers beta >= 1 and d >= 1."""
+def _check_pairs(p: int, pairs: Sequence[tuple[int, int]], kinds=(tuple, list)) -> None:
+    """Raise ValueError unless pairs and each pair are of kinds, there is a
+    pair, and every pair (beta, d) holds integers beta >= 1 and d >= 1 with
+    p^(beta - 1) printable (``check_printable``), as every bound prints it."""
+    if not isinstance(pairs, kinds) or not all(
+        isinstance(pair, kinds) and len(pair) == 2 for pair in pairs
+    ):
+        raise ValueError(f"targets must be pairs (beta, d), got {pairs!r}")
     if not pairs:
         raise ValueError("at least one target is required")
     for beta, d in pairs:
@@ -387,12 +393,13 @@ def _check_pairs(pairs: Sequence[tuple[int, int]]) -> None:
         check_integer(d, "a degree cap")
         if beta < 1 or d < 1:
             raise ValueError(f"targets need beta >= 1 and d >= 1, got {(beta, d)}")
+        check_printable(p, beta, "target exponent")
 
 
 def make_targets(p: int, pairs: Sequence[tuple[int, int]]) -> TargetSpec:
     """Build a TargetSpec, sorting by d * p^beta with larger beta first on ties."""
     check_prime(p)
-    _check_pairs(pairs)  # before the sort forms d * p^beta
+    _check_pairs(p, pairs)  # before the sort forms d * p^beta
     return _sorted_targets(p, pairs)
 
 

@@ -23,13 +23,13 @@ Delta^m f(x) = sum_n c_n C(x, n - m) makes the degree the largest total
 order of a nonzero coefficient.  One forward-difference transform per axis
 (Yates) computes the whole box from the values on it, each step slot-wise
 on packed ints.  One table holds its box in one int, a slot per cell, and
-an axis is stepped inside it; a batch (``functional_degrees``) holds one
-int per cell, a slot per table, and is stepped across the cells, as exact
-integers are.  The box has prod w_i cells, which can dwarf the table (3^16
-cells for a map (Z/2)^16 -> Z/4), so a box past the enumeration limit
-raises ResourceLimitError before it is built.  A nonzero coefficient beyond
-the component's degree cap would contradict the closed form and raises
-ConsistencyError.  ``difference`` and
+an axis is stepped inside it; a batch (``TableSet``, the one batch layout)
+holds one int per codomain slot and cell, a slot per table, and is stepped
+across the cells, as exact integers are.  The box has prod w_i cells, which
+can dwarf the table (3^16 cells for a map (Z/2)^16 -> Z/4), so a box past
+the enumeration limit raises ResourceLimitError before it is built.  A
+nonzero coefficient beyond the component's degree cap would contradict the
+closed form and raises ConsistencyError.  ``difference`` and
 ``iterated_difference`` are the definition-level operators, both read
 through one index map per translation; the test suite checks the transform
 against them.  ``reconstruct`` evaluates a coefficient table point by point
@@ -60,7 +60,7 @@ from .groups import (
     one_variable_cap,
     pure_prime,
 )
-from .intmath import binomial, factorize, multiplicity
+from .intmath import binomial, check_integer, check_tuple, factorize, multiplicity
 from .partitions import _Record, _unchecked, make_partition
 
 Table = tuple[tuple[int, ...], ...]  # the values of a map, in enumeration order
@@ -74,6 +74,7 @@ class FiniteMap(_Record):
     values: Table
 
     def __post_init__(self):
+        check_tuple(self.values, "values")
         _check_tables(self.domain, self.codomain, (self.values,))
 
     @classmethod
@@ -117,11 +118,19 @@ def _check_tables(domain: AbelianShape, codomain: AbelianShape, tables: Sequence
     """Raise ValueError, naming the first wrong table length or value, unless
     every table holds one reduced codomain element per domain element."""
     order, factors = domain.order, codomain.factors
-    if isinstance(tables, TableSet):  # slot-wise: each codomain slot below its modulus
-        entries, r = _entries(tables.data, tables.size), len(factors)
-        shape = (tables.domain, tables.codomain, len(entries))
-        if shape == (domain, codomain, order * r * len(tables)) and all(
-            max(entries[j::r], default=0) < m for j, m in enumerate(factors)
+    if isinstance(tables, TableSet):
+        # Slot by slot, carry-safe: each slot's top bit is read apart, and
+        # below it slot + 2^(w - 1) - q, which stays inside the slot, reaches
+        # the top bit exactly when the slot is at least q < 2^(w - 1).
+        size, planes = tables.size, tables.planes
+        width, ones = 8 * size, _slot_ones(len(tables), size)
+        high, full = ones << width - 1, ones * ((1 << width) - 1)
+        shape = (tables.domain, tables.codomain, size, list(map(len, planes)))
+        if shape == (domain, codomain, _slot_size(domain, codomain), [order] * len(factors)) and all(
+            0 <= plane <= full and not (plane | (plane & ~high) + offset) & high
+            for column, q in zip(planes, factors)
+            for offset in [ones * ((1 << width - 1) - q)]
+            for plane in column
         ):
             return
         tables = list(map(tables.table, range(len(tables))))
@@ -146,19 +155,22 @@ def _check_tables(domain: AbelianShape, codomain: AbelianShape, tables: Sequence
 
 
 class TableSet(Sequence):
-    """The value tables of one (domain, codomain) pair side by side in one
-    blob: entry j of table i at domain index k is the little-endian slot of
-    ``size`` bytes (``_slot_size``) at (i |A| + k) r + j, r the number of
-    codomain factors.  A FiniteMap is built only for a table read by index or
-    iteration, and the set equals any sequence of the same FiniteMaps."""
+    """The value tables of one (domain, codomain) pair on per-position
+    planes: planes[j][k] holds entry j of every table at domain position k,
+    table i in bits [w i, w (i + 1)), w = 8 ``size`` (``_slot_size``).  The
+    degree transform, the range check and the zero flags read the planes as
+    they are; a table read by index or iteration is decoded from each
+    plane's bytes, written once per set, and only then becomes a FiniteMap.
+    The set equals any sequence of the same FiniteMaps."""
 
     def __init__(
-        self, domain: AbelianShape, codomain: AbelianShape, length: int, data: bytes, size: int
+        self, domain: AbelianShape, codomain: AbelianShape, length: int, planes, size: int
     ):
-        self.domain, self.codomain, self.length, self.data, self.size = (
-            domain, codomain, length, data, size
+        self.domain, self.codomain, self.length, self.planes, self.size = (
+            domain, codomain, length, planes, size
         )
         self._zero_flags: tuple[int, ...] | None = None
+        self._read: list[list[Sequence[int]]] | None = None
 
     def __repr__(self) -> str:
         return f"TableSet({self.domain}, {self.codomain}, {self.length} tables)"
@@ -167,7 +179,8 @@ class TableSet(Sequence):
     def of(cls, domain: AbelianShape, codomain: AbelianShape, tables: Iterable, length: int):
         """The set of the given number of value tables."""
         size, chain = _slot_size(domain, codomain), itertools.chain.from_iterable
-        return cls(domain, codomain, length, _blob(chain(chain(tables)), size), size)
+        rows = _blob(chain(chain(tables)), size)
+        return cls(domain, codomain, length, _planes(rows, domain.order, len(codomain.factors), size), size)
 
     def __len__(self) -> int:
         return self.length
@@ -175,12 +188,18 @@ class TableSet(Sequence):
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)
 
+    def _lanes(self) -> list[list[Sequence[int]]]:
+        """Per plane, the entry of every table in order, decoded on the first
+        read of a table."""
+        if self._read is None:
+            size, n = self.size, self.length * self.size
+            self._read = [[_entries(p.to_bytes(n, "little"), size) for p in c] for c in self.planes]
+        return self._read
+
     def table(self, i: int) -> Table:
         """The value table of table i, decoded without a FiniteMap."""
-        order, r = self.domain.order, len(self.codomain.factors)
-        step = order * r * self.size
-        entries = _entries(self.data[i * step : (i + 1) * step], self.size)
-        return tuple(zip(*[iter(entries)] * r)) if r else ((),) * order
+        columns = [list(map(operator.itemgetter(i), c)) for c in self._lanes()]
+        return tuple(zip(*columns)) if columns else ((),) * self.domain.order
 
     def __getitem__(self, i: int) -> FiniteMap:
         if not -self.length <= i < self.length:
@@ -188,26 +207,29 @@ class TableSet(Sequence):
         values = self.table(i % self.length)  # checked with the set, not again
         return _unchecked(FiniteMap, domain=self.domain, codomain=self.codomain, values=values)
 
-    def select(self, indices: Iterable[int]) -> "TableSet":
-        """The set of the tables at indices, in that order."""
-        step = self.domain.order * len(self.codomain.factors) * self.size
-        if isinstance(indices, range) and indices.step == 1:  # one run of tables
-            data = self.data[indices.start * step : indices.stop * step]
-            return TableSet(self.domain, self.codomain, len(indices), data, self.size)
-        starts = list(map(operator.mul, indices, itertools.repeat(step)))
-        ends = map(operator.add, starts, itertools.repeat(step))
-        data = b"".join(map(self.data.__getitem__, map(slice, starts, ends)))
-        return TableSet(self.domain, self.codomain, len(starts), data, self.size)
+    def __iter__(self):
+        columns = self._lanes()  # per position the r-tuples of every table, then per table:
+        tables = zip(*map(zip, *columns)) if columns else [((),) * self.domain.order] * self.length
+        for values in tables:  # checked with the set, not again
+            yield _unchecked(FiniteMap, domain=self.domain, codomain=self.codomain, values=values)
+
+    def compress(self, selectors: bytes) -> "TableSet":
+        """The set of the tables whose selector byte is nonzero, in order."""
+        planes = [
+            [_plane(list(itertools.compress(lane, selectors)), self.size) for lane in c]
+            for c in self._lanes()
+        ]
+        length = len(selectors) - selectors.count(0)
+        return TableSet(self.domain, self.codomain, length, planes, self.size)
 
     def zero_flags(self) -> tuple[int, ...]:
         """Per domain position, a 1 in the lowest bit of the slot of each table
         that vanishes there (``_slot_nonzero``), computed once per set.  A
-        trivial codomain packs no slot: one zero column stands for it."""
+        trivial codomain has no plane: one zero column stands for it."""
         if self._zero_flags is None:
-            width, r = 8 * self.size, len(self.codomain.factors)
             ones = _slot_ones(self.length, self.size)
-            nonzero = _slot_nonzero(width, ones)
-            columns = _pack(self.data, self.domain.order, r, self.size) or [[0] * self.domain.order]
+            nonzero = _slot_nonzero(8 * self.size, ones)
+            columns = self.planes or [[0] * self.domain.order]
             self._zero_flags = tuple(ones ^ nonzero(reduce(operator.or_, c)) for c in zip(*columns))
         return self._zero_flags
 
@@ -241,14 +263,38 @@ def _width_ones(count: int, width: int) -> int:
 
 
 def _blob(flat: Iterable[int], size: int) -> bytes:
-    """Entries as consecutive little-endian slots of size bytes."""
+    """Entries as consecutive big-endian slots of size bytes, so that the
+    rows of tables compare as the tables do."""
     if size == 1:
         return bytes(flat)
-    return b"".join(map(int.to_bytes, flat, itertools.repeat(size), itertools.repeat("little")))
+    return b"".join(map(int.to_bytes, flat, itertools.repeat(size), itertools.repeat("big")))
+
+
+def _plane(entries: Sequence[int], size: int) -> int:
+    """One int holding the entries, entry i in bytes [size i, size (i + 1))."""
+    return int.from_bytes(_blob(reversed(entries), size), "big")
+
+
+def _planes(rows: bytes, cells: int, slots: int, size: int) -> list[list[int]]:
+    """Per codomain slot j, per cell k, one int holding entry j at cell k of
+    every table, table i in bytes [size i, size (i + 1)): the planes of
+    tables written as consecutive rows of cells x slots entries (``_blob``)."""
+    stride, planes = cells * slots * size, []
+    lane = bytearray(len(rows) // stride * size if stride else 0)
+    for j in range(slots):
+        column = []
+        for k in range(cells):
+            low = (k * slots + j + 1) * size - 1  # the slot's lowest byte
+            for b in range(size):
+                lane[b::size] = rows[low - b :: stride]
+            column.append(int.from_bytes(lane, "little"))
+        planes.append(column)
+    return planes
 
 
 def _entries(data: bytes, size: int) -> Sequence[int]:
-    """The entries of a blob (``_blob`` inverted), from its top byte plane down."""
+    """The entries of consecutive little-endian slots of size bytes (an int's
+    ``to_bytes``), from the top byte plane down."""
     entries, repeat = data[size - 1 :: size], itertools.repeat
     for b in range(size - 2, -1, -1):
         entries = map(operator.add, map(operator.mul, entries, repeat(256)), data[b::size])
@@ -341,7 +387,7 @@ class _Component(_Record):
 
     @cached_property
     def slot_bytes(self) -> int:
-        """Bytes per table in a packed column (``_pack``): a slot of w bits
+        """Bytes per table in a batch's planes (``TableSet``): a slot of w bits
         holds every q of the component below 2^(w - 1), and one plus the
         order of every box cell below 2^w."""
         orders = len(self.box[2])
@@ -403,26 +449,6 @@ def _component_tables(values: Table, comp: _Component) -> list[list[int]] | None
             column = table
         tables.append(column)
     return tables
-
-
-def _pack(data: bytes, cells: int, slots: int, size: int) -> list[list[int]]:
-    """Per codomain slot j, per cell k, one int holding that entry of each
-    table of a TableSet blob, table i in bytes [size i, size (i + 1))."""
-    entries, stride = _entries(data, size), cells * slots
-    packed = []
-    for j in range(slots):
-        chunks = (entries[k * slots + j :: stride] for k in range(cells))
-        if size > 1:
-            chunks = (_blob(c, size) for c in chunks)
-        packed.append([int.from_bytes(c, "little") for c in chunks])
-    return packed
-
-
-def _unpack(columns: list[list[int]], count: int, size: int) -> bytes:
-    """The blob of count tables packed into columns (``_pack`` inverted)."""
-    cells = [c.to_bytes(count * size, "little") for cell in zip(*columns) for c in cell]
-    (tables,) = _pack(b"".join(cells), count, 1, size)
-    return b"".join(t.to_bytes(len(cells) * size, "little") for t in tables)
 
 
 def _slot_reduction(q: int, width: int, ones: int) -> Callable[[int], int]:
@@ -508,9 +534,9 @@ def _top_orders(comp: _Component, columns: list[list[int]], count: int, size: in
     box; returns, per table, one plus its top order, the largest total order
     of a nonzero cell (0 when all vanish).
 
-    A batch holds ``count`` tables packed by ``_pack`` in slots of ``size``
-    bytes, at least ``comp.slot_bytes``, one int per cell, and its level
-    flags give every table's top order (``_top_flags``).
+    A batch holds ``count`` tables on planes (``TableSet``) in slots of
+    ``size`` bytes, at least ``comp.slot_bytes``, one int per cell, and its
+    level flags give every table's top order (``_top_flags``).
     One table (count 1, size ``comp.slot_bytes``) is transformed in one int
     holding its whole box (``_box_rows``) and left one entry per cell; its
     top order is the largest order of a nonzero cell.
@@ -525,7 +551,7 @@ def _top_orders(comp: _Component, columns: list[list[int]], count: int, size: in
     for j, (_, _, q) in enumerate(comp.slots):
         if gather is not None:
             columns[j] = list(map(columns[j].__getitem__, gather))
-        packed = [int.from_bytes(_blob(columns[j], size), "little")]
+        packed = [_plane(columns[j], size)]
         step = _slot_difference(q, width, ones)
         _forward_differences(packed, comp.widths, step, _box_rows(comp.widths, size))
         columns[j] = _entries(packed[0].to_bytes(len(orders) * size, "little"), size)
@@ -628,9 +654,9 @@ def functional_degrees(
     when it does not factor through the projection of the domain, else the
     largest total order of a nonzero series coefficient (see the module
     docstring).  The degree is the maximum over the components.  The tables
-    are packed side by side (``_pack``), so one transform per codomain slot
-    serves them all (``_top_orders``); a single table is transformed in one
-    int holding its whole box.
+    are held side by side on planes (``TableSet``), so one transform per
+    codomain slot serves them all (``_top_orders``); a single table is
+    transformed in one int holding its whole box.
     """
     return list(map(_degree, _degree_tops(domain, codomain, tables)))
 
@@ -646,12 +672,11 @@ def _tops(domain: AbelianShape, codomain: AbelianShape, tables: Sequence[Table])
     """``_degree_tops`` on tables already checked."""
     count = len(tables)
     plan = _sylow_plan(domain, codomain)
-    if _is_one_prime(plan) and count > 1:  # the component's columns are the value columns
+    if _is_one_prime(plan) and count > 1:  # the component's columns are the value planes
         if not isinstance(tables, TableSet):
             tables = TableSet.of(domain, codomain, tables, count)
         (comp,) = plan
-        columns = _pack(tables.data, domain.order, len(comp.slots), tables.size)
-        tops = _top_orders(comp, columns, count, tables.size)
+        tops = _top_orders(comp, list(map(list, tables.planes)), count, tables.size)
         if max(tops) > comp.cap + 1:
             _raise_past_cap(domain, codomain, plan, [tops], list(map(tables.table, range(count))))
         return tops
@@ -667,7 +692,7 @@ def _tops(domain: AbelianShape, codomain: AbelianShape, tables: Sequence[Table])
         else:
             rows = (zip(*parts[n][i]) for i in finite)
             cells, slots, size = math.prod(comp.factors), len(comp.slots), comp.slot_bytes
-            columns = _pack(_blob(chain(chain(rows)), size), cells, slots, size)
+            columns = _planes(_blob(chain(chain(rows)), size), cells, slots, size)
         tops.append(_top_orders(comp, columns, len(finite), comp.slot_bytes))
         past_cap = past_cap or max(tops[-1]) > comp.cap + 1
     if past_cap:
@@ -968,6 +993,9 @@ class BinomialSeries(_Record):
     coeffs: Mapping[tuple[int, ...], int]
 
     def __post_init__(self):
+        check_integer(self.arity, "arity")
+        if self.arity < 0 or not isinstance(self.coeffs, Mapping):
+            raise ValueError(f"need an arity >= 0 and a mapping, got {self.arity}, {self.coeffs!r}")
         for nvec, c in self.coeffs.items():
             if (
                 not isinstance(nvec, tuple)

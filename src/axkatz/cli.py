@@ -25,7 +25,7 @@ from .bounds import (
 )
 from .errors import ConsistencyError, ResourceLimitError
 from .groups import AbelianShape, PGroupShape, enumeration_limit, max_functional_degree
-from .intmath import check_prime, check_printable, too_long
+from .intmath import check_prime, check_printable, power_exceeds, too_long
 from .partitions import Partition, conjugate, make_partition
 
 
@@ -170,7 +170,13 @@ def _cmd_bound(args) -> int:
 
 def _cmd_vp(args) -> int:
     alpha = _check_columns(_parse_partition(args.alpha))
-    result = min_valuation(args.p, alpha, _parse_budget(args.D))
+    budget, limit = _parse_budget(args.D), sys.get_int_max_str_digits()
+    check_prime(args.p)
+    # The witness sums to at most a finite budget, which was printable; with
+    # no budget its largest entry is p^width - 1.
+    if budget == float("inf") and limit and power_exceeds(args.p, alpha.width, 10**limit):
+        raise ValueError(too_long(limit))
+    result = min_valuation(args.p, alpha, budget)
     _emit(result.to_json_dict())
     return 0
 

@@ -15,7 +15,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .errors import ResourceLimitError
-from .intmath import check_prime, factorize, multiplicity, power_exceeds, power_text
+from .intmath import check_prime, check_tuple, factorize, multiplicity, power_exceeds, power_text
 from .partitions import Partition, _Record, _unchecked
 
 DEFAULT_ENUM_LIMIT = 10**6
@@ -43,6 +43,7 @@ class AbelianShape(_Record):
     factors: tuple[int, ...]
 
     def __post_init__(self):
+        check_tuple(self.factors, "factors")
         for m in self.factors:
             if not isinstance(m, int) or isinstance(m, bool) or m < 2:
                 raise ValueError(f"factors must be integers >= 2, got {m!r}")

@@ -122,7 +122,7 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> int:
-    if not is_prime(p):
+    if not isinstance(p, int) or not is_prime(p):  # a float such as 2.0 is no prime
         raise ValueError(f"expected a prime, got {p}")
     return p
 
@@ -131,6 +131,12 @@ def check_integer(value: object, what: str) -> None:
     """Raise ValueError naming the value unless it is an int (a bool is not)."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def check_tuple(value: object, what: str) -> None:
+    """Raise ValueError naming the value unless it is a tuple."""
+    if not isinstance(value, tuple):
+        raise ValueError(f"{what} must be a tuple, got {value!r}")
 
 
 def _pollard_brent(n: int) -> int:
@@ -203,16 +209,24 @@ def _large_prime_factors(n: int) -> list[int]:
 
 
 def multiplicity(base: int, n: int) -> int:
-    """Largest k with base**k dividing n, for n != 0 and base >= 2."""
+    """Largest k with base**k dividing n, for n != 0 and base >= 2, in
+    O(log k) big divisions: n is divided by base, base^2, base^4, ... while
+    they divide it, which leaves a multiplicity below the next exponent, and
+    then by each of those powers once more, from the largest down."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if n == 0:
         raise ValueError("0 is divisible by every power; handle separately")
-    n = abs(n)
-    k = 0
+    n, k, powers = abs(n), 0, []
     while n % base == 0:
         n //= base
-        k += 1
+        k += 1 << len(powers)
+        powers.append(base)
+        base *= base
+    for i in range(len(powers) - 1, -1, -1):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            k += 1 << i
     return k
 
 
@@ -251,9 +265,14 @@ def power_text(base: int, exponent: int) -> str:
 def check_printable(p: int, exponent: int, what: str) -> None:
     """Reject an exponent e with p^(e - 1) past 10^(limit + 1), where limit
     is Python's digit limit for printing integers; no such power is formed.
-    The margin of one digit keeps every printable output."""
+    The margin of one digit keeps every printable output, and 10^(limit + 1)
+    is formed only past 2^(3 limit + 3), below it."""
     limit = sys.get_int_max_str_digits()
-    if limit and power_exceeds(p, exponent - 1, 10 ** (limit + 1)):
+    if (
+        limit
+        and (exponent - 1) * p.bit_length() > 3 * limit + 3
+        and power_exceeds(p, exponent - 1, 10 ** (limit + 1))
+    ):
         raise ValueError(f"{what} {exponent}: {too_long(limit)}")
 
 

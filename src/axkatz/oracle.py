@@ -31,8 +31,9 @@ XOR, and ``calculus._slot_size`` bytes otherwise.  The planes are built by
 doubling, one generator at a time, from the zero map.  Every call rechecks
 them with one difference transform per codomain slot on copies of the
 planes, whose order levels give each table's degree as flags
-(``calculus._top_flags``); each degree's tables are decoded from the planes
-into product order (``_decoded``).  One record per (domain, codomain, d),
+(``calculus._top_flags``); each degree's tables are written as rows, sorted
+into product order and laid out on planes again (``_decoded``), as a
+``TableSet``, the one batch layout.  One record per (domain, codomain, d),
 64 kept (``_target``), keeps the planes and the buckets of the last recheck
 outcome when the maps fit in CACHED_BYTES; an equal outcome reuses them.
 
@@ -56,7 +57,6 @@ import itertools
 import math
 import operator
 import random
-from bisect import bisect_left, bisect_right
 from functools import lru_cache, reduce
 from typing import Sequence
 
@@ -79,13 +79,13 @@ from .calculus import (
     _degree_tops,
     _entries,
     _forward_differences,
+    _planes,
     _raise_past_cap,
     _slot_ones,
     _slot_size,
     _slot_sum,
     _sylow_plan,
     _top_flags,
-    _unpack,
     _width_ones,
     coefficient_table,
     degree_generators,
@@ -106,7 +106,7 @@ from .groups import (
     one_variable_cap,
     pure_prime,
 )
-from .intmath import ceil_div, check_integer, check_prime, check_printable, factorize
+from .intmath import ceil_div, check_integer, check_prime, check_printable, check_tuple, factorize
 from .intmath import multiplicity, power_exceeds, power_text
 from .partitions import Partition, _Record, _unchecked, make_partition
 
@@ -213,10 +213,9 @@ def functions_by_degree(
         return _bounded_buckets(domain, codomain, max(max_degree, -1))
     tables = _all_tables(domain, codomain, enumerate_elements(codomain))
     tops = _degree_tops(domain, codomain, tables)
-    # A stable sort by top puts each bucket in one run, in product order.
-    ranked, ordered = tables.select(sorted(range(len(tops)), key=tops.__getitem__)), sorted(tops)
+    # Each bucket keeps the product order of the tables its top selects.
     return {
-        _degree(top): ranked.select(range(bisect_left(ordered, top), bisect_right(ordered, top)))
+        _degree(top): tables.compress(bytes(map(operator.eq, tops, itertools.repeat(top))))
         for top in dict.fromkeys(tops)
     }
 
@@ -404,8 +403,8 @@ def _decoded(
     buckets are ordered by their first tables.
 
     Each table is written as a row of big-endian slots, so that sorting the
-    rows sorts the tables into product order; the slots are then flipped to
-    the TableSet's little-endian order.
+    rows sorts the tables into product order, and each bucket's sorted rows
+    become its planes (``calculus._planes``).
     """
     n, r, size = domain.order, len(codomain.factors), _slot_size(domain, codomain)
     count, width = target.count, target.width
@@ -420,10 +419,7 @@ def _decoded(
     for top, chosen in tops.items():
         chosen = itertools.compress(range(count), _plane_bytes(chosen, count, width)[::step])
         rows = b"".join(sorted(data[i * stride : (i + 1) * stride] for i in chosen))
-        blob = bytearray(len(rows))
-        for b in range(size):  # flip each big-endian slot
-            blob[b::size] = rows[size - 1 - b :: size]
-        tables = TableSet(domain, codomain, len(rows) // stride, bytes(blob), size)
+        tables = TableSet(domain, codomain, len(rows) // stride, _planes(rows, n, r, size), size)
         buckets.append((rows[:stride], top, tables))
     buckets.sort(key=operator.itemgetter(0))
     return {_degree(top): tables for _, top, tables in buckets}
@@ -514,7 +510,8 @@ def sample_bounded_maps(
     into binomial coefficients (a digit 0 is skipped).  Each coefficient is
     written once, into the slot of its draw in a row per codomain factor and
     domain cell; after the last draw each row is read as one int, and one
-    slot-wise inverse transform per factor turns them into values.  Once all
+    slot-wise inverse transform per factor turns them into values, the
+    planes of the TableSet as they are.  Once all
     count maps are drawn, ``_rechecked_tops`` computes their degrees again, and
     the first one outside (0, cap] raises ConsistencyError with its table.
     """
@@ -552,7 +549,7 @@ def sample_bounded_maps(
     ones = _slot_ones(count, size)
     for q, column in zip(codomain.factors, columns):
         _forward_differences(column, domain.factors, _slot_sum(q, 8 * size, ones))
-    tables = TableSet(domain, codomain, count, _unpack(columns, count, size), size)
+    tables = TableSet(domain, codomain, count, columns, size)
     _rechecked_tops(domain, codomain, tables, 2, cap)
     return tables
 
@@ -898,16 +895,29 @@ class PolySystem(_Record):
     degrees: tuple[int, ...]
 
     def __post_init__(self):
+        check_integer(self.modulus, "modulus")
+        check_integer(self.nvars, "variable count")
         if self.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
         if self.nvars < 1:
             raise ValueError(f"variable count must be >= 1, got {self.nvars}")
+        check_tuple(self.polys, "polys")
+        check_tuple(self.degrees, "degrees")
         if len(self.polys) != len(self.degrees):
             raise ValueError("one declared degree per polynomial is required")
         for poly, declared in zip(self.polys, self.degrees):
+            check_integer(declared, "a declared degree")
             if declared < 1:
                 raise ValueError(f"declared degrees must be >= 1, got {declared}")
-            for coeff, exps in poly:
+            check_tuple(poly, "a polynomial")
+            for monomial in poly:
+                if not (isinstance(monomial, tuple) and len(monomial) == 2):
+                    raise ValueError(f"a monomial is a (coefficient, exponents) pair, got {monomial!r}")
+                coeff, exps = monomial
+                check_integer(coeff, "a coefficient")
+                check_tuple(exps, "an exponent vector")
+                for e in exps:
+                    check_integer(e, "an exponent")
                 if len(exps) != self.nvars or any(e < 0 for e in exps):
                     raise ValueError(f"bad exponent vector {exps}")
                 if coeff % self.modulus != 0 and sum(exps) > declared:
@@ -926,16 +936,8 @@ class PolySystem(_Record):
     @classmethod
     def from_json_dict(cls, data: dict) -> "PolySystem":
         try:
-            polys = tuple(
-                tuple((int(c), tuple(int(x) for x in e)) for c, e in poly)
-                for poly in data["polys"]
-            )
-            return cls(
-                int(data["modulus"]),
-                int(data["nvars"]),
-                polys,
-                tuple(int(d) for d in data["degrees"]),
-            )
+            polys = tuple(tuple((c, tuple(e)) for c, e in poly) for poly in data["polys"])
+            return cls(data["modulus"], data["nvars"], polys, tuple(data["degrees"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial system: {exc}") from exc
 

@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .intmath import check_prime
+from .intmath import check_prime, check_tuple
 
 
 _setattr = object.__setattr__
@@ -111,6 +111,7 @@ class Partition(_Record):
 
     def __post_init__(self):
         parts = self.parts
+        check_tuple(parts, "parts")
         if not parts:
             raise ValueError("a partition needs at least one part")
         types = set(map(type, parts))

@@ -249,11 +249,21 @@ def test_finite_map_accepts(codomain, values):
     assert FiniteMap(Z2, codomain, values).values == values
 
 
-@pytest.mark.parametrize("bad", [((0, 0), (2, 0), (1, 3), (0, 1)), ((0, 0), (1, 4), (0, 0), (0, 0))])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ((0, 0), (2, 0), (1, 3), (0, 1)),
+        ((0, 0), (1, 4), (0, 0), (0, 0)),
+        ((0, 0), (1, 130), (0, 2), (1, 1)),  # at least 2^7, yet inside its byte slot
+        ((0, 0), (1, 3), (0, 255), (1, 1)),  # 255 + 2^7 - 4 would carry into the next slot
+        ((129, 3), (1, 3), (0, 2), (1, 1)),
+    ],
+)
 def test_table_sets_are_range_checked_slot_by_slot(bad):
-    # A table set's blob can hold any byte: each codomain slot is checked
-    # against its own modulus (2 is fine in Z/4, not in Z/2), and the error
-    # names the first bad entry as a FiniteMap would.
+    # A table set's planes can hold any byte in a slot: each codomain slot is
+    # checked against its own modulus (2 is fine in Z/4, not in Z/2), with
+    # no carry between slots to hide a bad entry beside a valid one, and the
+    # error names the first bad entry as a FiniteMap would.
     domain, codomain = AbelianShape((2, 2)), AbelianShape((2, 4))
     good = ((0, 0), (1, 3), (0, 2), (1, 1))
     with pytest.raises(ValueError) as expected:

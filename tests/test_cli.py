@@ -463,6 +463,25 @@ def test_huge_target_exponent_exits_2_at_once():
     assert f"more than {sys.get_int_max_str_digits()} digits" in done.stderr
 
 
+def test_vp_refuses_an_unprintable_witness_before_computing_it():
+    # With no budget the witness holds p^width - 1: width 10^6 exits 2 in
+    # start-up time (the helper fails past 10 s), and the widest printable
+    # width still prints.  A finite budget bounds every entry and prints.
+    limit = sys.get_int_max_str_digits()
+    widest = 1
+    while 7 ** (widest + 1) <= 10**limit:
+        widest += 1
+    for alpha in ("1000000", "100000", str(widest + 1)):
+        done = _cli_process("vp", "--p", "7", "--alpha", alpha, "--D", "inf")
+        assert done.returncode == 2 and done.stdout == "", alpha
+        assert f"more than {limit} digits" in done.stderr, alpha
+    done = _cli_process("vp", "--p", "7", "--alpha", str(widest), "--D", "inf")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["point"] == [7**widest - 1]
+    done = _cli_process("vp", "--p", "7", "--alpha", "100000", "--D", "1" + "0" * (limit - 1))
+    assert done.returncode == 0, done.stderr
+
+
 def test_huge_alpha_parts_exit_2_at_once():
     too_long = f"more than {sys.get_int_max_str_digits()} digits"
     for argv, message in [

@@ -11,6 +11,7 @@ from axkatz.intmath import (
     check_prime,
     factorize,
     is_prime,
+    multiplicity,
     power_exceeds,
     power_text,
 )
@@ -123,3 +124,25 @@ def test_power_exceeds_and_text_never_form_a_huge_power():
     assert power_text(10, digits - 1) == "1" + "0" * (digits - 1)
     assert power_text(10, digits) == f"10^{digits}"
     assert power_text(2, 10) == "1024"
+
+
+def test_multiplicity_matches_repeated_division():
+    # The squaring route takes O(log k) big divisions: a cofactor of p^30000
+    # is valued at once, and random (base, n) agree with one division a step.
+    import random
+    import time
+
+    def plain(base, n):
+        k, n = 0, abs(n)
+        while n % base == 0:
+            n, k = n // base, k + 1
+        return k
+
+    start = time.perf_counter()
+    assert multiplicity(7, 12 * 7**30000) == multiplicity(7, -(7**30000)) == 30000
+    assert time.perf_counter() - start < 0.5
+    rng = random.Random(21)
+    for _ in range(2000):
+        base = rng.choice([2, 3, 4, 6, 7, 10, 12, rng.randint(2, 10**6)])
+        n = rng.randint(1, 10**6) * base ** rng.randint(0, 70) * rng.choice([1, -1])
+        assert multiplicity(base, n) == plain(base, n), (base, n)

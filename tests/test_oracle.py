@@ -399,9 +399,9 @@ def test_system_layout_helpers_match_their_definitions():
     for dom, cod, d in [((4, 2), (2,), 3), ((2,), (128,), 3), ((2, 2), (2, 4), 2)]:
         domain, codomain = AbelianShape(dom), AbelianShape(cod)
         runs = list(functions_by_degree(domain, codomain, max_degree=d).values())
-        data = b"".join(tables.data for tables in runs)
-        joined = calculus.TableSet(domain, codomain, sum(map(len, runs)), data, runs[0].size)
-        assert runs[0].size == (2 if cod == (128,) else 1)
+        values = [f.values for tables in runs for f in tables]
+        joined = calculus.TableSet.of(domain, codomain, values, len(values))
+        assert runs[0].size == joined.size == (2 if cod == (128,) else 1)
         assert oracle._joined_flags(runs) == list(joined.zero_flags())
         indices = range(len(joined))
         assert [oracle._table_at(runs, i) for i in indices] == list(map(joined.table, indices))

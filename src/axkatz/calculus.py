@@ -126,7 +126,8 @@ def _check_tables(domain: AbelianShape, codomain: AbelianShape, tables: Sequence
         width, ones = 8 * size, _slot_ones(len(tables), size)
         high, full = ones << width - 1, ones * ((1 << width) - 1)
         shape = (tables.domain, tables.codomain, size, list(map(len, planes)))
-        if shape == (domain, codomain, _slot_size(domain, codomain), [order] * len(factors)) and all(
+        expected = (domain, codomain, _slot_size(domain, codomain), [order] * len(factors))
+        if shape == expected and all(
             0 <= plane <= full and not (plane | (plane & ~high) + offset) & high
             for column, q in zip(planes, factors)
             for offset in [ones * ((1 << width - 1) - q)]
@@ -180,7 +181,8 @@ class TableSet(Sequence):
         """The set of the given number of value tables."""
         size, chain = _slot_size(domain, codomain), itertools.chain.from_iterable
         rows = _blob(chain(chain(tables)), size)
-        return cls(domain, codomain, length, _planes(rows, domain.order, len(codomain.factors), size), size)
+        planes = _planes(rows, domain.order, len(codomain.factors), size)
+        return cls(domain, codomain, length, planes, size)
 
     def __len__(self) -> int:
         return self.length
@@ -213,14 +215,13 @@ class TableSet(Sequence):
         for values in tables:  # checked with the set, not again
             yield _unchecked(FiniteMap, domain=self.domain, codomain=self.codomain, values=values)
 
-    def compress(self, selectors: bytes) -> "TableSet":
-        """The set of the tables whose selector byte is nonzero, in order."""
+    def select(self, indices: list[int]) -> "TableSet":
+        """The set of the tables at indices, in that order."""
         planes = [
-            [_plane(list(itertools.compress(lane, selectors)), self.size) for lane in c]
+            [_plane(list(map(lane.__getitem__, indices)), self.size) for lane in c]
             for c in self._lanes()
         ]
-        length = len(selectors) - selectors.count(0)
-        return TableSet(self.domain, self.codomain, length, planes, self.size)
+        return TableSet(self.domain, self.codomain, len(indices), planes, self.size)
 
     def zero_flags(self) -> tuple[int, ...]:
         """Per domain position, a 1 in the lowest bit of the slot of each table
@@ -272,31 +273,26 @@ def _blob(flat: Iterable[int], size: int) -> bytes:
 
 def _plane(entries: Sequence[int], size: int) -> int:
     """One int holding the entries, entry i in bytes [size i, size (i + 1))."""
-    return int.from_bytes(_blob(reversed(entries), size), "big")
+    return int.from_bytes(_blob(entries[::-1], size), "big")
 
 
 def _planes(rows: bytes, cells: int, slots: int, size: int) -> list[list[int]]:
-    """Per codomain slot j, per cell k, one int holding entry j at cell k of
-    every table, table i in bytes [size i, size (i + 1)): the planes of
-    tables written as consecutive rows of cells x slots entries (``_blob``)."""
-    stride, planes = cells * slots * size, []
-    lane = bytearray(len(rows) // stride * size if stride else 0)
-    for j in range(slots):
-        column = []
-        for k in range(cells):
-            low = (k * slots + j + 1) * size - 1  # the slot's lowest byte
-            for b in range(size):
-                lane[b::size] = rows[low - b :: stride]
-            column.append(int.from_bytes(lane, "little"))
-        planes.append(column)
-    return planes
+    """Per codomain slot j, per cell k, the plane (``_plane``) of entry j at
+    cell k of tables written as consecutive rows of cells x slots entries
+    (``_blob``)."""
+    entries, stride = _entries(rows, size, "big"), cells * slots
+    return [
+        [_plane(entries[k * slots + j :: stride], size) for k in range(cells)] for j in range(slots)
+    ]
 
 
-def _entries(data: bytes, size: int) -> Sequence[int]:
-    """The entries of consecutive little-endian slots of size bytes (an int's
-    ``to_bytes``), from the top byte plane down."""
-    entries, repeat = data[size - 1 :: size], itertools.repeat
-    for b in range(size - 2, -1, -1):
+def _entries(data: bytes, size: int, byteorder: str = "little") -> Sequence[int]:
+    """The entries of consecutive slots of size bytes in byteorder (an int's
+    little-endian ``to_bytes``, or the big-endian rows of ``_blob``), from
+    the top byte plane down."""
+    offsets = range(size - 1, -1, -1) if byteorder == "little" else range(size)
+    entries, repeat = data[offsets[0] :: size], itertools.repeat
+    for b in offsets[1:]:
         entries = map(operator.add, map(operator.mul, entries, repeat(256)), data[b::size])
     return entries if size == 1 else list(entries)
 

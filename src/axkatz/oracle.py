@@ -213,11 +213,10 @@ def functions_by_degree(
         return _bounded_buckets(domain, codomain, max(max_degree, -1))
     tables = _all_tables(domain, codomain, enumerate_elements(codomain))
     tops = _degree_tops(domain, codomain, tables)
-    # Each bucket keeps the product order of the tables its top selects.
-    return {
-        _degree(top): tables.compress(bytes(map(operator.eq, tops, itertools.repeat(top))))
-        for top in dict.fromkeys(tops)
-    }
+    chosen: dict = {}  # per top, its tables' indices: in product order, with no sort
+    for i, top in enumerate(tops):
+        chosen.setdefault(top, []).append(i)
+    return {_degree(top): tables.select(indices) for top, indices in chosen.items()}
 
 
 def _rechecked_tops(
@@ -912,7 +911,7 @@ class PolySystem(_Record):
             check_tuple(poly, "a polynomial")
             for monomial in poly:
                 if not (isinstance(monomial, tuple) and len(monomial) == 2):
-                    raise ValueError(f"a monomial is a (coefficient, exponents) pair, got {monomial!r}")
+                    raise ValueError(f"a monomial is a pair (coefficient, exponents): {monomial!r}")
                 coeff, exps = monomial
                 check_integer(coeff, "a coefficient")
                 check_tuple(exps, "an exponent vector")

@@ -212,21 +212,22 @@ def multiplicity(base: int, n: int) -> int:
     """Largest k with base**k dividing n, for n != 0 and base >= 2, in
     O(log k) big divisions: n is divided by base, base^2, base^4, ... while
     they divide it, which leaves a multiplicity below the next exponent, and
-    then by each of those powers once more, from the largest down."""
+    then by each of those powers once more, from the largest down, while
+    base still divides what is left."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if n == 0:
         raise ValueError("0 is divisible by every power; handle separately")
-    n, k, powers = abs(n), 0, []
-    while n % base == 0:
-        n //= base
-        k += 1 << len(powers)
-        powers.append(base)
-        base *= base
-    for i in range(len(powers) - 1, -1, -1):
-        if n % powers[i] == 0:
-            n //= powers[i]
-            k += 1 << i
+    n, k, power, step = abs(n), 0, base, 1
+    while n % power == 0:
+        n //= power
+        k += step
+        power, step = power * power, step * 2
+    while step > 1 and n % base == 0:
+        power, step = math.isqrt(power), step // 2
+        if n % power == 0:
+            n //= power
+            k += step
     return k
 
 

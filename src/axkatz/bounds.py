@@ -27,12 +27,13 @@ it.
 
 Runtime checks: `min_valuation` re-derives its dot count from the bracket
 (p - 1) W(t) <= D < (p - 1) W(t + 1), with W the dot-prefix weight evaluated
-from the columns, checks four rearrangements of the value, evaluates the
-witness point's valuation and its coordinate sum; `zero_count_bound` checks
-that the bound is positive exactly when the source measure exceeds the
-target measure; the two equal-exponent forms are checked against the general
-route.  A failed check raises `ConsistencyError` carrying the instance (p,
-the partition as its columns, and the budget or targets) to replay it.
+from the columns (an infinite D must take all t = |alpha| dots), checks four
+rearrangements of the value, evaluates the witness point's valuation and its
+coordinate sum; `zero_count_bound` checks that the bound is positive exactly
+when the source measure exceeds the target measure; the two equal-exponent
+forms are checked against the general route.  A failed check raises
+`ConsistencyError` carrying the instance (p, the partition as its columns,
+and the budget or targets) to replay it.
 """
 
 from __future__ import annotations
@@ -148,8 +149,10 @@ def _column_walk(
 
     Dots in column j (1-based) weigh p^(j-1).  Returns (t, full, extra): the
     prefix takes t dots, namely the first `full` columns whole and `extra`
-    dots of the next one.  The budget may be math.inf.
+    dots of the next one.  An infinite budget takes every column at once.
     """
+    if budget == float("inf"):
+        return sum(columns), len(columns), 0
     t = 0
     spent = 0
     cost = scale
@@ -227,8 +230,9 @@ def min_valuation(p: int, alpha: Partition, budget: Budget) -> ValuationMinimum:
         raise ConsistencyError(
             "a full next column contradicts column maximality", instance=instance
         )
-    if (p - 1) * _dot_prefix_weight(columns, p, t) > budget or (
-        t < size and (p - 1) * _dot_prefix_weight(columns, p, t + 1) <= budget
+    unbounded = budget == float("inf")  # every dot fits, and no weight is evaluated
+    if (not unbounded and (p - 1) * _dot_prefix_weight(columns, p, t) > budget) or (
+        t < size and (unbounded or (p - 1) * _dot_prefix_weight(columns, p, t + 1) <= budget)
     ):
         raise ConsistencyError(
             f"column selection of {t} dots disagrees with the weight prefix",
@@ -410,6 +414,12 @@ def _sorted_targets(p: int, pairs: Sequence[tuple[int, int]]) -> TargetSpec:
     return _unchecked(TargetSpec, p=p, targets=tuple((int(b), int(d)) for b, d in ordered))
 
 
+def _carry_floor(p: int, beta: int, n: int) -> int:
+    """The carry floor of coefficient n for a target Z/p^beta, one formula for
+    ``bound_objective``, the objective oracle and the trace."""
+    return max(ceil_div(n - (p**beta - 1), p ** (beta - 1) * (p - 1)), 0)
+
+
 def bound_objective(alpha: Partition, targets: TargetSpec, point: Sequence[int]) -> int:
     """Per-target carry floors plus the valuation minimum at the spent budget."""
     p = targets.p
@@ -420,7 +430,7 @@ def bound_objective(alpha: Partition, targets: TargetSpec, point: Sequence[int])
     for (beta, d), n in zip(targets.targets, point):
         if n < 0:
             raise ValueError("objective coordinates must be nonnegative")
-        floors += max(ceil_div(n - (p**beta - 1), p ** (beta - 1) * (p - 1)), 0)
+        floors += _carry_floor(p, beta, n)
         budget += d * n
     return floors + vp_value(p, alpha, budget)
 
@@ -526,6 +536,7 @@ def bound_objective_minimum(alpha: Partition, targets: TargetSpec, beta: int) ->
     Valid for every integer beta exceeding the step count s0; the value does
     not depend on beta.
     """
+    check_integer(beta, "beta")
     report = zero_count_bound(alpha, targets)
     s0 = report.s0 or 0
     if beta <= s0:

@@ -2,7 +2,11 @@
 
 Nothing in this module trusts the formulas it checks: valuations come from
 exact big-integer sums, degrees from exhaustive difference tables, and the
-headline bound from counting zeros of every qualifying system.
+headline bound from counting zeros of every qualifying system.  The two
+optimization oracles enumerate no box.  ``brute_min_valuation`` min-plus
+convolves the parts' exact column-sum valuation tables; the objective
+oracle folds in each target's carry floors at step d_j and adds that
+profile at the spent budget, reading ``vp_value`` only past its caps.
 
 Both modes of verification take their maps from one set, the maps of degree
 <= d of a one-prime pair.  ``calculus.degree_generators`` gives it as the
@@ -62,10 +66,11 @@ from typing import Sequence
 
 from .bounds import (
     TargetSpec,
-    bound_objective,
+    _carry_floor,
     bound_objective_minimum,  # not called here; the test suite reads oracle.bound_objective_minimum
     expand_targets,
     polynomial_system_bound,
+    vp_value,
     zero_count_bound,
 )
 from .calculus import (
@@ -106,11 +111,12 @@ from .groups import (
     one_variable_cap,
     pure_prime,
 )
-from .intmath import ceil_div, check_integer, check_prime, check_printable, check_tuple, factorize
+from .intmath import check_integer, check_prime, check_printable, check_tuple, factorize
 from .intmath import multiplicity, power_exceeds, power_text
 from .partitions import Partition, _Record, _unchecked, make_partition
 
 DIRECT_SUM_CAP = 1024
+COLUMN_TABLE_CAP = 2**14  # entries of one exact column-sum table, whose bits grow as their square
 MAX_SYSTEMS = 200000  # systems one verification may test, in either mode
 CACHED_BYTES = 2**22  # generated tables kept between calls, per target record
 
@@ -137,38 +143,51 @@ def binomial_column_sums(limit: int, direct: bool | None = None) -> list[int]:
             for n in range(min(x, limit - 1) + 1):
                 sums[n] += row[n]
         return sums
-    sums = []
+    return list(_top_row_binomials(limit))
+
+
+def _top_row_binomials(limit: int):
+    """C(limit, n + 1) for n < limit, one at a time: the table's limit^2 / 2
+    bits are never held at once."""
     value = limit  # C(limit, 1)
     for n in range(limit):
-        sums.append(value)
+        yield value
         value = value * (limit - n - 1) // (n + 2)
-    return sums
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _column_ord_table(p: int, exponent: int) -> tuple[int, ...]:
-    sums = binomial_column_sums(p**exponent)
+    limit = p**exponent
+    sums = binomial_column_sums(limit) if limit <= DIRECT_SUM_CAP else _top_row_binomials(limit)
     return tuple(multiplicity(p, s) for s in sums)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _valuation_profile(p: int, parts: tuple[int, ...]) -> tuple[int, ...]:
-    """profile[s] = min valuation over coordinate boxes with sum <= s."""
-    tables = {a: _column_ord_table(p, a) for a in set(parts)}
-    max_sum = sum(p**a - 1 for a in parts)
-    best = [None] * (max_sum + 1)
-    for point in itertools.product(*(range(p**a) for a in parts)):
-        total = sum(point)
-        val = sum(tables[a][n] for a, n in zip(parts, point))
-        if best[total] is None or val < best[total]:
-            best[total] = val
-    profile = []
-    running = best[0]
-    for val in best:
-        if val is not None and val < running:
-            running = val
-        profile.append(running)
-    return tuple(profile)
+    """profile[s] = min valuation over coordinate boxes with sum <= s.
+
+    Only the coordinate sum couples the parts' column-sum valuations, so the
+    per-part tables are min-plus convolved one part at a time, and a running
+    minimum makes the least valuation at each sum the profile.  The largest
+    table (COLUMN_TABLE_CAP) and the steps are checked before any is built.
+    """
+    if power_exceeds(p, parts[0], COLUMN_TABLE_CAP):
+        table = power_text(p, parts[0])
+        raise ResourceLimitError(f"a column-sum table of {table} entries exceeds {COLUMN_TABLE_CAP}")
+    steps, length = 0, 1
+    for a in parts:
+        steps, length = steps + length * p**a, length + p**a - 1
+    if steps > (cap := enumeration_limit()):
+        raise ResourceLimitError(f"the valuation profile takes {steps} steps, past {cap}")
+    best = [0]
+    for a in parts:
+        table = _column_ord_table(p, a)
+        folded = [math.inf] * (len(best) + len(table) - 1)
+        for n, v in enumerate(table):
+            window = slice(n, n + len(best))
+            folded[window] = map(min, folded[window], [b + v for b in best])
+        best = folded
+    return tuple(itertools.accumulate(best, min))
 
 
 def brute_min_valuation(p: int, alpha: Partition, budget: int | float) -> int:
@@ -463,6 +482,7 @@ def brute_max_degree(domain: AbelianShape, codomain: AbelianShape, cap: int = 2*
 
 def objective_box(targets: TargetSpec, beta: int) -> tuple[int, ...]:
     """Per-target coefficient support caps, ``one_variable_cap(p, b, beta)``."""
+    check_integer(beta, "beta")
     if beta < 1:
         raise ValueError(f"beta must be >= 1, got {beta}")
     p = targets.p
@@ -472,21 +492,38 @@ def objective_box(targets: TargetSpec, beta: int) -> tuple[int, ...]:
 def brute_objective_minimum(
     alpha: Partition, targets: TargetSpec, beta: int, limit: int | None = None
 ) -> tuple[int, tuple[int, ...]]:
-    """Exhaustive minimum of the objective over the full coefficient box."""
+    """Minimum of the objective over the full coefficient box, and its first
+    minimizer in product order.
+
+    Each target's carry floors are min-plus folded in at step d_j, keeping
+    per spent budget the least floors and, among those, the least point;
+    the valuation profile (``vp_value`` past its caps) is then added at each
+    spent budget.  ``limit`` (``enumeration_limit()`` when None) caps the
+    fold steps, checked before any table is built.
+    """
     box = objective_box(targets, beta)
-    volume = 1
-    for b in box:
-        volume *= b + 1
-    cap = enumeration_limit() if limit is None else limit
-    if volume > cap:
-        raise ResourceLimitError(f"objective box of volume {volume} exceeds {cap}")
-    best = None
-    argmin = None
-    for point in itertools.product(*(range(b + 1) for b in box)):
-        val = bound_objective(alpha, targets, point)
-        if best is None or val < best:
-            best, argmin = val, point
-    return best, argmin
+    p, pairs = targets.p, targets.targets
+    steps, volume, span = 0, 1, 0
+    for b, (_, d) in zip(box, pairs):
+        steps += min(volume, span + 1) * (b + 1)  # budgets reached times the table
+        volume, span = volume * (b + 1), span + d * b
+    if steps > (cap := enumeration_limit() if limit is None else limit):
+        raise ResourceLimitError(f"the objective's folds take {steps} steps, past {cap}")
+    states = {0: (0, ())}  # spent budget -> (least floors, least point)
+    for b, (beta_j, d) in zip(box, pairs):
+        folded: dict[int, tuple[int, tuple[int, ...]]] = {}
+        for n in range(b + 1):
+            floor = _carry_floor(p, beta_j, n)
+            for spent, (floors, point) in states.items():
+                entry = (floors + floor, (*point, n))
+                folded[spent + d * n] = min(entry, folded.get(spent + d * n, entry))
+        states = folded
+    try:
+        profile = _valuation_profile(p, alpha.parts)
+        valuations = [profile[min(spent, len(profile) - 1)] for spent in states]
+    except ResourceLimitError:
+        valuations = [vp_value(p, alpha, spent) for spent in states]
+    return min((f + v, point) for (f, point), v in zip(states.values(), valuations))
 
 
 def sample_bounded_map(
@@ -848,12 +885,11 @@ def zero_count_trace(system: Sequence[FiniteMap], beta: int | None = None) -> Tr
                 support=support_max,
                 cap=cap,
             )
-        floors = []
-        for (n,), c in sorted(series.coeffs.items()):
-            floor = max(ceil_div(n - (p**b_j - 1), p ** (b_j - 1) * (p - 1)), 0)
-            floors.append((n, multiplicity(p, c), floor))
+        coeffs = sorted(series.coeffs.items())
+        floors_per_map.append(
+            tuple((n, multiplicity(p, c), _carry_floor(p, b_j, n)) for (n,), c in coeffs)
+        )
         indicator_series.append(series)
-        floors_per_map.append(tuple(floors))
     floors_ok = all(o >= f for per_map in floors_per_map for _, o, f in per_map)
 
     # Each indicator is evaluated once per distinct lifted value (all >= 0).

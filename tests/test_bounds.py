@@ -598,6 +598,26 @@ def test_consistency_error_carries_a_replayable_instance(monkeypatch, capsys):
     assert code == 1 and "consistency failure" in err and '"budget": 24' in err
 
 
+def test_an_infinite_budget_takes_every_column_at_once(monkeypatch):
+    # A part of 10^5 took 2.3 s in vp_value and 4.4 s in min_valuation, walking
+    # every column and weighing every dot for a bracket that nothing can miss.
+    alpha = make_partition([10**5])
+    assert bounds._column_walk(alpha.columns, 7, 6, math.inf) == (10**5, 10**5, 0)
+    assert vp_value(7, alpha, math.inf) == 0
+
+    def weighed(*args):
+        raise AssertionError("an infinite budget weighed a dot prefix")
+
+    monkeypatch.setattr(bounds, "_dot_prefix_weight", weighed)
+    witness = min_valuation(7, alpha, math.inf)
+    assert (witness.value, witness.t, witness.mu) == (0, 10**5, (10**5,))
+    assert witness.point == (7**100000 - 1,)
+    # The bracket still holds the walk to every dot.
+    monkeypatch.setattr(bounds, "_column_walk", lambda columns, p, scale, budget: (5, 10**5, 0))
+    with pytest.raises(ConsistencyError, match="column selection of 5 dots"):
+        min_valuation(7, alpha, math.inf)
+
+
 def test_each_prime_is_tested_once(monkeypatch):
     # expand_targets tests its prime once; multi_prime_bounds and
     # polynomial_system_bound take theirs from factorize and test none.

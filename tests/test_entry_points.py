@@ -4,6 +4,7 @@ JSON form and one cheap public operation work."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,9 +16,12 @@ from axkatz import (
     PolySystem,
     ResourceLimitError,
     TargetSpec,
+    bound_objective_minimum,
+    brute_objective_minimum,
     functions_by_degree,
     make_partition,
     make_targets,
+    objective_box,
     sample_bounded_maps,
     verify_bound,
     zero_count_trace,
@@ -141,3 +145,34 @@ def test_trace_beta_and_degree_caps_take_ints_only(value):
         if result is not None:
             assert integral or (default and value is None), (value, result)
             _works(lambda: show(result))
+
+
+TARGETS = make_targets(2, [(1, 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_LIKE)
+def test_objective_beta_takes_ints_only(value):
+    # 2.5 was taken as a box cap, and True as beta = 1.
+    integral = isinstance(value, int) and not isinstance(value, bool)
+    for build in (
+        lambda: objective_box(TARGETS, value),
+        lambda: bound_objective_minimum(ALPHA, TARGETS, value),
+        lambda: brute_objective_minimum(ALPHA, TARGETS, value),
+    ):
+        result = _built(build)
+        assert result is None or integral, (value, result)
+
+
+def test_objective_beta_rejections():
+    for beta in (2.5, True, 1.0, "2", None):
+        for call in (
+            lambda: objective_box(TARGETS, beta),
+            lambda: bound_objective_minimum(ALPHA, TARGETS, beta),
+            lambda: brute_objective_minimum(ALPHA, TARGETS, beta),
+        ):
+            with pytest.raises(ValueError, match="beta must be an integer"):
+                call()
+    assert objective_box(TARGETS, 2) == (2,)
+    assert brute_objective_minimum(ALPHA, TARGETS, 2) == (0, (1,))
+    assert bound_objective_minimum(ALPHA, TARGETS, 2) == 0

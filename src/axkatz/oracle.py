@@ -183,9 +183,11 @@ def _valuation_profile(p: int, parts: tuple[int, ...]) -> tuple[int, ...]:
     for a in parts:
         table = _column_ord_table(p, a)
         folded = [math.inf] * (len(best) + len(table) - 1)
+        low = math.inf
         for n, v in enumerate(table):
-            window = slice(n, n + len(best))
-            folded[window] = map(min, folded[window], [b + v for b in best])
+            if v < low:  # a larger coordinate of no smaller valuation never lowers the profile
+                low, window = v, slice(n, n + len(best))
+                folded[window] = map(min, folded[window], [b + v for b in best])
         best = folded
     return tuple(itertools.accumulate(best, min))
 

@@ -51,6 +51,7 @@ from .partitions import (
     conjugation_identity_sides,
     geometric_sum,
     make_partition,
+    partition_from_runs,
     truncate,
     weight_sequence,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "min_valuation_equal_exponent",
     "multi_prime_bounds",
     "objective_box",
+    "partition_from_runs",
     "poly_zero_count",
     "polynomial_system_bound",
     "primary_assemble",

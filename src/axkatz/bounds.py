@@ -4,36 +4,25 @@ Everything here is exact integer arithmetic.  Rational comparisons such as
 "prefix <= D / (p - 1)" are evaluated as "(p - 1) * prefix <= D", and integer
 logarithms are computed by repeated multiplication, never through floats.
 
-Every closed form reads the partition through its Ferrers column counts
-(`Partition.columns`).  Every measure is a column-weight sum
-(`partitions._dot_prefix_weight`) and every size a sum of column counts
-(|alpha| = sum(columns), |alpha_breve| = sum(columns[:L])), so both cost
-O(width), not one step per row.  One column walk (`_column_walk`) finds the
-longest column-ordered dot prefix whose weight fits a budget: it gives
-`vp_value`, the deficit case's t_star and the full and extra columns of the
-`min_valuation` witness.  The witness point takes one power p^m - 1 per run
-of equal parts (`_runs`), and `product_valuation` values one pair per run
-and stretch of equal coordinates (`_pair_counts`), so the Python-level work
-of both grows with the distinct parts, not with the rows.  What still runs
-once per row runs at C speed: the tuple builds of the outputs (the truncated
-partition of a `BoundReport`, the witness's mu and point), the sums of
-`min_valuation`'s rearrangement and budget checks, and the slice counts that
-confirm each stretch of equal coordinates (a point that rises inside a run
-of equal parts is counted from there on with a `Counter`).
-`zero_count_bound` is the one place that derives the two-case bound;
-`bound_objective_minimum` returns its raw value.  The per-dot weight
-sequence of `partitions` stays off these paths; the tests compare against
-it.
+Every closed form reads the partition through its runs and its Ferrers
+column counts (`Partition.columns`, O(width)): every measure is a
+column-weight sum (`partitions._dot_prefix_weight`) and every size a sum of
+column counts.  One column walk (`_column_walk`) finds the longest
+column-ordered dot prefix whose weight fits a budget: it gives `vp_value`,
+the deficit case's t_star and the `min_valuation` witness, whose mu and
+point take one run per run of equal parts and whose checks are sums over
+runs; `product_valuation` values one pair per run and stretch of equal
+coordinates (`_pair_counts`).  So no step runs once per row but the C-speed
+builds of output tuples and the slice counts that confirm a stretch.
 
 Runtime checks: `min_valuation` re-derives its dot count from the bracket
-(p - 1) W(t) <= D < (p - 1) W(t + 1), with W the dot-prefix weight evaluated
-from the columns (an infinite D must take all t = |alpha| dots), checks four
-rearrangements of the value, evaluates the witness point's valuation and its
-coordinate sum; `zero_count_bound` checks that the bound is positive exactly
-when the source measure exceeds the target measure; the two equal-exponent
-forms are checked against the general route.  A failed check raises
-`ConsistencyError` carrying the instance (p, the partition as its columns,
-and the budget or targets) to replay it.
+(p - 1) W(t) <= D < (p - 1) W(t + 1) (an infinite D must take all t =
+|alpha| dots), checks four rearrangements of the value, the witness point's
+valuation and its coordinate sum; `zero_count_bound` checks that the bound
+is positive exactly when the source measure exceeds the target measure; the
+two equal-exponent forms are checked against the general route.  A failed
+check raises `ConsistencyError` carrying the instance (p, the partition as
+its columns, and the budget or targets) to replay it.
 """
 
 from __future__ import annotations
@@ -42,11 +31,11 @@ import operator
 from bisect import bisect_right
 from collections import Counter
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .degrees import INF, Degree
-from .errors import ConsistencyError, ResourceLimitError
-from .groups import AbelianShape, enumeration_limit, primary_decomposition
+from .errors import ConsistencyError
+from .groups import AbelianShape, primary_decomposition
 from .intmath import (
     ceil_div,
     check_integer,
@@ -57,7 +46,15 @@ from .intmath import (
     multiplicity,
     power_exceeds,
 )
-from .partitions import Partition, _dot_prefix_weight, _Record, _unchecked, make_partition, truncate
+from .partitions import (
+    Partition,
+    _dot_prefix_weight,
+    _Record,
+    _runs_of,
+    _unchecked,
+    partition_from_runs,
+    truncate,
+)
 
 Budget = int | float  # nonnegative int, or math.inf for an unbounded budget
 
@@ -92,11 +89,11 @@ def product_valuation(p: int, alpha: Partition, point: Sequence[int]) -> Degree:
     count, in the order of their first occurrence, after every distinct
     coordinate has been checked.
     """
-    parts = alpha.parts
-    if len(point) != len(parts):
-        raise ValueError(f"expected {len(parts)} coordinates, got {len(point)}")
+    rows = len(alpha)
+    if len(point) != rows:
+        raise ValueError(f"expected {rows} coordinates, got {len(point)}")
     check_prime(p)
-    counts = _pair_counts(parts, point)
+    counts = _pair_counts(alpha, point)
     for _, n in counts:
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
@@ -109,17 +106,11 @@ def product_valuation(p: int, alpha: Partition, point: Sequence[int]) -> Degree:
     return Degree.of(total)
 
 
-def _runs(parts: tuple[int, ...], lo: int = 0) -> Iterator[tuple[int, int, int]]:
-    """(part, start, end) for each run of equal parts from index lo on."""
-    while lo < len(parts):
-        a = parts[lo]
-        hi = bisect_right(parts, -a, lo, key=operator.neg)
-        yield a, lo, hi
-        lo = hi
-
-
-def _pair_counts(parts: tuple[int, ...], point: Sequence[int]) -> dict[tuple[int, int], int]:
-    """Counts of the pairs (parts[i], point[i]), in first-occurrence order.
+def _pair_counts(
+    parts: Partition | tuple[int, ...], point: Sequence[int]
+) -> dict[tuple[int, int], int]:
+    """Counts of the pairs (parts[i], point[i]), in first-occurrence order,
+    parts given as a partition or its rows.
 
     Inside each run of equal parts, a bisection finds the end j of a stretch
     of coordinates equal to n, confirmed by one C-level count; the bisection
@@ -128,8 +119,11 @@ def _pair_counts(parts: tuple[int, ...], point: Sequence[int]) -> dict[tuple[int
     coordinates do not fall costs one step per stretch; from the first stretch
     that fails its count, the rest of the run is counted with a ``Counter``.
     """
+    runs = parts.runs if isinstance(parts, Partition) else _runs_of(parts)
     counts: dict[tuple[int, int], int] = {}
-    for a, i, hi in _runs(parts):
+    hi = 0
+    for a, copies in runs:
+        i, hi = hi, hi + copies
         while i < hi:
             n = point[i]
             j = bisect_right(point, -n, i, hi, key=operator.neg)
@@ -217,8 +211,8 @@ def min_valuation(p: int, alpha: Partition, budget: Budget) -> ValuationMinimum:
     check_prime(p)
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    parts = alpha.parts
-    columns = alpha.columns
+    # mu and point list every row, so the rows are read (within the limit).
+    runs, columns, parts = alpha.runs, alpha.columns, alpha.parts
     size = sum(columns)
     width = len(columns)
     # counts[j] dots in column j, with counts[0] = N rows and counts[width + 1] = 0.
@@ -243,16 +237,21 @@ def min_valuation(p: int, alpha: Partition, budget: Budget) -> ValuationMinimum:
     # full + 1 take full, and the shorter rows are taken whole.
     reach = counts[full + 1]
     mu = (full + 1,) * extra + (full,) * (reach - extra) + parts[reach:]
+    taken = [(full + 1, extra), (full, reach - extra), *(run for run in runs if run[0] <= full)]
     # One power p^m - 1 per run of rows taking m dots, repeated at C speed.
-    runs = [(full + 1, extra), (full, reach - extra)]
-    runs += ((a, hi - lo) for a, lo, hi in _runs(parts, reach))
-    point = tuple(chain.from_iterable((p**m - 1,) * rows for m, rows in runs if rows))
+    powers = [(p**m - 1, copies) for m, copies in taken if copies]
+    point = tuple(chain.from_iterable((x,) * copies for x, copies in powers))
     value = size - t
 
+    total = high = top = 0  # the dots of all rows, of the counts[full] rows >= full, and > full
+    for a, copies in runs:
+        total += a * copies
+        high += a * copies if a >= full else 0
+        top += a * copies if a > full else 0
     forms = (
-        sum(parts) - sum(mu),
-        sum(parts[: counts[full]]) - counts[full] * full - extra,
-        sum(parts[:reach]) - reach * full - extra,
+        total - sum(m * copies for m, copies in taken),
+        high - counts[full] * full - extra,
+        top - reach * full - extra,
         sum(columns[full:]) - extra,
     )
     if any(form != value for form in forms):
@@ -263,7 +262,7 @@ def min_valuation(p: int, alpha: Partition, budget: Budget) -> ValuationMinimum:
         raise ConsistencyError(
             "witness point does not attain the minimum value", instance=instance
         )
-    if sum(point) > budget:
+    if sum(x * copies for x, copies in powers) > budget:
         raise ConsistencyError("witness point exceeds the budget", instance=instance)
     return ValuationMinimum(value, t, point, mu, full, extra)
 
@@ -280,7 +279,7 @@ def min_valuation_equal_exponent(p: int, copies: int, exponent: int, budget: Bud
         raise ValueError("copies and exponent must be >= 1")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    alpha = make_partition([exponent] * copies)
+    alpha = partition_from_runs([(exponent, copies)])
     if budget == float("inf"):
         value = 0
     else:
@@ -568,7 +567,7 @@ def equal_exponent_bound(p: int, copies: int, exponent: int, targets: TargetSpec
         r = (b_measure - copies * (p**q - 1) // (p - 1)) // p**q
         raw = copies * (exponent - q) - r
     bound = max(raw, 0)
-    alpha = make_partition([exponent] * copies)
+    alpha = partition_from_runs([(exponent, copies)])
     general = zero_count_bound(alpha, targets).bound
     if bound != general:
         raise ConsistencyError(
@@ -667,23 +666,21 @@ def polynomial_system_bound(
 
     The additive group of Z/mZ splits into one cyclic factor per prime; n
     variables give n copies, and each polynomial of degree at most d caps the
-    functional degree of its evaluation map by d.  More variables than
-    ``enumeration_limit()`` raise ResourceLimitError.
+    functional degree of its evaluation map by d.  Each prime's partition is
+    one run of n copies, so n costs nothing per variable.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
+    check_integer(nvars, "the variable count")
     if nvars < 1:
         raise ValueError(f"variable count must be >= 1, got {nvars}")
     for d in degrees or ():  # a missing or empty list raises below
         check_integer(d, "a degree cap")
     if not degrees or any(d < 1 for d in degrees):
         raise ValueError("degrees must be a nonempty list of integers >= 1")
-    limit = enumeration_limit()
-    if nvars > limit:
-        raise ResourceLimitError(f"{nvars} variables exceed the enumeration limit {limit}")
     out: dict[int, BoundReport] = {}
     for prime, e in sorted(factorize(modulus).items()):
-        alpha = _unchecked(Partition, parts=(e,) * nvars)
+        alpha = _unchecked(Partition, runs=((e, nvars),))
         targets = _sorted_targets(prime, [(e, d) for d in degrees])
         out[prime] = zero_count_bound(alpha, targets)
     return out

@@ -292,6 +292,9 @@ def _cmd_scan(args) -> int:
 
 def _cmd_polybound(args) -> int:
     degrees = _parse_ints(args.degrees, "degrees")
+    limit = enumeration_limit()  # each report prints one partition row per variable
+    if args.n > limit:
+        raise ResourceLimitError(f"{args.n} variables exceed the enumeration limit {limit}")
     reports = polynomial_system_bound(args.m, args.n, degrees)
     out = {"bounds": {str(q): r.to_json_dict() for q, r in sorted(reports.items())}}
     if args.system:

@@ -119,16 +119,20 @@ def pure_prime(shape: AbelianShape) -> int | None:
 
 
 def primary_decomposition(shape: AbelianShape) -> dict[int, PGroupShape]:
-    """Split a nontrivial shape into its Sylow components, one per prime."""
+    """Split a nontrivial shape into its Sylow components, one per prime,
+    as runs: each distinct factor is factored once."""
     if shape.is_trivial:
         raise ValueError("the trivial group has no primary decomposition")
-    exponents: dict[int, list[int]] = {}
+    copies_of: dict[int, dict[int, int]] = {}
     for m, copies in Counter(shape.factors).items():
         for prime, e in factorize(m).items():
-            exponents.setdefault(prime, []).extend([e] * copies)
+            exponents = copies_of.setdefault(prime, {})
+            exponents[e] = exponents.get(e, 0) + copies
     return {  # primes and exponents come from factorize, so nothing to check
-        prime: _unchecked(PGroupShape, p=prime, exponents=_unchecked(Partition, parts=exps))
-        for prime, exps in sorted((q, tuple(sorted(e, reverse=True))) for q, e in exponents.items())
+        prime: _unchecked(PGroupShape, p=prime, exponents=_unchecked(Partition, runs=runs))
+        for prime, runs in sorted(
+            (q, tuple(sorted(counts.items(), reverse=True))) for q, counts in copies_of.items()
+        )
     }
 
 
@@ -190,9 +194,10 @@ def max_functional_degree(shape: PGroupShape, beta: int) -> int:
     """
     if beta < 1:
         raise ValueError(f"beta must be >= 1, got {beta}")
-    p = shape.p
-    parts = shape.exponents.parts
-    return one_variable_cap(p, parts[0], beta) + sum(p**a - 1 for a in parts[1:])
+    p, runs = shape.p, shape.exponents.runs
+    top = runs[0][0]
+    rest = sum(copies * (p**a - 1) for a, copies in runs) - (p**top - 1)
+    return one_variable_cap(p, top, beta) + rest
 
 
 def one_variable_cap(p: int, a: int, beta: int) -> int:

@@ -822,8 +822,9 @@ def zero_count_trace(system: Sequence[FiniteMap], beta: int | None = None) -> Tr
     over the representative box, and asserts the two valuations agree.
     Requires a nonempty zero set and beta, if given, an int above its
     valuation.  Each lift is evaluated on the whole box by one summation
-    transform (``calculus._box_values``), each indicator once per distinct
-    lifted value, and the integral sums their per-point products.
+    transform (``calculus._box_values``), each indicator's series is built
+    once per (p, b, beta) (``_indicator_series``) and evaluated once per
+    distinct lifted value, and the integral sums their per-point products.
     """
     if not system:
         raise ValueError("the trace needs at least one map")
@@ -869,16 +870,11 @@ def zero_count_trace(system: Sequence[FiniteMap], beta: int | None = None) -> Tr
         system_json = [f.to_json_dict() for f in system]
         return ConsistencyError(message, instance={"system": system_json, "beta": beta, **values})
 
-    ring = AbelianShape((p**beta,))
     lifted_values = [_box_values(domain, proper_lift(f)) for f in system]
     indicator_series: list[BinomialSeries] = []
     floors_per_map = []
     for b_j, cap in zip(betas, caps):
-        period = AbelianShape((p**b_j,))
-        indicator = FiniteMap(
-            period, ring, tuple(((1,) if x == (0,) else (0,)) for x in enumerate_elements(period))
-        )
-        series = proper_lift(indicator)
+        series = _indicator_series(p, b_j, beta, proper_lift)
         support_max = max((n[0] for n in series.coeffs), default=0)
         if support_max > cap:
             raise failure(
@@ -916,6 +912,16 @@ def zero_count_trace(system: Sequence[FiniteMap], beta: int | None = None) -> Tr
     return TraceReport(
         count, count_ord, beta, total, integral_ord, tuple(floors_per_map), floors_ok
     )
+
+
+@lru_cache(maxsize=64)
+def _indicator_series(p: int, b: int, beta: int, lift) -> BinomialSeries:
+    """The lift of the indicator of 0 on Z/p^b, as a map into Z/p^beta, built
+    once per (p, b, beta) and lift function, so a replaced ``proper_lift``
+    is called afresh."""
+    period, ring = AbelianShape((p**b,)), AbelianShape((p**beta,))
+    values = tuple(((1,) if x == (0,) else (0,)) for x in enumerate_elements(period))
+    return lift(FiniteMap(period, ring, values))
 
 
 class PolySystem(_Record):

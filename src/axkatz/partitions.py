@@ -1,28 +1,30 @@
 """Integer partitions, conjugation, and Ferrers-dot weight sequences.
 
-A partition here is a weakly decreasing tuple of positive integers.  Its
-column counts (`Partition.columns`, the conjugate's parts) count the
-Ferrers-diagram dots column by column; they are computed once per partition
-by bisection, in O(width * log rows), and conjugation, truncation and the
-geometric measure are all read off them in O(width) plus slicing.  The
-weight sequence lists the dots in column order with column j (1-based)
-costing p^(j-1); its prefix sums are the minimal total weights of dot
-selections.  It has one entry per dot and serves as the definition-level
-reference that the column-wise closed forms in `bounds` are tested against.
+A partition is held as its runs, the (part, multiplicity) pair of each
+distinct part, and everything here reads them: the row count and size are
+sums over the runs, conjugation and truncation build new runs in
+O(distinct), and the column counts (`Partition.columns`, the conjugate's
+parts) are those runs repeated at C speed.  The rows are listed only when
+read.  The weight sequence lists the dots in column order with column j
+(1-based) costing p^(j-1): the definition-level reference that the
+column-wise closed forms in `bounds` are tested against.
 """
 
 from __future__ import annotations
 
 import operator
 from bisect import bisect_right
+from collections import Counter
 from functools import cached_property
 from itertools import islice
 from typing import Iterable, Sequence
 
+from .errors import ResourceLimitError
 from .intmath import check_prime, check_tuple
 
 
 _setattr = object.__setattr__
+_second = operator.itemgetter(1)
 
 
 class _Record:
@@ -105,26 +107,33 @@ def _bound(cls, args: tuple, kwargs: dict) -> dict:
 
 
 class Partition(_Record):
-    """Weakly decreasing tuple of positive integers; never empty."""
+    """A nonempty weakly decreasing sequence of positive integers (its rows),
+    held as its runs: a (part, multiplicity) pair per distinct part, largest
+    first.  ``Partition(parts)`` takes and keeps the rows; ``Partition(runs)``
+    and ``partition_from_runs`` take runs, and list the rows on their first
+    read only within ``enumeration_limit()``."""
 
-    parts: tuple[int, ...]
+    runs: tuple[tuple[int, int], ...]
+
+    def __init__(self, *args, **kwargs):
+        if len(args) == 1 and not kwargs and not _runs_like(args[0]):
+            parts = args[0]
+        elif not args and kwargs.keys() == {"parts"}:
+            parts = kwargs["parts"]
+        else:
+            super().__init__(*args, **kwargs)  # runs, checked by __post_init__
+            return
+        _check_parts(parts)
+        _setattr(self, "runs", _runs_of(parts))
+        _setattr(self, "parts", parts)
 
     def __post_init__(self):
-        parts = self.parts
-        check_tuple(parts, "parts")
-        if not parts:
-            raise ValueError("a partition needs at least one part")
-        types = set(map(type, parts))
-        if (
-            bool in types
-            or not all(issubclass(t, int) for t in types)
-            or min(parts) < 1
-            or not all(map(operator.ge, parts, islice(parts, 1, None)))
-        ):
-            _raise_first_violation(parts)
+        check_tuple(self.runs, "runs")
+        if _merged(self.runs) != self.runs:
+            raise ValueError(f"run parts must be strictly decreasing, got {self.runs}")
 
     def __len__(self) -> int:
-        return len(self.parts)
+        return sum(map(_second, self.runs))
 
     def __getitem__(self, i: int) -> int:
         return self.parts[i]
@@ -132,30 +141,71 @@ class Partition(_Record):
     def __iter__(self):
         return iter(self.parts)
 
+    @cached_property
+    def parts(self) -> tuple[int, ...]:
+        """The rows, listed from the runs at most once."""
+        from .groups import enumeration_limit  # groups imports this module
+
+        if (rows := len(self)) > (limit := enumeration_limit()):
+            raise ResourceLimitError(f"{rows} partition rows exceed the enumeration limit {limit}")
+        return _listed(self.runs)
+
     @property
     def size(self) -> int:
         """Total number of Ferrers dots."""
-        return sum(self.parts)
+        return sum(part * copies for part, copies in self.runs)
 
     @property
     def width(self) -> int:
         """Largest part, i.e. the number of Ferrers columns."""
-        return self.parts[0]
+        return self.runs[0][0]
 
     @cached_property
     def columns(self) -> tuple[int, ...]:
         """Ferrers column dot counts: columns[j-1] = #{i : parts[i] >= j}."""
-        parts = self.parts
-        return tuple(
-            bisect_right(parts, -j, key=operator.neg) for j in range(1, parts[0] + 1)
-        )
+        return _listed(_conjugate_runs(self))
 
     def to_json(self) -> list[int]:
         return list(self.parts)
 
 
+def _listed(runs) -> tuple[int, ...]:
+    listed: list[int] = []
+    for part, copies in runs:
+        listed += [part] * copies
+    return tuple(listed)
+
+
+def _conjugate_runs(partition: Partition) -> list[tuple[int, int]]:
+    """The columns from a run's part down to the next smaller part form one
+    run of the conjugate, of the rows in that run and every longer one."""
+    runs, rows, below = [], len(partition), 0
+    for part, copies in reversed(partition.runs):
+        runs.append((rows, part - below))
+        rows, below = rows - copies, part
+    return runs
+
+
+def _runs_like(value) -> bool:
+    return isinstance(value, tuple) and bool(value) and isinstance(value[0], tuple)
+
+
+def _check_parts(parts) -> None:
+    check_tuple(parts, "parts")
+    if not parts:
+        raise ValueError("a partition needs at least one part")
+    types = set(map(type, parts))
+    if (
+        bool in types
+        or not all(issubclass(t, int) for t in types)
+        or min(parts) < 1
+        or not all(map(operator.ge, parts, islice(parts, 1, None)))
+    ):
+        _raise_first_violation(parts)
+
+
 def _raise_first_violation(parts: tuple) -> None:
-    """Name the first part, in order, that breaks a check of Partition.__post_init__."""
+    """Name the first part, in order, that breaks a rule of ``_check_parts``."""
     prev = None
     for part in parts:
         if not isinstance(part, int) or isinstance(part, bool) or part < 1:
@@ -165,10 +215,42 @@ def _raise_first_violation(parts: tuple) -> None:
         prev = part
 
 
+def _merged(runs) -> tuple[tuple[int, int], ...]:
+    """Runs checked to be pairs of positive ints, in any order, with equal
+    parts merged, largest part first."""
+    totals: Counter = Counter()
+    for run in runs:
+        if not (
+            isinstance(run, tuple)
+            and len(run) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in run)
+        ):
+            raise ValueError(f"runs must be pairs (part, multiplicity) of positive ints, got {run!r}")
+        totals[run[0]] += run[1]
+    if not totals:
+        raise ValueError("a partition needs at least one part")
+    return tuple(sorted(totals.items(), reverse=True))
+
+
+def _runs_of(parts: tuple) -> tuple[tuple[int, int], ...]:
+    """The runs of checked parts: one bisection per run, the first 64 runs;
+    the rest, many distinct parts, counted at C speed."""
+    runs, lo = [], 0
+    while lo < len(parts):
+        if len(runs) == 64:
+            return (*runs, *Counter(parts[lo:]).items())
+        hi = bisect_right(parts, -parts[lo], lo, key=operator.neg)
+        runs.append((parts[lo], hi - lo))
+        lo = hi
+    return tuple(runs)
+
+
 def _unchecked(cls, **fields):
-    """The record cls holding fields, unchecked: for values derived from checked ones."""
+    """The record cls holding fields, unchecked: for values derived from
+    checked ones.  Set one by one, the fields keep their fast reads."""
     obj = object.__new__(cls)
-    vars(obj).update(fields)
+    for name, value in fields.items():
+        _setattr(obj, name, value)
     return obj
 
 
@@ -177,31 +259,35 @@ def make_partition(parts: Iterable[int]) -> Partition:
     return Partition(tuple(sorted(parts, reverse=True)))
 
 
+def partition_from_runs(runs: Iterable[tuple[int, int]]) -> Partition:
+    """Build a partition from (part, multiplicity) pairs in any order, adding
+    up the multiplicities of equal parts; no work is done per row."""
+    return _unchecked(Partition, runs=_merged(runs))
+
+
 def conjugate(partition: Partition) -> Partition:
     """Column dot counts: result[j-1] = #{i : parts[i] >= j}."""
-    return _unchecked(Partition, parts=partition.columns)
+    return _unchecked(Partition, runs=tuple(_conjugate_runs(partition)))
 
 
 def truncate(partition: Partition, level: int) -> Partition:
-    """Cap every part at the given level >= 1."""
+    """Cap every part at the given level >= 1: one run of the level."""
     if level < 1:
         raise ValueError(f"truncation level must be >= 1, got {level}")
     if level >= partition.width:
         return partition
-    capped = partition.columns[level - 1]
     _raise_first_violation((level,))  # the level becomes a part
-    return _unchecked(Partition, parts=(level,) * capped + partition.parts[capped:])
+    runs, kept, capped = partition.runs, 0, 0
+    while kept < len(runs) and runs[kept][0] >= level:
+        capped += runs[kept][1]
+        kept += 1
+    return _unchecked(Partition, runs=((level, capped), *runs[kept:]))
 
 
 def geometric_sum(partition: Partition, p: int) -> int:
-    """Sum of (p^a - 1)/(p - 1) over the parts, as an exact integer.
-
-    Each part a contributes 1 + p + ... + p^(a-1), so the sum is the column
-    counts weighted by powers of p: sum_j columns[j-1] * p^(j-1).
-    """
+    """Sum of (p^a - 1)/(p - 1) over the parts, one term per run."""
     check_prime(p)
-    columns = partition.columns
-    return _dot_prefix_weight(columns, p, sum(columns))
+    return sum(copies * ((p**part - 1) // (p - 1)) for part, copies in partition.runs)
 
 
 def _dot_prefix_weight(columns: Sequence[int], p: int, t: int) -> int:
@@ -242,10 +328,9 @@ class WeightSequence(_Record):
 def weight_sequence(partition: Partition, p: int) -> WeightSequence:
     """List the Ferrers dots column by column, weighting column j by p^(j-1)."""
     check_prime(p)
-    conj = conjugate(partition)
     weights: list[int] = []
-    for j, count in enumerate(conj.parts):
-        weights.extend([p**j] * count)
+    for j, dots in enumerate(partition.columns):
+        weights.extend([p**j] * dots)
     return WeightSequence(p, tuple(weights))
 
 

@@ -66,9 +66,11 @@ def test_rows_and_runs_build_the_same_partition(pair, level):
     assert Partition(runs.runs) == rows == Partition(runs=rows.runs)
     assert (len(rows), rows.size, rows.width) == (len(runs), runs.size, runs.width)
     assert rows.columns == runs.columns
+    columns = [sum(1 for a in rows.parts if a >= j) for j in range(1, rows.width + 1)]
+    assert rows.columns == tuple(columns) and conjugate(runs) == Partition(tuple(columns))
     assert conjugate(rows) == conjugate(runs) and conjugate(runs).parts == runs.columns
     assert truncate(rows, level) == truncate(runs, level)
-    assert truncate(runs, level).to_json() == [min(a, level) for a in rows.parts]
+    assert truncate(runs, level) == Partition(tuple(min(a, level) for a in rows.parts))
     assert rows.to_json() == runs.to_json() and runs.parts == rows.parts
     assert list(runs) == list(rows) and runs[-1] == rows[-1]
 

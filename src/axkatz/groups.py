@@ -128,12 +128,13 @@ def primary_decomposition(shape: AbelianShape) -> dict[int, PGroupShape]:
         for prime, e in factorize(m).items():
             exponents = copies_of.setdefault(prime, {})
             exponents[e] = exponents.get(e, 0) + copies
-    return {  # primes and exponents come from factorize, so nothing to check
-        prime: _unchecked(PGroupShape, p=prime, exponents=_unchecked(Partition, runs=runs))
-        for prime, runs in sorted(
-            (q, tuple(sorted(counts.items(), reverse=True))) for q, counts in copies_of.items()
-        )
-    }
+    out = {}
+    for prime, counts in sorted(copies_of.items()):
+        # From factorize, so nothing to check; no more rows than listed factors.
+        runs = tuple(sorted(counts.items(), reverse=True))
+        alpha = _unchecked(Partition, runs=runs, _derived=True)
+        out[prime] = _unchecked(PGroupShape, p=prime, exponents=alpha)
+    return out
 
 
 def component_of(shape: AbelianShape, prime: int) -> AbelianShape:

@@ -111,9 +111,13 @@ class Partition(_Record):
     held as its runs: a (part, multiplicity) pair per distinct part, largest
     first.  ``Partition(parts)`` takes and keeps the rows; ``Partition(runs)``
     and ``partition_from_runs`` take runs, and list the rows on their first
-    read only within ``enumeration_limit()``."""
+    read only within ``enumeration_limit()``, unless the rows are derived
+    from rows already listed."""
 
     runs: tuple[tuple[int, int], ...]
+    # True when there are no more rows than a caller listed (a truncation of
+    # listed rows, a Sylow component of a listed shape): listing is not capped.
+    _derived = False
 
     def __init__(self, *args, **kwargs):
         if len(args) == 1 and not kwargs and not _runs_like(args[0]):
@@ -146,7 +150,7 @@ class Partition(_Record):
         """The rows, listed from the runs at most once."""
         from .groups import enumeration_limit  # groups imports this module
 
-        if (rows := len(self)) > (limit := enumeration_limit()):
+        if not self._derived and (rows := len(self)) > (limit := enumeration_limit()):
             raise ResourceLimitError(f"{rows} partition rows exceed the enumeration limit {limit}")
         return _listed(self.runs)
 
@@ -233,12 +237,9 @@ def _merged(runs) -> tuple[tuple[int, int], ...]:
 
 
 def _runs_of(parts: tuple) -> tuple[tuple[int, int], ...]:
-    """The runs of checked parts: one bisection per run, the first 64 runs;
-    the rest, many distinct parts, counted at C speed."""
+    """The runs of checked parts, one bisection per run."""
     runs, lo = [], 0
     while lo < len(parts):
-        if len(runs) == 64:
-            return (*runs, *Counter(parts[lo:]).items())
         hi = bisect_right(parts, -parts[lo], lo, key=operator.neg)
         runs.append((parts[lo], hi - lo))
         lo = hi
@@ -281,7 +282,8 @@ def truncate(partition: Partition, level: int) -> Partition:
     while kept < len(runs) and runs[kept][0] >= level:
         capped += runs[kept][1]
         kept += 1
-    return _unchecked(Partition, runs=((level, capped), *runs[kept:]))
+    derived = partition._derived or "parts" in vars(partition)
+    return _unchecked(Partition, runs=((level, capped), *runs[kept:]), _derived=derived)
 
 
 def geometric_sum(partition: Partition, p: int) -> int:

@@ -145,6 +145,33 @@ def test_a_run_built_partition_lists_its_rows_once_within_the_limit(monkeypatch)
     assert alpha.to_json() == [2, 2, 2, 1, 1]
 
 
+def test_rows_derived_from_listed_rows_are_not_capped(monkeypatch, capsys):
+    # A truncation of listed rows and the Sylow components of a listed shape
+    # have no more rows than the caller listed: the enumeration limit, low
+    # or malformed, does not refuse their reports.
+    alpha = make_partition([3] * 50 + [2] * 50 + [1] * 50)
+    targets = make_targets(2, [(1, 1)])
+    domain = AbelianShape((12,) * 50 + (8,) * 50 + (6,) * 50)
+    shaped = [(AbelianShape((2,)), 1), (AbelianShape((3,)), 2)]
+    argv = ["bound", "--p", "2", "--alpha", ",".join(map(str, alpha)), "--targets", "1:1"]
+
+    def outputs():
+        report = zero_count_bound(alpha, targets).to_json_dict()
+        bounds = {q: b.to_json_dict() for q, b in multi_prime_bounds(domain, shaped).items()}
+        assert main(argv) == 0
+        return report, bounds, capsys.readouterr().out
+
+    report, bounds, printed = outputs()
+    assert len(report["alpha_breve"]) == 150 and len(bounds[2]["report"]["alpha"]) == 150
+    for raw in ("100", "abc"):
+        monkeypatch.setenv("AXKATZ_ENUM_LIMIT", raw)
+        assert outputs() == (report, bounds, printed)
+    # Rows made from runs alone are still capped, truncated or not.
+    monkeypatch.setenv("AXKATZ_ENUM_LIMIT", "100")
+    with pytest.raises(ResourceLimitError, match="150 partition rows exceed"):
+        truncate(partition_from_runs([(3, 150)]), 1).to_json()
+
+
 def _reference_vp(p, runs, budget):
     """Dots minus the longest column-ordered prefix within budget / (p - 1),
     from columns written out by hand for at most two runs."""

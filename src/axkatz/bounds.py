@@ -9,11 +9,11 @@ column counts (`Partition.columns`, O(width)): every measure is a
 column-weight sum (`partitions._dot_prefix_weight`) and every size a sum of
 column counts.  One column walk (`_column_walk`) finds the longest
 column-ordered dot prefix whose weight fits a budget: it gives `vp_value`,
-the deficit case's t_star and the `min_valuation` witness, whose mu and
-point take one run per run of equal parts and whose checks are sums over
-runs; `product_valuation` values one pair per run and stretch of equal
-coordinates (`_pair_counts`).  So no step runs once per row but the C-speed
-builds of output tuples and the slice counts that confirm a stretch.
+the deficit case's t_star and the `min_valuation` witness, held as runs (its
+mu and point are constant on each run of equal parts) and checked by sums
+over runs; `product_valuation` values the witness's point one pair of runs
+at a time.  So no step runs once per row: only a point given by its rows is
+read row by row, checked and counted at C speed (`_pair_counts`).
 
 Runtime checks: `min_valuation` re-derives its dot count from the bracket
 (p - 1) W(t) <= D < (p - 1) W(t + 1) (an infinite D must take all t =
@@ -27,10 +27,8 @@ its columns, and the budget or targets) to replay it.
 
 from __future__ import annotations
 
-import operator
-from bisect import bisect_right
 from collections import Counter
-from itertools import chain
+from functools import cached_property
 from typing import Sequence
 
 from .degrees import INF, Degree
@@ -49,8 +47,11 @@ from .intmath import (
 from .partitions import (
     Partition,
     _dot_prefix_weight,
+    _listed_rows,
     _Record,
+    _rows,
     _runs_of,
+    _second,
     _unchecked,
     partition_from_runs,
     truncate,
@@ -82,21 +83,20 @@ def _sum_valuation(p: int, exponent: int, n: int) -> int | None:
     return None
 
 
-def product_valuation(p: int, alpha: Partition, point: Sequence[int]) -> Degree:
+def product_valuation(p: int, alpha: Partition, point: Sequence) -> Degree:
     """ord_p of the product of per-coordinate binomial column sums.
 
-    Equal (exponent, coordinate) pairs are valued once and weighted by their
-    count, in the order of their first occurrence, after every distinct
-    coordinate has been checked.
+    The point is a tuple or list of its coordinates, one per row, or of its
+    runs: (coordinate, rows) pairs in row order.  Every coordinate is checked
+    before any pair is valued.  Equal (exponent, coordinate) pairs are valued
+    once and weighted by their count, in the order of their first occurrence.
     """
-    rows = len(alpha)
-    if len(point) != rows:
-        raise ValueError(f"expected {rows} coordinates, got {len(point)}")
+    runs = _check_point(point)
+    rows, given = len(alpha), sum(map(_second, point)) if runs else len(point)
+    if given != rows:
+        raise ValueError(f"expected {rows} coordinates, got {given}")
     check_prime(p)
-    counts = _pair_counts(alpha, point)
-    for _, n in counts:
-        if n < 0:
-            raise ValueError(f"n must be nonnegative, got {n}")
+    counts = _run_pair_counts(alpha.runs, point) if runs else _pair_counts(alpha, point)
     total = 0
     for (a, n), copies in counts.items():
         term = _sum_valuation(p, a, n)
@@ -106,33 +106,63 @@ def product_valuation(p: int, alpha: Partition, point: Sequence[int]) -> Degree:
     return Degree.of(total)
 
 
+def _check_point(point) -> bool:
+    """Raise ValueError unless the point holds nonnegative int coordinates,
+    or runs of them, (coordinate, rows) pairs with rows >= 1; True for runs."""
+    if not isinstance(point, (tuple, list)):
+        raise ValueError(f"a point must be a tuple or list, got {point!r}")
+    runs = bool(point) and isinstance(point[0], tuple)
+    coordinates = point
+    if runs:
+        for run in point:
+            rows = run[1] if isinstance(run, tuple) and len(run) == 2 else None
+            if type(rows) is not int or rows < 1:
+                raise ValueError(f"point runs must be pairs (coordinate, rows >= 1), got {run!r}")
+        coordinates = [n for n, _ in point]
+    types = set(map(type, coordinates))
+    if (
+        bool in types
+        or not all(issubclass(t, int) for t in types)
+        or min(coordinates, default=0) < 0
+    ):
+        for n in coordinates:
+            check_integer(n, "a coordinate")
+            if n < 0:
+                raise ValueError(f"n must be nonnegative, got {n}")
+    return runs
+
+
+def _run_pair_counts(
+    runs: Sequence[tuple[int, int]], point: Sequence[tuple[int, int]]
+) -> dict[tuple[int, int], int]:
+    """Counts of the pairs (part, coordinate) over the rows, in first-occurrence
+    order, walking the partition's runs and the point's runs together."""
+    counts: dict[tuple[int, int], int] = {}
+    pending = iter(point)
+    n = left = 0
+    for a, copies in runs:
+        while copies:
+            if not left:
+                n, left = next(pending)
+            step = min(copies, left)
+            counts[a, n] = counts.get((a, n), 0) + step
+            copies -= step
+            left -= step
+    return counts
+
+
 def _pair_counts(
     parts: Partition | tuple[int, ...], point: Sequence[int]
 ) -> dict[tuple[int, int], int]:
     """Counts of the pairs (parts[i], point[i]), in first-occurrence order,
-    parts given as a partition or its rows.
-
-    Inside each run of equal parts, a bisection finds the end j of a stretch
-    of coordinates equal to n, confirmed by one C-level count; the bisection
-    only stops before the end of the run at a coordinate below n, so the
-    confirmed stretches fall strictly and their counts are exact.  A run whose
-    coordinates do not fall costs one step per stretch; from the first stretch
-    that fails its count, the rest of the run is counted with a ``Counter``.
-    """
+    parts given as a partition or its rows: one C-level count of the
+    coordinates of each run of equal parts."""
     runs = parts.runs if isinstance(parts, Partition) else _runs_of(parts)
-    counts: dict[tuple[int, int], int] = {}
-    hi = 0
+    counts, hi = {}, 0
     for a, copies in runs:
-        i, hi = hi, hi + copies
-        while i < hi:
-            n = point[i]
-            j = bisect_right(point, -n, i, hi, key=operator.neg)
-            if point[i:j].count(n) != j - i:
-                for m, copies in Counter(point[i:hi]).items():
-                    counts[a, m] = counts.get((a, m), 0) + copies
-                break
-            counts[a, n] = j - i
-            i = j
+        lo, hi = hi, hi + copies
+        for n, count in Counter(point[lo:hi]).items():
+            counts[a, n] = count
     return counts
 
 
@@ -160,6 +190,13 @@ def _column_walk(
     return t, len(columns), 0
 
 
+def _check_budget(budget) -> None:
+    """Raise ValueError unless the budget is a nonnegative int or float, inf
+    included: not a bool, and not NaN, which every comparison would pass."""
+    if isinstance(budget, bool) or not isinstance(budget, (int, float)) or not budget >= 0:
+        raise ValueError(f"budget must be a nonnegative number or inf, got {budget!r}")
+
+
 def _instance(p: int, alpha: Partition, **inputs) -> dict:
     """A failing call's inputs, the partition given by its column counts."""
     return {"p": p, "columns": list(alpha.columns), **inputs}
@@ -173,27 +210,40 @@ def vp_value(p: int, alpha: Partition, budget: Budget) -> int:
     selection is optimal because the weights increase along columns.
     """
     check_prime(p)
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+    _check_budget(budget)
     columns = alpha.columns
     t, _, _ = _column_walk(columns, p, p - 1, budget)
     return sum(columns) - t
 
 
 class ValuationMinimum(_Record):
-    """Minimum valuation with an explicit minimizing point.
+    """Minimum valuation with an explicit minimizing point, held as runs.
 
-    full_columns counts the completely selected Ferrers columns, extra_dots
-    the dots taken from the next column, mu the per-row dot counts, and
-    point = (p^mu_i - 1)_i attains the minimum.
+    full_columns counts the completely selected Ferrers columns and
+    extra_dots the dots taken from the next column.  mu_runs holds the
+    per-row dot counts mu and point_runs the point (p^mu_i - 1)_i that
+    attains the minimum, each as (value, rows) pairs in row order, with
+    adjacent equal values merged and no empty run.  ``mu`` and ``point``
+    list them row by row on first read, as ``Partition.parts`` lists rows:
+    within ``enumeration_limit()``, or whatever the limit when the rows of
+    the partition the witness was found for were listed.
     """
 
     value: int
     t: int
-    point: tuple[int, ...]
-    mu: tuple[int, ...]
+    point_runs: tuple[tuple[int, int], ...]
+    mu_runs: tuple[tuple[int, int], ...]
     full_columns: int
     extra_dots: int
+    _derived = False  # as Partition._derived, for the partition's rows
+
+    @cached_property
+    def point(self) -> tuple[int, ...]:
+        return _rows(self.point_runs, capped=not self._derived)
+
+    @cached_property
+    def mu(self) -> tuple[int, ...]:
+        return _rows(self.mu_runs, capped=not self._derived)
 
     def to_json_dict(self) -> dict:
         return {
@@ -207,16 +257,18 @@ class ValuationMinimum(_Record):
 
 
 def min_valuation(p: int, alpha: Partition, budget: Budget) -> ValuationMinimum:
-    """vp_value together with a witness point, cross-checked four ways."""
+    """vp_value together with a witness point, cross-checked four ways.
+
+    The witness is chosen column by column, so mu and the point are constant
+    on each run of equal parts: they are built, and checked, as runs.
+    """
     check_prime(p)
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
-    # mu and point list every row, so the rows are read (within the limit).
-    runs, columns, parts = alpha.runs, alpha.columns, alpha.parts
+    _check_budget(budget)
+    runs, columns = alpha.runs, alpha.columns
     size = sum(columns)
     width = len(columns)
     # counts[j] dots in column j, with counts[0] = N rows and counts[width + 1] = 0.
-    counts = (len(parts), *columns, 0)
+    counts = (len(alpha), *columns, 0)
     instance = _instance(p, alpha, budget=budget)
 
     t, full, extra = _column_walk(columns, p, p - 1, budget)
@@ -234,13 +286,14 @@ def min_valuation(p: int, alpha: Partition, budget: Budget) -> ValuationMinimum:
         )
 
     # Rows 1..extra take full + 1 dots, the rest of the rows reaching column
-    # full + 1 take full, and the shorter rows are taken whole.
+    # full + 1 take full, and the shorter rows are taken whole; a run of
+    # parts equal to full joins the rows taking full.
     reach = counts[full + 1]
-    mu = (full + 1,) * extra + (full,) * (reach - extra) + parts[reach:]
-    taken = [(full + 1, extra), (full, reach - extra), *(run for run in runs if run[0] <= full)]
-    # One power p^m - 1 per run of rows taking m dots, repeated at C speed.
-    powers = [(p**m - 1, copies) for m, copies in taken if copies]
-    point = tuple(chain.from_iterable((x,) * copies for x, copies in powers))
+    shorter = [run for run in runs if run[0] <= full]
+    same = shorter.pop(0)[1] if shorter and shorter[0][0] == full else 0
+    taken = ((full + 1, extra), (full, reach - extra + same), *shorter)
+    mu_runs = tuple(run for run in taken if run[1])
+    point_runs = tuple((p**m - 1, copies) for m, copies in mu_runs)
     value = size - t
 
     total = high = top = 0  # the dots of all rows, of the counts[full] rows >= full, and > full
@@ -249,7 +302,7 @@ def min_valuation(p: int, alpha: Partition, budget: Budget) -> ValuationMinimum:
         high += a * copies if a >= full else 0
         top += a * copies if a > full else 0
     forms = (
-        total - sum(m * copies for m, copies in taken),
+        total - sum(m * copies for m, copies in mu_runs),
         high - counts[full] * full - extra,
         top - reach * full - extra,
         sum(columns[full:]) - extra,
@@ -258,13 +311,16 @@ def min_valuation(p: int, alpha: Partition, budget: Budget) -> ValuationMinimum:
         raise ConsistencyError(
             f"witness rearrangements disagree: {forms} vs {value}", instance=instance
         )
-    if product_valuation(p, alpha, point) != Degree.of(value):
+    if product_valuation(p, alpha, point_runs) != Degree.of(value):
         raise ConsistencyError(
             "witness point does not attain the minimum value", instance=instance
         )
-    if sum(x * copies for x, copies in powers) > budget:
+    if sum(x * copies for x, copies in point_runs) > budget:
         raise ConsistencyError("witness point exceeds the budget", instance=instance)
-    return ValuationMinimum(value, t, point, mu, full, extra)
+    return _unchecked(
+        ValuationMinimum, value=value, t=t, point_runs=point_runs, mu_runs=mu_runs,
+        full_columns=full, extra_dots=extra, _derived=_listed_rows(alpha),
+    )
 
 
 def min_valuation_equal_exponent(p: int, copies: int, exponent: int, budget: Budget) -> int:
@@ -277,8 +333,7 @@ def min_valuation_equal_exponent(p: int, copies: int, exponent: int, budget: Bud
     check_prime(p)
     if copies < 1 or exponent < 1:
         raise ValueError("copies and exponent must be >= 1")
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+    _check_budget(budget)
     alpha = partition_from_runs([(exponent, copies)])
     if budget == float("inf"):
         value = 0

@@ -148,11 +148,7 @@ class Partition(_Record):
     @cached_property
     def parts(self) -> tuple[int, ...]:
         """The rows, listed from the runs at most once."""
-        from .groups import enumeration_limit  # groups imports this module
-
-        if not self._derived and (rows := len(self)) > (limit := enumeration_limit()):
-            raise ResourceLimitError(f"{rows} partition rows exceed the enumeration limit {limit}")
-        return _listed(self.runs)
+        return _rows(self.runs, capped=not self._derived)
 
     @property
     def size(self) -> int:
@@ -171,6 +167,15 @@ class Partition(_Record):
 
     def to_json(self) -> list[int]:
         return list(self.parts)
+
+
+def _rows(runs, capped: bool) -> tuple[int, ...]:
+    """The rows of (value, rows) runs, held to ``enumeration_limit()`` when capped."""
+    from .groups import enumeration_limit  # groups imports this module
+
+    if capped and (rows := sum(map(_second, runs))) > (limit := enumeration_limit()):
+        raise ResourceLimitError(f"{rows} partition rows exceed the enumeration limit {limit}")
+    return _listed(runs)
 
 
 def _listed(runs) -> tuple[int, ...]:
@@ -282,8 +287,14 @@ def truncate(partition: Partition, level: int) -> Partition:
     while kept < len(runs) and runs[kept][0] >= level:
         capped += runs[kept][1]
         kept += 1
-    derived = partition._derived or "parts" in vars(partition)
-    return _unchecked(Partition, runs=((level, capped), *runs[kept:]), _derived=derived)
+    runs = ((level, capped), *runs[kept:])
+    return _unchecked(Partition, runs=runs, _derived=_listed_rows(partition))
+
+
+def _listed_rows(partition: Partition) -> bool:
+    """Whether rows as many as the partition's are listed whatever the limit:
+    its rows are listed, or derived from rows a caller listed."""
+    return partition._derived or "parts" in vars(partition)
 
 
 def geometric_sum(partition: Partition, p: int) -> int:

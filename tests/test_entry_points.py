@@ -2,6 +2,7 @@
 rejects them with ValueError or ResourceLimitError or builds a value whose
 JSON form and one cheap public operation work."""
 
+import math
 import random
 
 import pytest
@@ -21,9 +22,13 @@ from axkatz import (
     functions_by_degree,
     make_partition,
     make_targets,
+    min_valuation,
+    min_valuation_equal_exponent,
     objective_box,
+    product_valuation,
     sample_bounded_maps,
     verify_bound,
+    vp_value,
     zero_count_trace,
 )
 
@@ -176,3 +181,71 @@ def test_objective_beta_rejections():
     assert objective_box(TARGETS, 2) == (2,)
     assert brute_objective_minimum(ALPHA, TARGETS, 2) == (0, (1,))
     assert bound_objective_minimum(ALPHA, TARGETS, 2) == 0
+
+
+TWO_ROWS = make_partition([2, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_LIKE)
+def test_budgets_and_points_reject_or_work(value):
+    # A budget is a nonnegative int or float other than a bool or NaN; a
+    # point holds int coordinates other than bools, or runs of them.
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    for call in (
+        lambda: vp_value(2, TWO_ROWS, value),
+        lambda: min_valuation(2, TWO_ROWS, value).to_json_dict(),
+        lambda: min_valuation_equal_exponent(2, 3, 2, value),
+    ):
+        result = _built(call)
+        assert result is not None or not (number and value >= 0), (value, result)
+        assert result is None or number and value >= 0, (value, result)
+    point = _tupled(value)
+    result = _built(lambda: product_valuation(2, TWO_ROWS, point))
+    if result is not None:
+        coordinates = [run[0] for run in point] if isinstance(point[0], tuple) else point
+        assert all(type(n) is int for n in coordinates), (point, result)
+
+
+def test_budget_rejections():
+    # NaN passed every comparison (value 0 at the point (3, 1)), True was
+    # taken as 1 and "3" escaped as TypeError.
+    for budget in (math.nan, True, False, "3", None, -1, -math.inf, (3,)):
+        for call in (
+            lambda: vp_value(2, TWO_ROWS, budget),
+            lambda: min_valuation(2, TWO_ROWS, budget),
+            lambda: min_valuation_equal_exponent(2, 3, 2, budget),
+        ):
+            with pytest.raises(ValueError, match="budget must be a nonnegative number or inf"):
+                call()
+    # A finite float budget is taken as its floor, inf as no budget at all.
+    assert min_valuation(2, TWO_ROWS, 2.5) == min_valuation(2, TWO_ROWS, 2)
+    assert vp_value(2, TWO_ROWS, 2.5) == vp_value(2, TWO_ROWS, 2) == 1
+    assert min_valuation_equal_exponent(2, 3, 2, 6.5) == min_valuation_equal_exponent(2, 3, 2, 6)
+    assert min_valuation(2, TWO_ROWS, math.inf).point == (3, 1)
+
+
+def test_point_rejections():
+    # (1.5, 0) raised AttributeError, "ab" TypeError, and (True, 0) was
+    # valued as (1, 0); each is refused before any pair is valued.
+    cases = [
+        ((1.5, 0), "a coordinate must be an integer, got 1.5"),
+        ((0, True), "a coordinate must be an integer, got True"),
+        ((True, 0), "a coordinate must be an integer, got True"),
+        ((4, 1.0), "a coordinate must be an integer, got 1.0"),
+        ((4, -1), "n must be nonnegative, got -1"),
+        ("ab", "a point must be a tuple or list, got 'ab'"),
+        (None, "a point must be a tuple or list, got None"),
+        (((1.5, 2),), "a coordinate must be an integer, got 1.5"),
+        (((True, 1), (0, 1)), "a coordinate must be an integer, got True"),
+        (((1, 2), 0), r"point runs must be pairs \(coordinate, rows >= 1\), got 0"),
+        (((1, 0), (1, 2)), r"got \(1, 0\)"),
+        (((1, True), (1, 1)), r"got \(1, True\)"),
+        (((1, 1.0), (1, 1)), r"got \(1, 1.0\)"),
+        (((1, 2, 3),), r"got \(1, 2, 3\)"),
+        (((1, 3),), "expected 2 coordinates, got 3"),
+    ]
+    for point, message in cases:
+        with pytest.raises(ValueError, match=message):
+            product_valuation(2, TWO_ROWS, point)
+    assert product_valuation(2, TWO_ROWS, [3, 1]) == product_valuation(2, TWO_ROWS, ((3, 1), (1, 1)))

@@ -5,6 +5,7 @@ the enumeration limit cost what a handful of rows does."""
 import json
 import math
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from axkatz import (
     ResourceLimitError,
     conjugate,
     equal_exponent_bound,
+    geometric_sum,
     make_partition,
     make_targets,
     min_valuation,
@@ -28,7 +30,7 @@ from axkatz import (
     vp_value,
     zero_count_bound,
 )
-from axkatz import oracle
+from axkatz import Degree, bounds, oracle
 from axkatz.cli import main
 
 HUGE = 10**12
@@ -214,11 +216,143 @@ def test_a_trillion_rows_are_refused_at_once_where_they_would_be_listed():
     for read in (lambda: alpha.parts, lambda: alpha[0], alpha.to_json, lambda: iter(alpha)):
         with pytest.raises(ResourceLimitError, match=f"{HUGE + 2} partition rows exceed"):
             read()
-    with pytest.raises(ResourceLimitError):
-        min_valuation(2, alpha, 10)
+    # The witness is held as runs: only its rows are refused, where they are listed.
+    witness = min_valuation(2, alpha, 10)
+    for read in (lambda: witness.point, lambda: witness.mu, witness.to_json_dict):
+        with pytest.raises(ResourceLimitError, match=f"{HUGE + 2} partition rows exceed"):
+            read()
     with pytest.raises(ResourceLimitError):
         zero_count_bound(alpha, make_targets(2, [(1, 1)])).to_json_dict()
     assert time.perf_counter() - start < 0.5
+
+
+def _reference_witness(p, parts, budget):
+    """(t, full, extra, mu, point) from the definition, row by row: whole
+    columns of dots (column j weighs (p - 1) p^(j - 1)) while they fit, then
+    as many dots of the next column as fit; mu_i is full + 1 for the first
+    extra rows that reach column full + 1, full for the other rows that
+    reach it, and a_i for the shorter rows, and point_i = p^mu_i - 1."""
+    columns = [sum(1 for a in parts if a >= j) for j in range(1, max(parts) + 1)]
+    full, extra, room = 0, 0, budget
+    for count in columns:
+        cost = (p - 1) * p**full
+        if count * cost > room:
+            extra = int(room // cost)
+            break
+        room -= count * cost
+        full += 1
+    reaching = [i for i, a in enumerate(parts) if a > full]
+    mu = [a for a in parts]
+    for i in reaching:
+        mu[i] = full + 1 if i in reaching[:extra] else full
+    t = sum(columns[:full]) + extra
+    return t, full, extra, tuple(mu), tuple(p**m - 1 for m in mu)
+
+
+def _canonical(runs) -> bool:
+    return all(copies >= 1 for _, copies in runs) and all(
+        a[0] != b[0] for a, b in zip(runs, runs[1:])
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(built_twice(), st.sampled_from([2, 3, 5, 7]), st.data())
+def test_the_run_witness_is_the_row_witness(pair, p, data):
+    rows, runs = pair
+    measure = geometric_sum(rows, p)
+    budget = data.draw(st.one_of(st.integers(0, (p - 1) * measure), st.just(math.inf)))
+    t, full, extra, mu, point = _reference_witness(p, rows.parts, budget)
+    witness = min_valuation(p, rows, budget)
+    assert min_valuation(p, runs, budget) == witness
+    assert (witness.t, witness.full_columns, witness.extra_dots) == (t, full, extra)
+    assert witness.value == rows.size - t == vp_value(p, rows, budget)
+    assert _canonical(witness.mu_runs) and _canonical(witness.point_runs)
+    assert [n for n, copies in witness.mu_runs for _ in range(copies)] == list(mu)
+    assert [x for x, copies in witness.point_runs for _ in range(copies)] == list(point)
+    assert (witness.mu, witness.point) == (mu, point)
+    assert sum(point) <= budget and product_valuation(p, rows, point) == Degree.of(witness.value)
+
+
+def _point_runs(point, cuts):
+    """The runs of a row point (equal values of one type merged), each run
+    cut in two where cuts says so, so that equal neighbours are left too."""
+    runs = []
+    for n in point:
+        if runs and type(runs[-1][0]) is type(n) and runs[-1][0] == n:
+            runs[-1][1] += 1
+        else:
+            runs.append([n, 1])
+    pieces = []
+    for (n, copies), cut in zip(runs, cuts):
+        cut = cut % copies
+        pieces += [(n, copies - cut)] + ([(n, cut)] if cut else [])
+    return tuple(pieces)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    built_twice(),
+    st.sampled_from([2, 3, 5]),
+    st.data(),
+    st.lists(st.integers(0, 5), min_size=300, max_size=300),
+)
+def test_a_run_point_is_valued_as_its_rows(pair, p, data, cuts):
+    rows, runs = pair
+    # Falling coordinates in runs of equal parts, as a witness has them, or
+    # any coordinates, with a bad one or a wrong length now and then.
+    shape = data.draw(st.sampled_from(["witness", "any", "bad", "short", "long"]))
+    point = [data.draw(st.integers(0, p**a)) for a in rows.parts]
+    if shape == "witness":
+        point = list(min_valuation(p, rows, data.draw(st.integers(0, 10**4))).point)
+    elif shape == "bad":
+        point[data.draw(st.integers(0, len(point) - 1))] = data.draw(
+            st.sampled_from([-1, -5, 1.5, 2.0, True, False, "1", None])
+        )
+    elif shape == "short":
+        point.pop()
+    elif shape == "long":
+        point.append(0)
+    if not point:
+        return
+    expected = _outcome(lambda: product_valuation(p, rows, tuple(point)))
+    assert _outcome(lambda: product_valuation(p, runs, point)) == expected
+    run_point = _point_runs(point, cuts)
+    assert _outcome(lambda: product_valuation(p, rows, run_point)) == expected
+    assert _outcome(lambda: product_valuation(p, runs, list(run_point))) == expected
+    if not isinstance(expected, str):
+        assert list(bounds._run_pair_counts(rows.runs, run_point).items()) == list(
+            Counter(zip(rows.parts, point)).items()
+        )
+
+
+def test_min_valuation_takes_a_trillion_rows_at_once(monkeypatch):
+    start = time.perf_counter()
+    witness = min_valuation(2, partition_from_runs([(3, HUGE), (1, 2)]), 10)
+    assert (witness.value, witness.t, witness.full_columns, witness.extra_dots) == (
+        3 * HUGE + 2 - 10, 10, 0, 10,
+    )
+    assert witness.mu_runs == ((1, 10), (0, HUGE - 8)) and witness.point_runs == witness.mu_runs
+    whole = min_valuation(7, partition_from_runs([(3, HUGE), (1, 2)]), math.inf)
+    assert whole.mu_runs == ((3, HUGE), (1, 2)) and whole.value == 0
+    assert whole.point_runs == ((7**3 - 1, HUGE), (6, 2))
+    assert time.perf_counter() - start < 0.5  # milliseconds, with room for a slow machine
+    # The witness lists its rows as the partition does: within the limit,
+    # or whatever the limit when the partition's rows were listed.
+    monkeypatch.setenv("AXKATZ_ENUM_LIMIT", "4")
+    listed = min_valuation(3, make_partition([2, 2, 2, 1, 1]), 7)
+    assert listed.to_json_dict()["mu"] == list(listed.mu) == [1, 1, 1, 0, 0]
+    from_runs = min_valuation(3, partition_from_runs([(2, 3), (1, 2)]), 7)
+    assert from_runs == listed
+    for read in (lambda: from_runs.mu, lambda: from_runs.point, from_runs.to_json_dict):
+        with pytest.raises(ResourceLimitError, match="5 partition rows exceed the enumeration limit 4"):
+            read()
 
 
 def test_polybound_still_caps_the_rows_it_prints(capsys):

@@ -47,17 +47,17 @@ from .intmath import (
 from .partitions import (
     Partition,
     _dot_prefix_weight,
-    _listed_rows,
     _Record,
     _rows,
     _runs_of,
     _second,
+    _uncapped,
     _unchecked,
     partition_from_runs,
     truncate,
 )
 
-Budget = int | float  # nonnegative int, or math.inf for an unbounded budget
+Budget = int | float  # nonnegative int or float (read as its floor), or math.inf for none
 
 
 def binomial_sum_valuation(p: int, exponent: int, n: int) -> Degree:
@@ -319,7 +319,7 @@ def min_valuation(p: int, alpha: Partition, budget: Budget) -> ValuationMinimum:
         raise ConsistencyError("witness point exceeds the budget", instance=instance)
     return _unchecked(
         ValuationMinimum, value=value, t=t, point_runs=point_runs, mu_runs=mu_runs,
-        full_columns=full, extra_dots=extra, _derived=_listed_rows(alpha),
+        full_columns=full, extra_dots=extra, _derived=_uncapped(alpha),
     )
 
 

@@ -163,22 +163,20 @@ class Partition(_Record):
     @cached_property
     def columns(self) -> tuple[int, ...]:
         """Ferrers column dot counts: columns[j-1] = #{i : parts[i] >= j}."""
-        return _listed(_conjugate_runs(self))
+        return _rows(_conjugate_runs(self), capped=False)
 
     def to_json(self) -> list[int]:
         return list(self.parts)
 
 
 def _rows(runs, capped: bool) -> tuple[int, ...]:
-    """The rows of (value, rows) runs, held to ``enumeration_limit()`` when capped."""
-    from .groups import enumeration_limit  # groups imports this module
+    """The rows of (value, rows) runs, listed at C speed; held to
+    ``enumeration_limit()`` when capped."""
+    if capped:
+        from .groups import enumeration_limit  # groups imports this module
 
-    if capped and (rows := sum(map(_second, runs))) > (limit := enumeration_limit()):
-        raise ResourceLimitError(f"{rows} partition rows exceed the enumeration limit {limit}")
-    return _listed(runs)
-
-
-def _listed(runs) -> tuple[int, ...]:
+        if (rows := sum(map(_second, runs))) > (limit := enumeration_limit()):
+            raise ResourceLimitError(f"{rows} partition rows exceed the enumeration limit {limit}")
     listed: list[int] = []
     for part, copies in runs:
         listed += [part] * copies
@@ -288,12 +286,12 @@ def truncate(partition: Partition, level: int) -> Partition:
         capped += runs[kept][1]
         kept += 1
     runs = ((level, capped), *runs[kept:])
-    return _unchecked(Partition, runs=runs, _derived=_listed_rows(partition))
+    return _unchecked(Partition, runs=runs, _derived=_uncapped(partition))
 
 
-def _listed_rows(partition: Partition) -> bool:
-    """Whether rows as many as the partition's are listed whatever the limit:
-    its rows are listed, or derived from rows a caller listed."""
+def _uncapped(partition: Partition) -> bool:
+    """Whether as many rows as the partition has are listed whatever the
+    enumeration limit: its rows were listed, or derive from listed rows."""
     return partition._derived or "parts" in vars(partition)
 
 

@@ -12,8 +12,8 @@ column-ordered dot prefix whose weight fits a budget: it gives `vp_value`,
 the deficit case's t_star and the `min_valuation` witness, held as runs (its
 mu and point are constant on each run of equal parts) and checked by sums
 over runs; `product_valuation` values the witness's point one pair of runs
-at a time.  So no step runs once per row: only a point given by its rows is
-read row by row, checked and counted at C speed (`_pair_counts`).
+at a time.  So no step runs once per row but the check of a point given by
+its rows and the slice counts that confirm its stretches (`_pair_counts`).
 
 Runtime checks: `min_valuation` re-derives its dot count from the bracket
 (p - 1) W(t) <= D < (p - 1) W(t + 1) (an infinite D must take all t =
@@ -27,6 +27,8 @@ its columns, and the budget or targets) to replay it.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
 from typing import Sequence
@@ -119,12 +121,8 @@ def _check_point(point) -> bool:
             if type(rows) is not int or rows < 1:
                 raise ValueError(f"point runs must be pairs (coordinate, rows >= 1), got {run!r}")
         coordinates = [n for n, _ in point]
-    types = set(map(type, coordinates))
-    if (
-        bool in types
-        or not all(issubclass(t, int) for t in types)
-        or min(coordinates, default=0) < 0
-    ):
+    # Plain nonnegative ints pass at C speed; anything else is named in row order.
+    if {*map(type, coordinates)} - {int} or min(coordinates, default=0) < 0:
         for n in coordinates:
             check_integer(n, "a coordinate")
             if n < 0:
@@ -155,14 +153,29 @@ def _pair_counts(
     parts: Partition | tuple[int, ...], point: Sequence[int]
 ) -> dict[tuple[int, int], int]:
     """Counts of the pairs (parts[i], point[i]), in first-occurrence order,
-    parts given as a partition or its rows: one C-level count of the
-    coordinates of each run of equal parts."""
+    parts given as a partition or its rows.
+
+    Inside each run of equal parts, a bisection finds the end j of a stretch
+    of coordinates equal to n, confirmed by one C-level count; the bisection
+    only stops before the end of the run at a coordinate below n, so the
+    confirmed stretches fall strictly and their counts are exact.  A run whose
+    coordinates do not fall costs one step per stretch; from the first stretch
+    that fails its count, the rest of the run is counted with a ``Counter``.
+    """
     runs = parts.runs if isinstance(parts, Partition) else _runs_of(parts)
-    counts, hi = {}, 0
+    counts: dict[tuple[int, int], int] = {}
+    hi = 0
     for a, copies in runs:
-        lo, hi = hi, hi + copies
-        for n, count in Counter(point[lo:hi]).items():
-            counts[a, n] = count
+        i, hi = hi, hi + copies
+        while i < hi:
+            n = point[i]
+            j = bisect_right(point, -n, i, hi, key=operator.neg)
+            if point[i:j].count(n) != j - i:
+                for m, copies in Counter(point[i:hi]).items():
+                    counts[a, m] = counts.get((a, m), 0) + copies
+                break
+            counts[a, n] = j - i
+            i = j
     return counts
 
 

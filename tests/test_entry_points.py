@@ -192,14 +192,14 @@ def test_budgets_and_points_reject_or_work(value):
     # A budget is a nonnegative int or float other than a bool or NaN; a
     # point holds int coordinates other than bools, or runs of them.
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    budget = number and value >= 0
     for call in (
         lambda: vp_value(2, TWO_ROWS, value),
         lambda: min_valuation(2, TWO_ROWS, value).to_json_dict(),
         lambda: min_valuation_equal_exponent(2, 3, 2, value),
     ):
         result = _built(call)
-        assert result is not None or not (number and value >= 0), (value, result)
-        assert result is None or number and value >= 0, (value, result)
+        assert (result is not None) == budget, (value, result)
     point = _tupled(value)
     result = _built(lambda: product_valuation(2, TWO_ROWS, point))
     if result is not None:

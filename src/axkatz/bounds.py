@@ -492,11 +492,13 @@ def bound_objective(alpha: Partition, targets: TargetSpec, point: Sequence[int])
     p = targets.p
     if len(point) != targets.r:
         raise ValueError(f"expected {targets.r} coordinates, got {len(point)}")
+    for n in point:
+        check_integer(n, "a coordinate")
+        if n < 0:
+            raise ValueError("objective coordinates must be nonnegative")
     floors = 0
     budget = 0
     for (beta, d), n in zip(targets.targets, point):
-        if n < 0:
-            raise ValueError("objective coordinates must be nonnegative")
         floors += _carry_floor(p, beta, n)
         budget += d * n
     return floors + vp_value(p, alpha, budget)

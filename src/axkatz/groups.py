@@ -12,11 +12,11 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ResourceLimitError
 from .intmath import check_prime, check_tuple, factorize, multiplicity, power_exceeds, power_text
-from .partitions import Partition, _Record, _unchecked
+from .partitions import Partition, _Record, _setattr, _unchecked
 
 DEFAULT_ENUM_LIMIT = 10**6
 ENUM_LIMIT_ENV = "AXKATZ_ENUM_LIMIT"
@@ -43,10 +43,27 @@ class AbelianShape(_Record):
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        check_tuple(self.factors, "factors")
-        for m in self.factors:
+        factors = self.factors
+        check_tuple(factors, "factors")
+        # Plain ints pass at C speed: the type of every factor is read (2.0
+        # would count as the 2 it equals), the bound only on the distinct
+        # values.  Anything else takes the loop, which names the first factor
+        # at fault; an int subclass it passes is counted on first read.
+        if set(map(type, factors)) <= {int}:
+            counts = Counter(factors)
+            if min(counts, default=2) >= 2:
+                _setattr(self, "counts", tuple(counts.items()))
+                return
+        for m in factors:
             if not isinstance(m, int) or isinstance(m, bool) or m < 2:
                 raise ValueError(f"factors must be integers >= 2, got {m!r}")
+
+    @cached_property
+    def counts(self) -> tuple[tuple[int, int], ...]:
+        """(factor, copies) pairs, one per distinct factor, in the order the
+        factors first appear: counted once, by the check that built the
+        shape or on first read."""
+        return tuple(Counter(map(int, self.factors)).items())
 
     @property
     def order(self) -> int:
@@ -60,7 +77,7 @@ class AbelianShape(_Record):
         return not self.factors
 
     def primes(self) -> tuple[int, ...]:
-        return tuple(sorted(factorize(self.order).keys())) if self.factors else ()
+        return tuple(sorted({q for m, _ in self.counts for q in factorize(m)}))
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.factors)
@@ -101,7 +118,8 @@ class PGroupShape(_Record):
         return self.p**self.exponents.size
 
     def shape(self) -> AbelianShape:
-        return AbelianShape(tuple(self.p**a for a in self.exponents.parts))
+        # Powers of a checked prime by a checked partition: valid as built.
+        return _unchecked(AbelianShape, factors=tuple(self.p**a for a in self.exponents.parts))
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +128,7 @@ def pure_prime(shape: AbelianShape) -> int | None:
     if shape.is_trivial:
         return None
     primes = set()
-    for m in shape.factors:
+    for m, _ in shape.counts:
         fac = factorize(m)
         if len(fac) != 1:
             return None
@@ -120,11 +138,12 @@ def pure_prime(shape: AbelianShape) -> int | None:
 
 def primary_decomposition(shape: AbelianShape) -> dict[int, PGroupShape]:
     """Split a nontrivial shape into its Sylow components, one per prime,
-    as runs: each distinct factor is factored once."""
+    as runs read from the shape's counts: each distinct factor is factored
+    once, and no factor is read again."""
     if shape.is_trivial:
         raise ValueError("the trivial group has no primary decomposition")
     copies_of: dict[int, dict[int, int]] = {}
-    for m, copies in Counter(shape.factors).items():
+    for m, copies in shape.counts:
         for prime, e in factorize(m).items():
             exponents = copies_of.setdefault(prime, {})
             exponents[e] = exponents.get(e, 0) + copies

@@ -67,6 +67,7 @@ from typing import Sequence
 from .bounds import (
     TargetSpec,
     _carry_floor,
+    _check_budget,
     bound_objective_minimum,  # not called here; the test suite reads oracle.bound_objective_minimum
     expand_targets,
     polynomial_system_bound,
@@ -199,8 +200,7 @@ def brute_min_valuation(p: int, alpha: Partition, budget: int | float) -> int:
     infinite valuation, so restricting to the coordinate box is lossless.
     """
     check_prime(p)
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+    _check_budget(budget)
     profile = _valuation_profile(p, alpha.parts)
     idx = len(profile) - 1 if budget >= len(profile) else int(budget)
     return profile[idx]

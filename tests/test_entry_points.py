@@ -17,7 +17,9 @@ from axkatz import (
     PolySystem,
     ResourceLimitError,
     TargetSpec,
+    bound_objective,
     bound_objective_minimum,
+    brute_min_valuation,
     brute_objective_minimum,
     functions_by_degree,
     make_partition,
@@ -197,6 +199,7 @@ def test_budgets_and_points_reject_or_work(value):
         lambda: vp_value(2, TWO_ROWS, value),
         lambda: min_valuation(2, TWO_ROWS, value).to_json_dict(),
         lambda: min_valuation_equal_exponent(2, 3, 2, value),
+        lambda: brute_min_valuation(2, TWO_ROWS, value),
     ):
         result = _built(call)
         assert (result is not None) == budget, (value, result)
@@ -215,6 +218,7 @@ def test_budget_rejections():
             lambda: vp_value(2, TWO_ROWS, budget),
             lambda: min_valuation(2, TWO_ROWS, budget),
             lambda: min_valuation_equal_exponent(2, 3, 2, budget),
+            lambda: brute_min_valuation(2, TWO_ROWS, budget),
         ):
             with pytest.raises(ValueError, match="budget must be a nonnegative number or inf"):
                 call()
@@ -223,6 +227,30 @@ def test_budget_rejections():
     assert vp_value(2, TWO_ROWS, 2.5) == vp_value(2, TWO_ROWS, 2) == 1
     assert min_valuation_equal_exponent(2, 3, 2, 6.5) == min_valuation_equal_exponent(2, 3, 2, 6)
     assert min_valuation(2, TWO_ROWS, math.inf).point == (3, 1)
+    # The oracle took True as 1 (value 2), let "3" escape as TypeError and
+    # NaN as "cannot convert float NaN to integer"; it reads budgets alike.
+    for budget in (0, 1, 2.5, 3, 100, math.inf):
+        assert brute_min_valuation(2, TWO_ROWS, budget) == vp_value(2, TWO_ROWS, budget)
+
+
+def test_objective_point_rejections():
+    # (1.5,) gave the float 3.0, (True,) was valued as (1,) and ("a",)
+    # escaped as TypeError; every coordinate is checked before any is valued.
+    alpha = make_partition([2, 1])
+    for point, shown in [((1.5,), "1.5"), ((True,), "True"), (("a",), "'a'"), ((None,), "None")]:
+        with pytest.raises(ValueError) as error:
+            bound_objective(alpha, TARGETS, point)
+        assert str(error.value) == f"a coordinate must be an integer, got {shown}"
+    two = make_targets(2, [(1, 1), (2, 1)])
+    with pytest.raises(ValueError, match="a coordinate must be an integer, got 1.0"):
+        bound_objective(alpha, two, (1, 1.0))
+    for point in ((1, -1), (-1, 1.0)):
+        with pytest.raises(ValueError, match="objective coordinates must be nonnegative"):
+            bound_objective(alpha, two, point)
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
+        bound_objective(alpha, two, (1,))
+    assert [bound_objective(alpha, TARGETS, (n,)) for n in range(4)] == [3, 2, 2, 3]
+    assert type(bound_objective(alpha, TARGETS, [1])) is int
 
 
 def test_point_rejections():

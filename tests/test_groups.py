@@ -1,9 +1,15 @@
 """Group shapes, enumeration order, Sylow splitting, degree caps."""
 
+import copy
 import math
+import pickle
 import random
+from collections import Counter
+from enum import IntEnum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axkatz import (
     AbelianShape,
@@ -17,8 +23,9 @@ from axkatz import (
     primary_decomposition,
 )
 from axkatz import calculus
-from axkatz.groups import check_enumerable, component_of, one_variable_cap
+from axkatz.groups import check_enumerable, component_of, one_variable_cap, pure_prime
 from axkatz.intmath import factorize, multiplicity
+from axkatz.partitions import _unchecked
 
 
 def test_shape_validation():
@@ -26,6 +33,117 @@ def test_shape_validation():
         AbelianShape((1,))
     assert AbelianShape(()).is_trivial
     assert AbelianShape((4, 2)).order == 8
+
+
+@pytest.mark.parametrize("bad", [True, 1, 0, -3, 2.0, "2", None])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_shape_names_the_first_bad_factor(bad, at):
+    factors = [4, 6, 9, 6]
+    factors.insert(at, bad)
+    with pytest.raises(ValueError) as error:
+        AbelianShape(tuple(factors))
+    assert str(error.value) == f"factors must be integers >= 2, got {bad!r}"
+
+
+def test_shape_reads_the_type_of_every_factor():
+    # 2.0 == 2 and 2.0 hashes as 2, so a count of the factors would take it
+    # for a second 2; True likewise counts as an earlier 1.
+    for factors, bad in [
+        ((2, 2.0), 2.0),
+        ((3,) * 50 + (3.0,) + (3,) * 50, 3.0),
+        ((5, 1, True), 1),
+        ((5, True, 1), True),
+        ((4, 0, 2.0), 0),
+    ]:
+        with pytest.raises(ValueError) as error:
+            AbelianShape(factors)
+        assert str(error.value) == f"factors must be integers >= 2, got {bad!r}"
+    with pytest.raises(ValueError, match=r"factors must be a tuple, got \[2\]"):
+        AbelianShape([2])
+
+
+def test_checked_and_unchecked_shapes_are_one_value():
+    factors = (12, 4, 12, 7, 4, 12)
+    checked, unchecked = AbelianShape(factors), _unchecked(AbelianShape, factors=factors)
+    assert "counts" in vars(checked) and "counts" not in vars(unchecked)
+    assert checked == unchecked and hash(checked) == hash(unchecked)
+    assert repr(checked) == repr(unchecked) == "AbelianShape(factors=(12, 4, 12, 7, 4, 12))"
+    assert checked.to_json() == unchecked.to_json() == list(factors)
+    built = PGroupShape(3, make_partition([2, 1, 1])).shape()
+    assert built == AbelianShape((9, 3, 3)) and built.counts == ((9, 1), (3, 2))
+    for shape in (checked, unchecked, AbelianShape(()), _unchecked(AbelianShape, factors=())):
+        for twin in (
+            copy.copy(shape),
+            copy.deepcopy(shape),
+            pickle.loads(pickle.dumps(shape)),
+            pickle.loads(pickle.dumps(shape, protocol=0)),
+        ):
+            assert twin == shape and hash(twin) == hash(shape) and type(twin) is AbelianShape
+            assert twin.counts == shape.counts == tuple(Counter(shape.factors).items())
+            assert twin.primes() == shape.primes()
+            with pytest.raises(AttributeError):
+                twin.factors = (2,)
+
+
+PRIMES = [2, 3, 5, 7, 999983, 10**6 + 3]
+
+
+@st.composite
+def _factor(draw):
+    picked = draw(st.lists(st.sampled_from(PRIMES), min_size=1, max_size=3, unique=True))
+    return math.prod(q ** draw(st.integers(1, 3 if q < 10 else 1)) for q in picked)
+
+
+@st.composite
+def _repeated_factors(draw, copies):
+    distinct = draw(st.lists(_factor(), min_size=1, max_size=6, unique=True))
+    factors = [m for m in distinct for _ in range(draw(st.integers(1, copies)))]
+    return tuple(draw(st.permutations(factors)))
+
+
+def _built_as(how: str, factors: tuple) -> AbelianShape:
+    """The shape of the factors: checked, unchecked, or checked with the
+    factors as members of an IntEnum (an int subclass)."""
+    if how == "unchecked":
+        return _unchecked(AbelianShape, factors=factors)
+    if how == "intenum":
+        members = IntEnum("Factor", {f"F{m}": m for m in set(factors)})
+        return AbelianShape(tuple(map(members, factors)))
+    return AbelianShape(factors)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_repeated_factors(copies=300), st.sampled_from(["checked", "unchecked", "intenum"]))
+def test_primary_decomposition_matches_the_per_factor_definition(factors, how):
+    shape = _built_as(how, factors)
+    components = primary_decomposition(shape)
+    expected = {}
+    for q in sorted({q for m in factors for q in factorize(m)}):
+        exponents = [multiplicity(q, m) for m in factors if m % q == 0]
+        expected[q] = PGroupShape(q, make_partition(exponents))
+    assert components == expected and list(components) == list(expected)
+    for q, component in components.items():
+        assert {type(q), type(component.p), *map(type, component.exponents)} == {int}
+    assert shape.counts == tuple(Counter(factors).items())
+    assert {type(m) for m, _ in shape.counts} == {int}
+
+
+@settings(max_examples=120, deadline=None)
+@given(_repeated_factors(copies=3), st.sampled_from(["checked", "unchecked", "intenum"]))
+def test_primes_and_pure_prime_match_the_factored_order(factors, how):
+    shape = _built_as(how, factors)
+    primes = tuple(sorted(factorize(shape.order)))
+    assert shape.primes() == primes and {*map(type, primes)} <= {int}
+    assert pure_prime(shape) == (primes[0] if len(primes) == 1 else None)
+
+
+def test_primes_of_many_factors_read_the_distinct_ones():
+    # The order of 5,000 such factors has about 39,000 digits.
+    shape = AbelianShape((2 * 999983, 3 * (10**6 + 3), 6) * 1667)
+    assert shape.primes() == (2, 3, 999983, 10**6 + 3)
+    assert pure_prime(shape) is None
+    assert pure_prime(AbelianShape((8, 2, 4) * 2000)) == 2
+    assert AbelianShape(()).primes() == () and pure_prime(AbelianShape(())) is None
 
 
 def test_primary_decomposition_fixtures():

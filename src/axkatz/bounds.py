@@ -13,7 +13,7 @@ the deficit case's t_star and the `min_valuation` witness, held as runs (its
 mu and point are constant on each run of equal parts) and checked by sums
 over runs; `product_valuation` values the witness's point one pair of runs
 at a time.  So no step runs once per row but the check of a point given by
-its rows and the slice counts that confirm its stretches (`_pair_counts`).
+its rows and the one count per run of its coordinates (`_pair_counts`).
 
 Runtime checks: `min_valuation` re-derives its dot count from the bracket
 (p - 1) W(t) <= D < (p - 1) W(t + 1) (an infinite D must take all t =
@@ -27,8 +27,6 @@ its columns, and the budget or targets) to replay it.
 
 from __future__ import annotations
 
-import operator
-from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
 from typing import Sequence
@@ -51,7 +49,6 @@ from .partitions import (
     _dot_prefix_weight,
     _Record,
     _rows,
-    _runs_of,
     _second,
     _uncapped,
     _unchecked,
@@ -149,33 +146,16 @@ def _run_pair_counts(
     return counts
 
 
-def _pair_counts(
-    parts: Partition | tuple[int, ...], point: Sequence[int]
-) -> dict[tuple[int, int], int]:
-    """Counts of the pairs (parts[i], point[i]), in first-occurrence order,
-    parts given as a partition or its rows.
-
-    Inside each run of equal parts, a bisection finds the end j of a stretch
-    of coordinates equal to n, confirmed by one C-level count; the bisection
-    only stops before the end of the run at a coordinate below n, so the
-    confirmed stretches fall strictly and their counts are exact.  A run whose
-    coordinates do not fall costs one step per stretch; from the first stretch
-    that fails its count, the rest of the run is counted with a ``Counter``.
-    """
-    runs = parts.runs if isinstance(parts, Partition) else _runs_of(parts)
+def _pair_counts(alpha: Partition, point: Sequence[int]) -> dict[tuple[int, int], int]:
+    """Counts of the pairs (alpha[i], point[i]), in first-occurrence order:
+    each run of equal parts counts its coordinates with one C-level
+    ``Counter``."""
     counts: dict[tuple[int, int], int] = {}
     hi = 0
-    for a, copies in runs:
-        i, hi = hi, hi + copies
-        while i < hi:
-            n = point[i]
-            j = bisect_right(point, -n, i, hi, key=operator.neg)
-            if point[i:j].count(n) != j - i:
-                for m, copies in Counter(point[i:hi]).items():
-                    counts[a, m] = counts.get((a, m), 0) + copies
-                break
-            counts[a, n] = j - i
-            i = j
+    for a, copies in alpha.runs:
+        lo, hi = hi, hi + copies
+        for n, rows in Counter(point[lo:hi]).items():
+            counts[a, n] = rows
     return counts
 
 

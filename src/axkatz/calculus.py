@@ -21,21 +21,23 @@ differences at the origin over the support box prod [0, w_i) are therefore
 all the binomial-basis coefficients of the periodic pullback, and
 Delta^m f(x) = sum_n c_n C(x, n - m) makes the degree the largest total
 order of a nonzero coefficient.  One forward-difference transform per axis
-(Yates) computes the whole box from the values on it, each step slot-wise
-on packed ints.  One table holds its box in one int, a slot per cell, and
+(Yates) computes the whole box from the values on it.  Packed ints are
+stepped slot-wise: one table holds its box in one int, a slot per cell, and
 an axis is stepped inside it; a batch (``TableSet``, the one batch layout)
 holds one int per codomain slot and cell, a slot per table, and is stepped
-across the cells, as exact integers are.  The box has prod w_i cells, which
-can dwarf the table (3^16 cells for a map (Z/2)^16 -> Z/4), so a box past
-the enumeration limit raises ResourceLimitError before it is built.  A
-nonzero coefficient beyond the component's degree cap would contradict the
-closed form and raises ConsistencyError.  ``difference`` and
-``iterated_difference`` are the definition-level operators, both read
-through one index map per translation; the test suite checks the transform
-against them.  ``reconstruct`` evaluates a coefficient table point by point
-through one ``BinomialSeries`` per codomain factor; ``_box_values`` gives a
-series' exact values on the whole domain box by the transform run with
-exact adds.
+across the cells.  A single column of plain ints (``coefficient_table``,
+``_outside_forms``, ``_box_values``, ``lift_difference_box``) is stepped
+with exact adds or subtracts and reduced mod q once, if at all.  The box
+has prod w_i cells, which can dwarf the table (3^16 cells for a map
+(Z/2)^16 -> Z/4), so a box past the enumeration limit raises
+ResourceLimitError before it is built.  A nonzero coefficient beyond the
+component's degree cap would contradict the closed form and raises
+ConsistencyError.  ``difference`` and ``iterated_difference`` are the
+definition-level operators, both read through one index map per
+translation; the test suite checks the transform against them.
+``reconstruct`` evaluates a coefficient table point by point through one
+``BinomialSeries`` per codomain factor; ``_box_values`` gives a series'
+exact values on the whole domain box by the transform run with exact adds.
 """
 
 from __future__ import annotations
@@ -214,14 +216,6 @@ class TableSet(Sequence):
         tables = zip(*map(zip, *columns)) if columns else [((),) * self.domain.order] * self.length
         for values in tables:  # checked with the set, not again
             yield _unchecked(FiniteMap, domain=self.domain, codomain=self.codomain, values=values)
-
-    def select(self, indices: list[int]) -> "TableSet":
-        """The set of the tables at indices, in that order."""
-        planes = [
-            [_plane(list(map(lane.__getitem__, indices)), self.size) for lane in c]
-            for c in self._lanes()
-        ]
-        return TableSet(self.domain, self.codomain, len(indices), planes, self.size)
 
     def zero_flags(self) -> tuple[int, ...]:
         """Per domain position, a 1 in the lowest bit of the slot of each table
@@ -711,10 +705,9 @@ def _degree(top: int) -> Degree:
 
 def _forward_differences(column: list[int], widths: Sequence[int], step, rows=None) -> None:
     """In place over a row-major box: cell n becomes the n-th iterated
-    forward difference of the original array at the origin, by the
-    slot-wise step(a, b) (``_slot_difference``; ``operator.sub`` keeps plain
-    ints exact; ``_slot_sum``, or ``operator.add`` on plain ints, undoes the
-    transform).
+    forward difference of the original array at the origin, by step(a, b):
+    ``_slot_difference`` on packed ints, ``operator.sub`` on plain ints;
+    ``_slot_sum`` or ``operator.add`` undoes the transform.
 
     Per axis, for k = 1..w-1 the rows k..w-1 are stepped against their
     predecessors.  Across entries (entry n cell n): one step per entry, the
@@ -821,15 +814,15 @@ def _outside_forms(
     """
     if q == p:  # b = 1: the support box is the domain box
         return []
-    b, step = multiplicity(p, q), _slot_difference(q, q.bit_length() + 1, 1)
+    b = multiplicity(p, q)
     partial: list = [(0, False, ((0, 0, 1),))]  # (order of k, k outside?, (cell, order, c) terms)
     for m in factors:
         width = one_variable_cap(p, multiplicity(p, m), b) + 1
         columns = []
         for n in range(m):
-            column = [binomial(x % m, n) % q for x in range(width)]
-            _forward_differences(column, (width,), step)
-            columns.append(column)
+            column = [binomial(x % m, n) for x in range(width)]
+            _forward_differences(column, (width,), operator.sub)
+            columns.append([c % q for c in column])
         options = [
             (k, k >= m, [(n, column[k]) for n, column in enumerate(columns) if column[k]])
             for k in range(width)
@@ -908,13 +901,13 @@ def coefficient_table(
 ) -> list[int]:
     """Values mod q, in enumeration order, of the map sum_n c_n C(x, n) given
     by its (cell, c_n) terms on the domain box (cells row-major); repeated
-    cells add up."""
+    cells add up.  The summation transform runs with exact adds, and each
+    value is reduced mod q once."""
     column = [0] * domain.order
     for cell, c in terms:
         column[cell] += c
-    column = [c % q for c in column]
-    _forward_differences(column, domain.factors, _slot_sum(q, q.bit_length() + 1, 1))
-    return column
+    _forward_differences(column, domain.factors, operator.add)
+    return [c % q for c in column]
 
 
 def _box_values(domain: AbelianShape, series: BinomialSeries) -> list[int]:

@@ -10,6 +10,8 @@ test plus a strong Lucas test with Selfridge's parameters), which has no
 known counterexample.  Factorization divides out the primes below 1000 and
 splits what is left with Pollard's rho in Brent's variant, so its cost grows
 with the square root of the second-largest prime factor, not the largest.
+Rho takes at most RHO_STEPS steps on one cofactor, and past them raises
+ResourceLimitError, so no factorization runs for long.
 """
 
 from __future__ import annotations
@@ -18,6 +20,12 @@ import math
 import sys
 from itertools import compress, count
 
+from .errors import ResourceLimitError
+
+# Pollard-rho steps spent on one cofactor, over all its constants: a
+# smaller prime factor up to about 2^40 is found well within them, and a
+# product of two 70-bit primes is refused in seconds.
+RHO_STEPS = 2**23
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
@@ -145,17 +153,22 @@ def _pollard_brent(n: int) -> int:
     Pollard's rho on x -> x^2 + c with Brent's cycle detection, batching the
     gcds over 128 steps and backtracking one step at a time when a batch
     overshoots to n.  The constants c = 1, 2, ... are tried in turn, so the
-    result is deterministic.
+    result is deterministic.  The steps of x -> x^2 + c, over every constant
+    tried, are held to RHO_STEPS: before a stretch of steps would pass it,
+    ResourceLimitError names n's bit length.
     """
+    steps = 0
     for c in count(1):
         y, r, product, g = 2, 1, 1, 1
         while g == 1:
             x = y
+            steps = _rho_steps(steps, r, n)
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 saved = y
+                steps = _rho_steps(steps, min(128, r - k), n)
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
                     product = product * abs(x - y) % n
@@ -171,11 +184,24 @@ def _pollard_brent(n: int) -> int:
             return g
 
 
+def _rho_steps(steps: int, more: int, n: int) -> int:
+    """steps + more, the rho steps taken on n once a stretch of more is run;
+    ResourceLimitError when that passes RHO_STEPS."""
+    steps += more
+    if steps > RHO_STEPS:
+        raise ResourceLimitError(
+            f"factoring a {n.bit_length()}-bit cofactor found no factor"
+            f" within {RHO_STEPS} Pollard-rho steps"
+        )
+    return steps
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1, keys in increasing order.
 
     Trial division by the primes below 1000, then Pollard-Brent splitting of
-    what is left.
+    what is left, which raises ResourceLimitError on a cofactor it cannot
+    split within RHO_STEPS.
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}")

@@ -68,7 +68,6 @@ from .bounds import (
     TargetSpec,
     _carry_floor,
     _check_budget,
-    bound_objective_minimum,  # not called here; the test suite reads oracle.bound_objective_minimum
     expand_targets,
     polynomial_system_bound,
     vp_value,
@@ -214,7 +213,9 @@ def functions_by_degree(
 ) -> dict[Degree, TableSet]:
     """Bucket maps from domain to codomain by exact functional degree.
 
-    With max_degree=None every table is listed and bucketed.  With
+    With max_degree=None every table is listed, its degree taken, and each
+    bucket built again from the product of the codomain's elements, keeping
+    the tables of its degree (``TableSet.of``).  With
     max_degree=d (a one-prime pair only) just the tables of degree <= d
     are: ``_bounded_buckets`` takes them from ``_generated_planes`` without
     building the others (d below -1 admits the zero map alone, as -1
@@ -232,12 +233,14 @@ def functions_by_degree(
         check_integer(max_degree, "max_degree")
         check_enumerable(codomain.order)  # held to the enumeration limit, as below
         return _bounded_buckets(domain, codomain, max(max_degree, -1))
-    tables = _all_tables(domain, codomain, enumerate_elements(codomain))
-    tops = _degree_tops(domain, codomain, tables)
-    chosen: dict = {}  # per top, its tables' indices: in product order, with no sort
-    for i, top in enumerate(tops):
-        chosen.setdefault(top, []).append(i)
-    return {_degree(top): tables.select(indices) for top, indices in chosen.items()}
+    targets = enumerate_elements(codomain)
+    tops = _degree_tops(domain, codomain, _all_tables(domain, codomain, targets))
+    buckets = {}
+    for top in dict.fromkeys(tops):  # per top, its tables in product order
+        kept = map(operator.eq, tops, itertools.repeat(top))
+        tables = itertools.compress(itertools.product(targets, repeat=domain.order), kept)
+        buckets[_degree(top)] = TableSet.of(domain, codomain, tables, tops.count(top))
+    return buckets
 
 
 def _rechecked_tops(

@@ -109,7 +109,7 @@ def valued_points(draw):
 def test_product_valuation_matches_per_row_counts(case):
     p, alpha, point = case
     assert product_valuation(p, alpha, point) == reference_product_valuation(p, alpha, point)
-    pairs = bounds._pair_counts(alpha.parts, point)
+    pairs = bounds._pair_counts(alpha, point)
     assert list(pairs.items()) == list(Counter(zip(alpha, point)).items())
 
 

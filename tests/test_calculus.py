@@ -196,7 +196,9 @@ def test_inverse_differences_match_reconstruct():
     # do it: inside one int holding the box, with its row masks kept or
     # built as they are read, and across one int per cell.
     rng = random.Random(5)
-    for domain, codomain in [(Z42, Z2), (Z2, AbelianShape((2, 4))), (Z9, Z3), (Z2, Z8)]:
+    pairs = [(Z42, Z2), (Z2, AbelianShape((2, 4))), (Z9, Z3), (Z2, Z8)]
+    pairs += [(AbelianShape((64,)), Z2), (AbelianShape((27,)), Z9)]  # a wide axis; q = 9
+    for domain, codomain in pairs:
         cells = list(itertools.product(*map(range, domain.factors)))
         coeffs = {n: tuple(rng.randrange(q) for q in codomain.factors) for n in cells}
         expected = reconstruct(domain, codomain, coeffs, INF)
@@ -207,6 +209,9 @@ def test_inverse_differences_match_reconstruct():
             # Repeated cells add up, past q too: twice each c_n, and q at the origin.
             twice = [*enumerate(column), *enumerate(column), (0, q)]
             assert calculus.coefficient_table(domain, q, twice) == [2 * v % q for v in values]
+            # Coefficients far past q, reduced only once the values are summed.
+            past = [(n, c + q * 10**20 * (n + 1)) for n, c in enumerate(column)]
+            assert calculus.coefficient_table(domain, q, past) == values
             ones, kept = calculus._slot_ones(domain.order, 1), calculus._box_rows(domain.factors, 1)
             assert kept == tuple(calculus._rows(domain.factors, 1))
             packed = [int.from_bytes(bytes(column), "little")]

@@ -3,11 +3,13 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -454,6 +456,26 @@ def test_polybound_with_a_mersenne_prime_modulus_finishes():
     done = _cli_process("polybound", "--m", str(2**61 - 1), "--n", "3", "--degrees", "2")
     assert done.returncode == 0, done.stderr
     assert list(json.loads(done.stdout)["bounds"]) == [str(2**61 - 1)]
+
+
+def test_a_product_of_two_70_bit_primes_is_refused_not_factored(tmp_path):
+    # Pollard-rho would need about 2^35 steps; intmath.RHO_STEPS stops it in
+    # seconds.  The two processes run side by side.
+    p, q = next(_primes_from(2**69)), next(_primes_from(2**70))
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"domain": [2], "codomain": [p * q], "values": [[0], [1]]}))
+    calls = [
+        ["polybound", "--m", str(p * q), "--n", "3", "--degrees", "2"],
+        ["fdeg", "--map", str(path)],
+    ]
+    with ThreadPoolExecutor(2) as pool:
+        for argv, done in zip(calls, pool.map(lambda argv: _cli_process(*argv), calls)):
+            assert done.returncode == 2 and done.stdout == "", argv
+            assert "factoring a 140-bit cofactor found no factor within" in done.stderr, argv
+
+
+def _primes_from(n):
+    return filter(axkatz.intmath.is_prime, itertools.count(n))
 
 
 def test_huge_target_exponent_exits_2_at_once():

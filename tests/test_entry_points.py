@@ -81,7 +81,10 @@ def test_partition_and_shape_reject_or_work(value):
         _works(alpha.to_json, lambda: hash(alpha), lambda: alpha.size + alpha.width)
     shape = _built(lambda: AbelianShape(value))
     if shape is not None:
-        _works(shape.to_json, lambda: hash(shape), shape.zero, lambda: shape.is_trivial)
+        # primes() factors every factor, up to 2^70 here: rho is held to its step cap.
+        _works(
+            shape.to_json, lambda: hash(shape), shape.zero, lambda: shape.is_trivial, shape.primes
+        )
 
 
 @settings(max_examples=300, deadline=None)

@@ -82,6 +82,12 @@ def test_functions_by_degree_buckets():
     assert sum(len(v) for v in bigger.values()) == 16
     assert max(k for k in bigger if k.is_finite) == 3
 
+    # Mixed orders: the maps that do not split make a +inf bucket.
+    for domain in (AbelianShape((6,)), AbelianShape((12,))):
+        got, expected = functions_by_degree(domain, Z2), _reference_buckets(domain, Z2)
+        assert INF in got and list(got) == list(expected)
+        assert got == expected
+
     with pytest.raises(ResourceLimitError):
         functions_by_degree(Z42, Z4, cap=100)
     with pytest.raises(ResourceLimitError, match="exceed the exhaustive cap 100"):
@@ -277,7 +283,7 @@ def _reference_report(p, parts, targets, mode="exhaustive", seed=None, samples=2
         "seed": seed,
         "vacuous": tested == 0,
         "passed": passed,
-        "objective_match": oracle.bound_objective_minimum(alpha, spec, (bound.s0 or 0) + 1)
+        "objective_match": bounds.bound_objective_minimum(alpha, spec, (bound.s0 or 0) + 1)
         == bound.bound,
     }
 
